@@ -511,10 +511,10 @@ def bulk_charge(potential_ev: np.ndarray, grid: Grid, mat: MaterialParams,
         raise ConfigurationError("potential contains non-finite entries")
     kt = K_B_EV * temperature_k
     ec = conduction_band_edge(grid, mat, potential_ev)
-    eta = (mat.fermi_level_ev - ec) / kt
-    n_nm3 = effective_dos_nm3(mat, temperature_k) * fermi_half(eta)
-    n_nm3[grid.quantum_mask] = 0.0
-    n_nm3[grid.depleted_mask] = 0.0
+    keep = ~(grid.quantum_mask | grid.depleted_mask)
+    n_nm3 = np.zeros_like(ec)
+    n_nm3[keep] = effective_dos_nm3(mat, temperature_k) * fermi_half(
+        (mat.fermi_level_ev - ec[keep]) / kt)
     return n_nm3 / NM3_PER_CM3
 
 
@@ -533,7 +533,18 @@ def field_to_csv(grid: Grid, values: np.ndarray, header: str = "x_nm,y_nm,value"
 
 
 def load_device_config(path) -> tuple[DeviceSpec, MaterialParams, DeviceBiases, dict]:
-    """Parse the key/value device file; returns (spec, materials, biases, extra).
+    """Read and parse a device file; see `parse_device_config`."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read device file {path}") from exc
+    return parse_device_config(text, source=str(path))
+
+
+def parse_device_config(text: str, source: str = "<string>"
+                        ) -> tuple[DeviceSpec, MaterialParams, DeviceBiases, dict]:
+    """Parse the key/value device schema; returns (spec, materials, biases, extra).
 
     Schema (INI, units in key names):
       [layers]   ordered entries "name = material thickness_nm [ge_fraction]"
@@ -546,9 +557,7 @@ def load_device_config(path) -> tuple[DeviceSpec, MaterialParams, DeviceBiases, 
     Extra sections are returned verbatim in `extra`.
     """
     cp = configparser.ConfigParser()
-    read = cp.read(str(path))
-    if not read:
-        raise ConfigurationError(f"cannot read device file {path}")
+    cp.read_string(text, source=source)
 
     layers = []
     for _, val in cp.items("layers"):
@@ -596,6 +605,13 @@ def load_device_config(path) -> tuple[DeviceSpec, MaterialParams, DeviceBiases, 
 
 def save_device_config(path, spec: DeviceSpec, mat: MaterialParams,
                        biases: DeviceBiases, extra: dict | None = None) -> None:
+    with open(path, "w") as fh:
+        fh.write(device_config_text(spec, mat, biases, extra))
+
+
+def device_config_text(spec: DeviceSpec, mat: MaterialParams,
+                       biases: DeviceBiases, extra: dict | None = None) -> str:
+    """The device file `load_device_config` reads, as text."""
     cp = configparser.ConfigParser()
     cp["layers"] = {
         f"layer{i}": f"{l.material} {l.thickness_nm:.6g} {l.ge_fraction:.4g}"
@@ -634,5 +650,6 @@ def save_device_config(path, spec: DeviceSpec, mat: MaterialParams,
     }
     for sec, items in (extra or {}).items():
         cp[sec] = {k: str(v) for k, v in items.items()}
-    with open(path, "w") as fh:
-        cp.write(fh)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()

@@ -13,8 +13,7 @@ model, which reduces to 4 t^2/(U - V) at zero detuning.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -22,11 +21,9 @@ from scipy.interpolate import PchipInterpolator
 from .constants import COULOMB_EV_NM, EV_TO_HZ, ZEEMAN_HZ_PER_T
 from .device import DeviceBiases, DeviceSpec, Grid, MaterialParams, build_grid
 from .errors import ConfigurationError, GeometryError, ModelValidityError
-from .params import SpinParams
 from .schrodinger import (
     ConvergedSolution,
     self_consistent_solve,
-    subband_line_density,
     well_rows,
 )
 
@@ -310,47 +307,6 @@ def exchange_energy(solution: ConvergedSolution, grid: Grid,
             u_ev=u, v_ev=v, u_l_ev=u_l, u_r_ev=u_r,
         )
     return j_hz
-
-
-# ---------------------------------------------------------------------------
-# SpinParams pipeline with caching
-# ---------------------------------------------------------------------------
-
-_SPIN_CACHE: dict = {}
-_SPIN_CACHE_LOCK = threading.Lock()
-
-
-def _bias_key(biases: DeviceBiases) -> tuple:
-    # quantize at 1 uV so float jitter cannot split cache entries
-    return tuple(int(round(v * 1e6)) for v in
-                 (biases.v_b, biases.v_l, biases.v_m, biases.v_r,
-                  biases.drain_bias_v))
-
-
-def spin_params(spec: DeviceSpec, mat: MaterialParams, biases: DeviceBiases,
-                field_map: MagnetFieldMap, *, grid: Grid | None = None,
-                coulomb_length_nm: float = DEFAULT_COULOMB_LENGTH_NM,
-                solution: ConvergedSolution | None = None,
-                use_cache: bool = True, **solve_kwargs) -> SpinParams:
-    """Full pipeline: self-consistent solve, Zeeman splittings, exchange."""
-    grid = grid or build_grid(spec)
-    key = (id(grid), _bias_key(biases), coulomb_length_nm)
-    if use_cache and solution is None:
-        with _SPIN_CACHE_LOCK:
-            if key in _SPIN_CACHE:
-                return _SPIN_CACHE[key]
-    if solution is None:
-        solution = self_consistent_solve(spec, mat, biases, grid=grid,
-                                         **solve_kwargs)
-    regions = find_dots(solution, grid)
-    e_zl, e_zr = zeeman_splittings(solution, field_map, grid, regions)
-    j_hz = exchange_energy(solution, grid, mat, coulomb_length_nm)
-    out = SpinParams(e_zl_hz=e_zl, e_zr_hz=e_zr, j_hz=j_hz,
-                     v_m_mv=biases.v_m * 1e3, bias_tag=_bias_key(biases))
-    if use_cache:
-        with _SPIN_CACHE_LOCK:
-            _SPIN_CACHE[key] = out
-    return out
 
 
 # ---------------------------------------------------------------------------

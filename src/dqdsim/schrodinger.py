@@ -13,7 +13,9 @@ along the long [001] axis of the device; the resulting line density times
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,10 +30,19 @@ from .device import (
     MaterialParams,
     build_grid,
     bulk_charge,
+    device_config_text,
     fermi_minus_half,
+    parse_device_config,
     solve_poisson,
 )
 from .errors import ConfigurationError, NonConvergenceError, NumericalError
+
+log = logging.getLogger("dqdsim")
+
+# A continuation stage whose residual has set no new minimum for this many
+# iterations is abandoned: it would only run on to the cap, and a failed
+# stage is discarded anyway.
+STALL_WINDOW = 50
 
 
 @dataclass
@@ -234,6 +245,15 @@ def quantum_charge(spectrum: Spectrum, e_fermi_ev: float, temperature_k: float,
     return n_nm3 / NM3_PER_CM3
 
 
+class ScfStage(NamedTuple):
+    """One fixed-temperature stage of the self-consistent loop."""
+
+    temperature_k: float
+    iterations: int
+    converged: bool
+    abandoned: bool
+
+
 @dataclass
 class ConvergedSolution:
     potential_ev: np.ndarray
@@ -243,22 +263,30 @@ class ConvergedSolution:
     iterations: int
     final_update_norm_ev: float
     occupancies_per_nm: np.ndarray     # line density per eigenstate
+    stages: tuple[ScfStage, ...] = ()
+    update_history_ev: list[float] = field(default_factory=list)  # all stages
 
 
 def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
                  t_k: float, u0: np.ndarray, n_states: int, mixing: float,
                  tol_ev: float, max_iter: int, eig_method: str,
-                 pin_occupation=None, pin_length_nm=60.0):
+                 pin_occupation=None, pin_length_nm=60.0,
+                 stall_window: int | None = None):
     """One damped fixed-point stage at a fixed temperature.
 
     The update norm is the undamped residual max|G(u) - u| with
     G(u) = poisson(charge(u)), so the stopping point does not depend on the
-    mixing factor.
+    mixing factor. With `stall_window`, the stage is abandoned once its
+    residual has set no new minimum for that many iterations.
+
+    Returns (u, charge, spectrum, resid, history, stage). When the stage
+    does not converge, u is the last iterate and charge and spectrum are
+    None.
     """
     u = u0
     history = []
     beta = mixing
-    best = np.inf
+    best, best_it = np.inf, 0
     for it in range(1, max_iter + 1):
         spectrum = solve_eigenstates(u, grid, mat, n_states, method=eig_method)
         if pin_occupation is None:
@@ -271,13 +299,20 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
         resid = float(np.max(np.abs(u_new - u)))
         history.append(resid)
         if resid <= tol_ev:
-            return u, charge, spectrum, it, resid, history
+            return (u, charge, spectrum, resid, history,
+                    ScfStage(t_k, it, True, False))
         # adaptive safeguard: shrink the step while the residual grows
         if resid > 1.5 * best and beta > 0.01:
             beta = max(beta * 0.5, 0.01)
-        best = min(best, resid)
+        if resid < best:
+            best, best_it = resid, it
+        elif stall_window is not None and it - best_it >= stall_window:
+            log.debug("SCF stage at %g K abandoned after %d iterations: "
+                      "best residual %.3e eV at iteration %d",
+                      t_k, it, best, best_it)
+            return u, None, None, resid, history, ScfStage(t_k, it, False, True)
         u = u + beta * (u_new - u)
-    return None, u, None, max_iter, history[-1], history
+    return u, None, None, resid, history, ScfStage(t_k, max_iter, False, False)
 
 
 def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
@@ -292,10 +327,17 @@ def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
 
     A cold start descends through a short temperature continuation
     (40 K -> 8 K -> T): occupations are steep at 1.5 K and the hot stages
-    provide a well-behaved warm start. The final stage always runs at the
-    device temperature with exact Fermi-Dirac occupation and the 1 ueV
-    max-norm tolerance. Raises NonConvergenceError with the residual history
-    when an iteration cap is hit.
+    provide a well-behaved warm start. A continuation stage is abandoned
+    when it hits `max_iter` or when its residual has set no new minimum for
+    `STALL_WINDOW` iterations; the next stage then starts from the last
+    converged potential. The final stage always runs at the device
+    temperature with exact Fermi-Dirac occupation and the 1 ueV max-norm
+    tolerance. It is never cut short: at `max_iter` (if that is >= 50) it
+    is retried once with heavy damping, and NonConvergenceError (with the
+    residual history and stage records) is raised when a cap ends it.
+
+    The solution records every stage as a `ScfStage` and the residual
+    history of all stages in order; `iterations` is their total.
 
     With `pin_occupation` = (n_left, n_right) the quantum charge is the
     Coulomb-blockade-pinned model (fixed electron number per dot, spread
@@ -307,51 +349,48 @@ def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
         raise ConfigurationError("mixing factor must lie in (0, 0.5]")
     grid = grid or build_grid(spec)
     t_dev = spec.temperature_k
-    zero_charge = np.zeros((grid.ny, grid.nx))
-    total_iters = 0
+    stages, history = [], []
+
+    def stage(t_k, u0, beta, tol, cap, stall_window=None):
+        u, charge, spectrum, resid, hist, record = _scf_fixed_t(
+            grid, mat, biases, t_k, u0, n_states, beta, tol, cap, eig_method,
+            pin_occupation, pin_length_nm, stall_window)
+        history.extend(hist)
+        stages.append(record)
+        return u, charge, spectrum, resid, record
+
     if start_potential is not None:
         u = start_potential
     else:
-        u = solve_poisson(grid, mat, biases, zero_charge)
+        u = solve_poisson(grid, mat, biases, np.zeros((grid.ny, grid.nx)))
         for t_stage in (40.0, 8.0):
             if t_stage <= t_dev:
                 continue
-            u_stage, _, _, its, _, _ = _scf_fixed_t(
-                grid, mat, biases, t_stage, u, n_states, mixing,
-                max(tol_ev, 2e-5), max_iter, eig_method,
-                pin_occupation, pin_length_nm,
-            )
-            total_iters += its
-            if u_stage is not None:
+            u_stage, *_, done = stage(t_stage, u, mixing, max(tol_ev, 2e-5),
+                                      max_iter, STALL_WINDOW)
+            if done.converged:
                 u = u_stage
 
-    u_fin, second, spectrum, its, resid, history = _scf_fixed_t(
-        grid, mat, biases, t_dev, u, n_states, mixing, tol_ev, max_iter,
-        eig_method, pin_occupation, pin_length_nm,
-    )
-    charge = second
-    total_iters += its
-    if u_fin is None and max_iter >= 50:
+    u_fin, charge, spectrum, resid, done = stage(t_dev, u, mixing, tol_ev,
+                                                 max_iter)
+    if not done.converged and max_iter >= 50:
         # oscillating filling transitions: one retry with heavy damping,
         # warm-started from the last iterate
-        u_fin, charge, spectrum, its, resid, history2 = _scf_fixed_t(
-            grid, mat, biases, t_dev, second, n_states, 0.02,
-            tol_ev, 3 * max_iter, eig_method, pin_occupation, pin_length_nm,
-        )
-        total_iters += its
-        history = history + history2
-    if u_fin is None:
+        u_fin, charge, spectrum, resid, done = stage(
+            t_dev, u_fin, 0.02, tol_ev, 3 * max_iter)
+    if not done.converged:
         raise NonConvergenceError(
             f"self-consistent loop hit the iteration cap "
             f"(last update {resid:.3e} eV)",
-            diagnostics={"update_history_ev": history},
+            diagnostics={"update_history_ev": history, "stages": stages},
         )
     occ = subband_line_density(spectrum.energies_ev, mat.fermi_level_ev,
                                t_dev, mat)
     return ConvergedSolution(
         potential_ev=u_fin, charge_cm3=charge, spectrum=spectrum,
-        biases=biases, iterations=total_iters, final_update_norm_ev=resid,
-        occupancies_per_nm=occ,
+        biases=biases, iterations=sum(st.iterations for st in stages),
+        final_update_norm_ev=resid, occupancies_per_nm=occ,
+        stages=tuple(stages), update_history_ev=history,
     )
 
 
@@ -365,19 +404,8 @@ SNAPSHOT_VERSION = 1
 def save_snapshot(path, solution: ConvergedSolution, spec: DeviceSpec,
                   mat: MaterialParams, extra: dict | None = None) -> None:
     """Versioned binary snapshot a downstream run can reload without re-solving."""
-    import os
-    import tempfile
-
-    from .device import save_device_config
-
     # reuse the text schema for geometry metadata
-    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
-        name = fh.name
-    save_device_config(name, spec, mat, solution.biases, extra)
-    with open(name) as fh:
-        cfg_text = fh.read()
-    os.unlink(name)
-
+    cfg_text = device_config_text(spec, mat, solution.biases, extra)
     np.savez_compressed(
         path,
         version=np.int64(SNAPSHOT_VERSION),
@@ -396,23 +424,17 @@ def save_snapshot(path, solution: ConvergedSolution, spec: DeviceSpec,
 
 
 def load_snapshot(path):
-    """Returns (solution, spec, mat, extra) from a snapshot file."""
-    import os
-    import tempfile
+    """Returns (solution, spec, mat, extra) from a snapshot file.
 
-    from .device import load_device_config
-
+    The snapshot keeps the iteration total but not the stage records or the
+    residual history; the loaded solution has those empty.
+    """
     with np.load(path, allow_pickle=False) as z:
         if int(z["version"]) != SNAPSHOT_VERSION:
             raise ConfigurationError(
                 f"snapshot version {int(z['version'])} not supported"
             )
-        cfg_text = str(z["device_config"])
-        with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
-            fh.write(cfg_text)
-            name = fh.name
-        spec, mat, biases, extra = load_device_config(name)
-        os.unlink(name)
+        spec, mat, biases, extra = parse_device_config(str(z["device_config"]))
         vb, vl, vm, vr, eps = z["biases"]
         biases = DeviceBiases(v_b=float(vb), v_l=float(vl), v_m=float(vm),
                               v_r=float(vr), drain_bias_v=float(eps))

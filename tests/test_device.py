@@ -191,6 +191,28 @@ class TestBulkCharge:
                       * fermi_integral_quadrature(eta, 0.5)) / 1e-21
             assert n[j, 0] == pytest.approx(expect, rel=1e-6)
 
+    @pytest.mark.parametrize("t_k", [1.5, 8.0, 40.0])
+    def test_equals_unmasked_formula(self, t_k):
+        # the formula on every cell, then Quantum and depleted cells zeroed
+        from dqdsim.constants import K_B_EV
+        from dqdsim.device import NM3_PER_CM3, conduction_band_edge
+        grid = build_grid(make_spec())
+        mat = MaterialParams()
+        # E_c - E_F from -60 to +40 meV across x: both F_1/2 branches
+        u = np.tile(np.linspace(-0.06, 0.04, grid.nx), (grid.ny, 1))
+        u -= np.where(grid.material == "Si", 0.0,
+                      mat.conduction_band_offset_ev)[:, None]
+        eta = (mat.fermi_level_ev - conduction_band_edge(grid, mat, u)) / (
+            K_B_EV * t_k)
+        expect = effective_dos_nm3(mat, t_k) * fermi_half(eta)
+        expect[grid.quantum_mask] = 0.0
+        expect[grid.depleted_mask] = 0.0
+        expect /= NM3_PER_CM3
+        assert (eta < -8.0).any() and (eta > -8.0).any()
+        n = bulk_charge(u, grid, mat, t_k)
+        assert n.max() > 0.0
+        assert np.array_equal(n, expect)
+
     def test_fermi_half_against_quadrature(self):
         for eta in (-12.0, -3.0, 0.0, 5.0, 30.0):
             assert fermi_half(np.array([eta]))[0] == pytest.approx(

@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from dqdsim import schrodinger
 from dqdsim.constants import HBAR2_OVER_2M0
 from dqdsim.device import (
     DeviceBiases,
@@ -13,6 +16,8 @@ from dqdsim.device import (
 )
 from dqdsim.errors import ConfigurationError, NonConvergenceError
 from dqdsim.schrodinger import (
+    STALL_WINDOW,
+    ScfStage,
     load_snapshot,
     quantum_charge,
     save_snapshot,
@@ -202,6 +207,93 @@ class TestSelfConsistent:
         spec, mat = _tiny_device()
         with pytest.raises(ConfigurationError):
             self_consistent_solve(spec, mat, DeviceBiases(), mixing=0.9)
+
+
+def _scripted_scf(monkeypatch, grid, mat, biases, shifts_ev):
+    """Script the SCF map: Poisson call k returns the charge-free potential
+    plus shifts_ev(k) on every cell, and the eigensolve always returns the
+    charge-free spectrum."""
+    u_free = solve_poisson(grid, mat, biases, np.zeros((grid.ny, grid.nx)))
+    spectrum = solve_eigenstates(u_free, grid, mat, 3)
+    calls = []
+
+    def fake_poisson(grid_, mat_, biases_, charge):
+        calls.append(1)
+        return u_free + shifts_ev(len(calls))
+
+    monkeypatch.setattr(schrodinger, "solve_poisson", fake_poisson)
+    monkeypatch.setattr(schrodinger, "solve_eigenstates",
+                        lambda *args, **kw: spectrum)
+    return u_free
+
+
+def _stage(grid, mat, biases, u0, tol_ev, max_iter, stall_window):
+    return schrodinger._scf_fixed_t(grid, mat, biases, 8.0, u0, 3, 0.1,
+                                    tol_ev, max_iter, "auto",
+                                    stall_window=stall_window)
+
+
+class TestStallRule:
+    def setup_method(self):
+        self.spec, self.mat = _tiny_device()
+        self.grid = build_grid(self.spec)
+        self.biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3)
+
+    def test_two_cycle_abandons_continuation_stage(self, monkeypatch, caplog):
+        # G(u) alternates between two fields 10 meV apart: the damped
+        # iterate settles on a 2-cycle whose residual never reaches its
+        # second-iteration minimum again
+        u_free = _scripted_scf(monkeypatch, self.grid, self.mat,
+                               self.biases, lambda k: 0.01 * (k % 2))
+        with caplog.at_level(logging.DEBUG, logger="dqdsim"):
+            u, charge, _, _, history, stage = _stage(
+                self.grid, self.mat, self.biases, u_free, 2e-5, 600,
+                STALL_WINDOW)
+        best_it = int(np.argmin(history)) + 1
+        assert stage == ScfStage(8.0, best_it + STALL_WINDOW, False, True)
+        assert len(history) == stage.iterations < 600
+        assert charge is None and u is not None
+        assert "abandoned" in caplog.text
+
+    def test_falling_residual_is_never_cut_short(self, monkeypatch):
+        # G(u) is fixed: with damping 0.1 the residual falls by 0.9 per
+        # iteration and needs more than STALL_WINDOW iterations to converge
+        u_free = _scripted_scf(monkeypatch, self.grid, self.mat,
+                               self.biases, lambda k: 0.0)
+        u, charge, _, resid, history, stage = _stage(
+            self.grid, self.mat, self.biases, u_free + 0.01, 1e-5, 600,
+            STALL_WINDOW)
+        assert stage.converged and not stage.abandoned
+        assert stage.iterations == len(history) > STALL_WINDOW
+        assert np.all(np.diff(history) < 0)
+        assert resid <= 1e-5 and charge is not None
+
+    def test_final_stage_on_plateau_runs_to_cap_and_retries(self,
+                                                             monkeypatch):
+        _scripted_scf(monkeypatch, self.grid, self.mat, self.biases,
+                      lambda k: 0.01 * (k % 2))
+        cap = STALL_WINDOW + 10
+        with pytest.raises(NonConvergenceError) as exc:
+            self_consistent_solve(self.spec, self.mat, self.biases,
+                                  grid=self.grid, n_states=3, max_iter=cap)
+        stages = exc.value.diagnostics["stages"]
+        assert [(st.temperature_k, st.converged, st.abandoned)
+                for st in stages] == [(40.0, False, True), (8.0, False, True),
+                                      (1.5, False, False), (1.5, False, False)]
+        assert all(st.iterations < cap for st in stages[:2])
+        assert [st.iterations for st in stages[2:]] == [cap, 3 * cap]
+        history = exc.value.diagnostics["update_history_ev"]
+        assert len(history) == sum(st.iterations for st in stages)
+
+    def test_solution_carries_stages_and_history(self):
+        spec, mat = _tiny_device()
+        biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45)
+        sol = self_consistent_solve(spec, mat, biases, n_states=4)
+        assert [st.temperature_k for st in sol.stages] == [40.0, 8.0, 1.5]
+        assert sol.stages[-1].converged
+        assert sol.iterations == sum(st.iterations for st in sol.stages)
+        assert len(sol.update_history_ev) == sol.iterations
+        assert sol.update_history_ev[-1] == sol.final_update_norm_ev
 
 
 class TestSnapshot:
