@@ -2,7 +2,8 @@
 
 Computes ordered products of exact 4x4 matrix exponentials
 U = E_{n-1} ... E_1 E_0,  E_k = expm(-i 2 pi dt (H_base + c_k H_coef)),
-via batched Hermitian eigendecomposition and a pairwise (tree) product.
+via batched Hermitian eigendecomposition and a pairwise (tree) product,
+over chunks of `CHUNK_STEPS` steps whose products are folded in order.
 Semantically identical to the compiled kernel in `_step_kernel`.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "python"
+# steps per batch of exponentials; bounds the (n, 4, 4) stacks' memory
+CHUNK_STEPS = 2**16
 
 
 def step_exponentials(h_base: np.ndarray, h_coef: np.ndarray,
@@ -41,7 +44,11 @@ def propagate_affine(h_base: np.ndarray, h_coef: np.ndarray,
     coefs = np.ascontiguousarray(coefs, dtype=float)
     if coefs.size == 0:
         return np.eye(4, dtype=complex) if u0 is None else u0.copy()
-    exps = step_exponentials(np.asarray(h_base, dtype=complex),
-                             np.asarray(h_coef, dtype=complex), coefs, dt_s)
-    u = ordered_product(exps)
-    return u if u0 is None else u @ u0
+    h_base = np.asarray(h_base, dtype=complex)
+    h_coef = np.asarray(h_coef, dtype=complex)
+    u = u0
+    for start in range(0, coefs.size, CHUNK_STEPS):
+        chunk = ordered_product(step_exponentials(
+            h_base, h_coef, coefs[start:start + CHUNK_STEPS], dt_s))
+        u = chunk if u is None else chunk @ u
+    return u

@@ -43,7 +43,7 @@ from .dots import (
     find_dots,
     zeeman_splittings,
 )
-from .dynamics import cnot_matrix, cz_matrix, evolve, gate_fidelity, ry_matrix
+from .dynamics import CNOT_DOWN, cnot_matrix, cz_matrix, evolve, gate_fidelity, ry_matrix
 from .errors import ConfigurationError, DqdError, NumericalError
 from .noise import NoiseConfig, fluctuation_stats, perturbed_spin_params, sample_noise
 from .params import ParamsTable, SpinParams, paper_table
@@ -60,9 +60,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
-
-CNOT_DOWN = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]],
-                     dtype=complex)
 
 
 def _parse_range(txt: str) -> np.ndarray:

@@ -21,7 +21,6 @@ class SpinParams:
     e_zr_hz: float
     j_hz: float
     v_m_mv: float | None = None        # provenance: middle-gate bias
-    bias_tag: tuple | None = None      # provenance: full bias point
 
     def __post_init__(self):
         if self.j_hz < 0:

@@ -19,7 +19,7 @@ from dqdsim.dots import (
     exchange_energy,
     zeeman_splittings,
 )
-from dqdsim.dynamics import cnot_matrix, evolve, gate_fidelity, ry_matrix
+from dqdsim.dynamics import CNOT_DOWN, cnot_matrix, evolve, gate_fidelity, ry_matrix
 from dqdsim.noise import NoiseConfig, fluctuation_stats
 from dqdsim.params import SpinParams, paper_table
 from dqdsim.protocols import (
@@ -29,9 +29,6 @@ from dqdsim.protocols import (
     u_hold_time_s,
 )
 from dqdsim.schrodinger import self_consistent_solve, solve_eigenstates
-
-CNOT_DOWN = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]],
-                     dtype=complex)
 
 pytestmark = pytest.mark.acceptance
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from dqdsim.dynamics import (
+    CNOT_DOWN,
     DrivePulse,
     HEIS,
     SY_L,
@@ -22,14 +24,56 @@ from dqdsim.dynamics import (
     static_hamiltonian,
 )
 from dqdsim.errors import ConfigurationError, ScheduleError
-from dqdsim.params import SpinParams
-from dqdsim.protocols import PulseSchedule, Segment, schedule_ry
+from dqdsim.params import ParamsTable, SpinParams, paper_table
+from dqdsim.protocols import (
+    PulseSchedule,
+    Segment,
+    cnot_multi_schedule,
+    cnot_single_schedule,
+    cz_schedule,
+    schedule_ry,
+)
 
-from oracles import average_fidelity_2design
+from oracles import average_fidelity_2design, frame_optimized_fidelity_nelder_mead
 
 
 def src_const(p):
     return lambda vm: p
+
+
+class PointwiseTable:
+    """A ParamsTable whose j_of_vm evaluates one bias point per call."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __call__(self, v_m_mv):
+        return self.table(v_m_mv)
+
+    def j_of_vm(self, v_m_mv):
+        return np.array([self.table(v).j_hz for v in np.atleast_1d(v_m_mv)])
+
+
+def perturbed_table(table, rng):
+    """`table` with Zeeman splittings shifted by ~100 kHz and J scaled by
+    ~5%, node by node, as a noisy sample would be."""
+    n = table.v_m_mv.size
+    return ParamsTable(table.v_m_mv,
+                       table.e_zl_hz + rng.normal(0.0, 1e5, n),
+                       table.e_zr_hz + rng.normal(0.0, 1e5, n),
+                       table.j_hz * np.exp(rng.normal(0.0, 0.05, n)))
+
+
+def noisy_gate_corpus(n_each, seed):
+    """(u_actual, u_ideal) of cnot_multi, cz and cnot_single evolved on
+    perturbed copies of the paper table, schedules built from the clean one."""
+    table = paper_table()
+    gates = ((cnot_multi_schedule(table(400.0), table(408.0), 5.0), CNOT_DOWN),
+             (cz_schedule(table(400.0), table(410.0), 5.0), cz_matrix()),
+             (cnot_single_schedule(table(412.0)), cnot_matrix("R")))
+    rng = np.random.default_rng(seed)
+    return [(evolve(sched, perturbed_table(table, rng)).u, ideal)
+            for sched, ideal in gates for _ in range(n_each)]
 
 
 class TestBuildHamiltonian:
@@ -142,6 +186,13 @@ class TestEvolve:
         with pytest.raises(ScheduleError):
             evolve(sched, src_const(p400), integrator="rwa")
 
+    def test_ramp_j_matches_pointwise_table(self, table):
+        sched = cnot_multi_schedule(table(400.0), table(408.0), tau_tr_ns=5.0)
+        assert any(s.ramp_from_mv is not None for s in sched.segments)
+        u_vec = evolve(sched, table).u
+        u_pointwise = evolve(sched, PointwiseTable(table)).u
+        assert np.array_equal(u_vec, u_pointwise)
+
     def test_trajectory_probabilities_normalized(self, p400):
         sched = schedule_ry("L", math.pi, p400, rabi_hz=5e6)
         res = evolve(sched, src_const(p400), integrator="rwa",
@@ -178,6 +229,17 @@ class TestGateFidelity:
         # and the two controlled-Z placements are frame-equivalent
         cz_dd = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
         assert gate_fidelity(cz_dd, cz_matrix()) == pytest.approx(100.0, abs=1e-6)
+
+    def test_frame_opt_matches_nelder_mead_oracle(self):
+        corpus = noisy_gate_corpus(n_each=7, seed=21)
+        # Haar-random pairs: a dense trace landscape whose local maxima trap
+        # a single start in about a third of the cases
+        haar = unitary_group.rvs(4, size=40, random_state=22)
+        corpus += list(zip(haar[0::2], haar[1::2]))
+        for u_act, u_ideal in corpus:
+            got = gate_fidelity(u_act, u_ideal)
+            want = frame_optimized_fidelity_nelder_mead(u_act, u_ideal)
+            assert want - 1e-12 <= got <= want + 1e-9
 
     def test_non_unitary_rejected(self):
         bad = np.eye(4, dtype=complex)

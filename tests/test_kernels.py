@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from dqdsim import kernels
-from dqdsim._propagate import ordered_product, propagate_affine as py_propagate
+from dqdsim import _propagate, kernels
+from dqdsim._propagate import (
+    ordered_product,
+    propagate_affine as py_propagate,
+    step_exponentials,
+)
 
 
 def random_hermitian(rng):
@@ -58,3 +62,15 @@ class TestKernels:
         u = py_propagate(a, b, coefs, 1e-3)
         u_with = py_propagate(a, b, coefs, 1e-3, u0=u0)
         assert np.abs(u_with - u @ u0).max() < 1e-12
+
+    def test_chunked_product_matches_single_batch(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        a, b = random_hermitian(rng), random_hermitian(rng)
+        u0 = np.linalg.qr(rng.normal(size=(4, 4))
+                          + 1j * rng.normal(size=(4, 4)))[0]
+        coefs = rng.normal(size=4 * 37 + 11)
+        single = ordered_product(step_exponentials(a, b, coefs, 1e-2))
+        monkeypatch.setattr(_propagate, "CHUNK_STEPS", 37)
+        assert np.abs(py_propagate(a, b, coefs, 1e-2) - single).max() < 1e-13
+        u_with = py_propagate(a, b, coefs, 1e-2, u0=u0)
+        assert np.abs(u_with - single @ u0).max() < 1e-13

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dqdsim.dynamics import cnot_matrix, evolve, gate_fidelity, ry_matrix, rz_matrix
+from dqdsim.dynamics import (
+    CNOT_DOWN,
+    cnot_matrix,
+    evolve,
+    gate_fidelity,
+    ry_matrix,
+    rz_matrix,
+)
 from dqdsim.errors import ConfigurationError, RegimeError
 from dqdsim.params import SpinParams
 from dqdsim.protocols import (
@@ -20,9 +27,6 @@ from dqdsim.protocols import (
     u_hold_time_s,
     virtual_z,
 )
-
-CNOT_DOWN = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]],
-                     dtype=complex)
 
 
 def two_point_source(p_weak, p_strong):
