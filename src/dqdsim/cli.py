@@ -45,7 +45,13 @@ from .dots import (
 )
 from .dynamics import CNOT_DOWN, cnot_matrix, cz_matrix, evolve, gate_fidelity, ry_matrix
 from .errors import ConfigurationError, DqdError, NumericalError
-from .noise import NoiseConfig, fluctuation_stats, perturbed_spin_params, sample_noise
+from .noise import (
+    NoiseConfig,
+    SampleFailures,
+    fluctuation_stats,
+    perturbed_spin_params,
+    sample_noise,
+)
 from .params import ParamsTable, SpinParams, paper_table
 from .protocols import (
     cnot_multi_schedule,
@@ -100,17 +106,28 @@ class Experiment:
     def resume_rows(self, key_cols: int) -> dict:
         """Previously written rows keyed by their leading columns.
 
-        Rows are deterministic functions of (config, seed), so reusing them
-        reproduces the uninterrupted run exactly.
+        Rows are deterministic functions of (config, seed, integrator), so
+        reusing them reproduces the uninterrupted run exactly. A file
+        written under another config hash, seed or integrator raises
+        ConfigurationError.
         """
         if not self.resume:
             return {}
         try:
             with open(self.out) as fh:
-                lines = [l for l in fh.read().splitlines()
-                         if l and not l.startswith("#")]
+                text = fh.read().splitlines()
         except OSError:
             return {}
+        header = dict(l[1:].strip().split(" = ", 1) for l in text
+                      if l.startswith("#") and " = " in l)
+        for key, want in (("config_hash", self.config_hash),
+                          ("seed", str(self.seed)),
+                          ("integrator", self.integrator)):
+            if header.get(key) != want:
+                raise ConfigurationError(
+                    f"cannot resume from {self.out}: its {key} is "
+                    f"{header.get(key)!r}, this run's is {want!r}")
+        lines = [l for l in text if l and not l.startswith("#")]
         out = {}
         for line in lines[1:]:
             parts = line.split(",")
@@ -236,16 +253,18 @@ class NoisyTableFactory:
     """
 
     def __init__(self, exp: Experiment, v_m_nodes):
-        self.exp = exp
         self.v_m_nodes = sorted(set(round(v, 6) for v in v_m_nodes))
         spec, mat, biases, grid, fmap, coulomb = exp.device()
         self.grid, self.mat, self.fmap, self.coulomb = grid, mat, fmap, coulomb
         self.solutions = {v: exp.solution_at(v) for v in self.v_m_nodes}
 
     def clean_table(self) -> ParamsTable:
-        ps = [self.exp.device_spin_params(v) for v in self.v_m_nodes]
-        return ParamsTable([p.v_m_mv for p in ps], [p.e_zl_hz for p in ps],
-                           [p.e_zr_hz for p in ps], [p.j_hz for p in ps])
+        e_z = [zeeman_splittings(self.solutions[v], self.fmap, self.grid)
+               for v in self.v_m_nodes]
+        j = [exchange_energy(self.solutions[v], self.grid, self.mat,
+                             self.coulomb) for v in self.v_m_nodes]
+        return ParamsTable(self.v_m_nodes, [e[0] for e in e_z],
+                           [e[1] for e in e_z], j)
 
     def table_for(self, cfg: NoiseConfig, sample_index: int) -> ParamsTable:
         noise = sample_noise(self.grid, cfg, sample_index)
@@ -261,7 +280,7 @@ class NoisyTableFactory:
 def _fidelity_samples(exp, schedule, ideal, factory, sigma_uev, n_samples):
     """Mean/std gate fidelity over noise samples (common random numbers)."""
     cfg = NoiseConfig(sigma_uev=sigma_uev, seed=exp.seed, n_samples=n_samples)
-    fails = 0
+    failures = SampleFailures(n_samples)
 
     def one(i):
         table = factory.table_for(cfg, i)
@@ -276,17 +295,15 @@ def _fidelity_samples(exp, schedule, ideal, factory, sigma_uev, n_samples):
             for f, i in futs.items():
                 try:
                     results[i] = f.result()
-                except NumericalError:
-                    fails += 1
+                except DqdError as exc:
+                    failures.add(exc)
             vals = [results[i] for i in sorted(results)]
     else:
         for i in range(1, n_samples + 1):
             try:
                 vals.append(one(i))
-            except NumericalError:
-                fails += 1
-    if fails > max(1, 0.01 * n_samples):
-        raise NumericalError(f"{fails}/{n_samples} noise samples failed")
+            except DqdError as exc:
+                failures.add(exc)
     arr = np.asarray(vals)
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return float(arr.mean()), std, arr.size

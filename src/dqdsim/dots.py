@@ -224,29 +224,40 @@ def _segment_coulomb(rho_nm: np.ndarray, length_nm: float) -> np.ndarray:
 
 def coulomb_kernel(grid: Grid, mat: MaterialParams,
                    length_nm: float = DEFAULT_COULOMB_LENGTH_NM) -> np.ndarray:
-    """Pairwise screened Coulomb matrix over Quantum-region cells, eV.
+    """Screened Coulomb kernel over Quantum-region cells, as the real 2D FFT
+    of its generator (eV).
 
-    Cached on the grid; the diagonal is softened at half a cell diagonal.
+    On the uniform well grid the pair energy depends only on the cell offset
+    (dj, di), |dj| < nr rows and |di| < nx columns, so applying the kernel is
+    a linear convolution with that generator. Its (2 nr - 1, 2 nx - 1)
+    offsets are laid out circularly on a (2 nr, 2 nx) array, so a circular
+    convolution with the zero-padded field equals the linear one on the
+    well block. Cached on the grid; every pair distance is softened by half
+    a cell diagonal.
     """
     key = ("coulomb", mat.permittivity_si, length_nm)
     if key in grid._cache:
         return grid._cache[key]
     j0, j1 = well_rows(grid)
-    xx, yy = np.meshgrid(grid.x, grid.y[j0:j1])
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    nr, nx = j1 - j0, grid.nx
+    off_y = np.r_[0:nr, -nr:0] * grid.dy
+    off_x = np.r_[0:nx, -nx:0] * grid.dx
     soft = 0.25 * (grid.dx**2 + grid.dy**2)
-    rho = np.sqrt(d2 + soft)
-    k = (COULOMB_EV_NM / mat.permittivity_si) * _segment_coulomb(rho, length_nm)
+    rho = np.sqrt(off_y[:, None] ** 2 + off_x[None, :] ** 2 + soft)
+    gen = (COULOMB_EV_NM / mat.permittivity_si) * _segment_coulomb(rho, length_nm)
+    k = np.fft.rfft2(gen)
     grid._cache[key] = k
     return k
 
 
 def two_body_integral(kernel: np.ndarray, f1: np.ndarray, f2: np.ndarray,
                       grid: Grid) -> float:
-    """(f1 | K | f2) with cell-area weights; f are well-region fields."""
+    """(f1 | K | f2) with cell-area weights; f are well-region fields and
+    `kernel` is `coulomb_kernel`'s transform."""
+    shape = (2 * f2.shape[0], 2 * f2.shape[1])
+    k_f2 = np.fft.irfft2(kernel * np.fft.rfft2(f2, shape), shape)
     da = grid.dx * grid.dy
-    return float(f1.ravel() @ (kernel @ f2.ravel()) * da * da)
+    return float((f1 * k_f2[:f2.shape[0], :f2.shape[1]]).sum() * da * da)
 
 
 @dataclass

@@ -171,11 +171,22 @@ def solve_eigenstates(potential_ev: np.ndarray, grid: Grid, mat: MaterialParams,
     else:
         raise ConfigurationError(f"unknown eigensolver method {method!r}")
 
+    return well_spectrum(w, vecs, grid)
+
+
+def well_spectrum(energies_ev: np.ndarray, vecs: np.ndarray,
+                  grid: Grid) -> Spectrum:
+    """Spectrum from unit-norm eigenvectors on the well block (columns, in
+    the block's row-major cell order): deterministic signs, continuum
+    normalization and zero padding to the full grid."""
+    j0, j1 = well_rows(grid)
+    n_states = vecs.shape[1]
     vecs = _fix_signs(vecs)
     vecs /= np.sqrt(grid.dx * grid.dy)  # continuum normalization, nm^-1
     full = np.zeros((n_states, grid.ny, grid.nx))
     full[:, j0:j1, :] = vecs.T.reshape(n_states, j1 - j0, grid.nx)
-    return Spectrum(energies_ev=w, wavefunctions=full, n_states=n_states)
+    return Spectrum(energies_ev=energies_ev, wavefunctions=full,
+                    n_states=n_states)
 
 
 def localized_pair_from(wavefunctions: np.ndarray, energies_ev: np.ndarray,

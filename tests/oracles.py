@@ -6,8 +6,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
-from dqdsim.constants import EV_TO_HZ
-from dqdsim.dots import coulomb_kernel, localized_pair, two_body_integral
+from dqdsim.constants import COULOMB_EV_NM, EV_TO_HZ
+from dqdsim.dots import _segment_coulomb, localized_pair
+from dqdsim.schrodinger import well_rows
 
 
 def fermi_integral_quadrature(eta: float, order: float) -> float:
@@ -15,6 +16,24 @@ def fermi_integral_quadrature(eta: float, order: float) -> float:
     val, _ = quad(lambda x: x**order / (1.0 + math.exp(x - eta)),
                   0.0, max(eta, 0.0) + 60.0, limit=400)
     return val / math.gamma(order + 1.0)
+
+
+def dense_coulomb_kernel(grid, mat, length_nm=60.0):
+    """Pairwise screened Coulomb matrix over Quantum-region cells (eV), built
+    from the cell-center coordinates; every pair distance is softened by
+    half a cell diagonal."""
+    j0, j1 = well_rows(grid)
+    xx, yy = np.meshgrid(grid.x, grid.y[j0:j1])
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    rho = np.sqrt(d2 + 0.25 * (grid.dx**2 + grid.dy**2))
+    return (COULOMB_EV_NM / mat.permittivity_si) * _segment_coulomb(rho, length_nm)
+
+
+def dense_two_body_integral(kernel, f1, f2, grid):
+    """(f1 | K | f2) with cell-area weights, by a dense matrix-vector product."""
+    da = grid.dx * grid.dy
+    return float(f1.ravel() @ (kernel @ f2.ravel()) * da * da)
 
 
 def ci_singlet_triplet_j(solution, grid, mat, coulomb_length_nm=60.0):
@@ -25,14 +44,14 @@ def ci_singlet_triplet_j(solution, grid, mat, coulomb_length_nm=60.0):
     runtime Hubbard truncation.
     """
     phi_l, phi_r, h2 = localized_pair(solution, grid)
-    kern = coulomb_kernel(grid, mat, coulomb_length_nm)
+    kern = dense_coulomb_kernel(grid, mat, coulomb_length_nm)
     rl, rr, lr = phi_l**2, phi_r**2, phi_l * phi_r
-    ull = two_body_integral(kern, rl, rl, grid)
-    urr = two_body_integral(kern, rr, rr, grid)
-    ulr = two_body_integral(kern, rl, rr, grid)     # (LL|RR)
-    x = two_body_integral(kern, lr, lr, grid)       # (LR|LR)
-    dal = two_body_integral(kern, lr, rl, grid)     # (LR|LL)
-    dar = two_body_integral(kern, lr, rr, grid)     # (LR|RR)
+    ull = dense_two_body_integral(kern, rl, rl, grid)
+    urr = dense_two_body_integral(kern, rr, rr, grid)
+    ulr = dense_two_body_integral(kern, rl, rr, grid)     # (LL|RR)
+    x = dense_two_body_integral(kern, lr, lr, grid)       # (LR|LR)
+    dal = dense_two_body_integral(kern, lr, rl, grid)     # (LR|LL)
+    dar = dense_two_body_integral(kern, lr, rr, grid)     # (LR|RR)
     hll, hrr, hlr = h2[0, 0], h2[1, 1], h2[0, 1]
     e_t = hll + hrr + ulr - x
     hs = np.array([

@@ -1,9 +1,19 @@
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dqdsim.cli import EXIT_CONFIG, EXIT_OK, main
+from dqdsim.cli import EXIT_CONFIG, EXIT_OK, NoisyTableFactory, _fidelity_samples, main
+from dqdsim.device import DeviceBiases
+from dqdsim.dots import MagnetFieldMap, exchange_energy, zeeman_splittings
+from dqdsim.dynamics import ry_matrix
+from dqdsim.errors import ConfigurationError, GeometryError, NumericalError
+from dqdsim.params import paper_table
+from dqdsim.protocols import schedule_ry
+
+from conftest import quartic_double_well, synthetic_solution
 
 DIRECT_TABLE = ("400 18.309e9 18.453e9 75.6e3; "
                 "408 18.312e9 18.448e9 19.3e6; "
@@ -127,3 +137,79 @@ sigma_uev = 0
         body_resumed = [l for l in partial.read_text().splitlines()
                         if not l.startswith("#")]
         assert body_resumed == body
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "10"),
+                                             ("--integrator", "lab")])
+    def test_refuses_rows_of_another_run(self, tmp_path, flag, value):
+        body = f"""
+[experiment]
+seed = 9
+[params]
+table = {DIRECT_TABLE}
+[transition-sweep]
+tau_tr_ns = 1,2
+v_m_strong_mv = 410
+sigma_uev = 0
+"""
+        cfg = write_cfg(tmp_path / "exp.cfg", body)
+        out = tmp_path / "tr.csv"
+        assert main(["transition-sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        written = out.read_text()
+        assert main(["transition-sweep", "--config", cfg, "--out", str(out),
+                     "--resume", flag, value]) == EXIT_CONFIG
+        other = write_cfg(tmp_path / "other.cfg", body.replace("1,2", "1,2,3"))
+        assert main(["transition-sweep", "--config", other, "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        assert out.read_text() == written
+
+
+class TestNoisyTableFactory:
+    def test_clean_table_from_the_solutions(self, flat_well):
+        spec, grid, mat = flat_well
+        sol = synthetic_solution(grid, mat, quartic_double_well(grid, 12.0))
+        fmap = MagnetFieldMap.from_gradient(0.65, 5e-5, -1.0, spec.width_nm + 1.0)
+        exp = SimpleNamespace(
+            device=lambda: (spec, mat, DeviceBiases(), grid, fmap, 60.0),
+            solution_at=lambda v_m_mv: sol)
+        table = NoisyTableFactory(exp, [408.0, 400.0]).clean_table()
+        e_zl, e_zr = zeeman_splittings(sol, fmap, grid)
+        j = exchange_energy(sol, grid, mat, 60.0)
+        for v in (400.0, 408.0):
+            p = table(v)
+            assert (p.e_zl_hz, p.e_zr_hz, p.j_hz) == pytest.approx(
+                (e_zl, e_zr, j), rel=1e-12)
+
+
+class TestFidelitySampleFailures:
+    class Factory:
+        def __init__(self, failing, exc_cls=GeometryError):
+            self.failing, self.exc_cls = failing, exc_cls
+            self.table = paper_table()
+
+        def table_for(self, cfg, i):
+            if i in self.failing:
+                raise self.exc_cls(f"sample {i}")
+            return self.table
+
+    def run(self, factory, threads, n=100):
+        exp = SimpleNamespace(seed=1, threads=threads, integrator="rwa")
+        table = paper_table()
+        schedule = schedule_ry("L", math.pi, table(400.0))
+        return _fidelity_samples(exp, schedule, ry_matrix("L", math.pi),
+                                 factory, 1.0, n)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_counts_any_sample_error(self, threads):
+        mean, std, n = self.run(self.Factory({7}), threads)
+        assert n == 99
+        assert mean >= 99.9
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_aborts_past_threshold(self, threads):
+        with pytest.raises(NumericalError) as info:
+            self.run(self.Factory({7, 11}), threads)
+        assert info.value.diagnostics["failures"] == {"GeometryError": 2}
+
+    def test_configuration_error_is_not_a_sample_failure(self):
+        with pytest.raises(ConfigurationError):
+            self.run(self.Factory({7}, ConfigurationError), 1)

@@ -1,16 +1,33 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dqdsim.errors import ConfigurationError
-from dqdsim.dots import MagnetFieldMap, exchange_energy, zeeman_splittings
+import dqdsim.noise as noise_mod
+from dqdsim.cli import default_device_path
+from dqdsim.device import DeviceBiases, build_grid, load_device_config
+from dqdsim.dots import (
+    MagnetFieldMap,
+    coulomb_kernel,
+    exchange_energy,
+    field_map_from_config,
+    two_body_integral,
+    zeeman_splittings,
+)
+from dqdsim.errors import ConfigurationError, GeometryError, NumericalError
 from dqdsim.noise import (
     NoiseConfig,
+    fluctuation_stats,
     perturbed_spin_params,
     sample_noise,
     standard_normal_field,
 )
+from dqdsim.params import SpinParams
+from dqdsim.schrodinger import self_consistent_solve, solve_eigenstates
 
 from conftest import quartic_double_well, synthetic_solution
+from oracles import dense_coulomb_kernel, dense_two_body_integral
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +143,140 @@ class TestPerturbedSpinParams:
         bad.values_ev = bad.values_ev[:-1]
         with pytest.raises(ConfigurationError):
             perturbed_spin_params(well_solution, bad, field_map, grid, mat)
+
+
+def arpack_spin_params(solution, noise, field_map, grid, mat, coulomb=60.0):
+    """Spin parameters of the perturbed potential from a cold
+    `solve_eigenstates` solve."""
+    u = solution.potential_ev + noise.values_ev
+    spectrum = solve_eigenstates(u, grid, mat, solution.spectrum.n_states)
+    sol = replace(solution, potential_ev=u, spectrum=spectrum)
+    e_zl, e_zr = zeeman_splittings(sol, field_map, grid)
+    return SpinParams(e_zl_hz=e_zl, e_zr_hz=e_zr,
+                      j_hz=exchange_energy(sol, grid, mat, coulomb),
+                      v_m_mv=solution.biases.v_m * 1e3)
+
+
+def fallbacks(caplog):
+    return [r for r in caplog.records
+            if r.name == "dqdsim" and "fell back" in r.getMessage()]
+
+
+class TestBlockIterationFallback:
+    @pytest.mark.parametrize("setting, value, reason", [
+        ("MAX_BLOCK_ITERATIONS", 1, "after 1 iterations"),
+        ("SHIFT_BELOW_GROUND_EV", -1e-2, "not positive definite"),
+    ])
+    def test_forced_fallback_equals_cold_solve(self, flat_well, well_solution,
+                                               field_map, monkeypatch, caplog,
+                                               setting, value, reason):
+        _, grid, mat = flat_well
+        monkeypatch.setattr(noise_mod, setting, value)
+        noise = sample_noise(grid, NoiseConfig(5.0, 4, 1), 1)
+        with caplog.at_level(logging.DEBUG, logger="dqdsim"):
+            p = perturbed_spin_params(well_solution, noise, field_map, grid, mat)
+        records = fallbacks(caplog)
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert reason in records[0].getMessage()
+        assert p == arpack_spin_params(well_solution, noise, field_map, grid, mat)
+
+
+@pytest.fixture(scope="module")
+def shipped_device():
+    spec, mat, biases, extra = load_device_config(default_device_path())
+    grid = build_grid(spec)
+    fmap = field_map_from_config(extra["field_map"], spec.width_nm)
+    coulomb = float(extra["exchange"]["coulomb_length_nm"])
+    sols = {}
+    for v_m in (0.400, 0.408):
+        b = DeviceBiases(v_b=biases.v_b, v_l=biases.v_l, v_m=v_m,
+                         v_r=biases.v_r)
+        sols[v_m] = self_consistent_solve(spec, mat, b, grid=grid)
+    return grid, mat, fmap, coulomb, sols
+
+
+@pytest.mark.slow
+class TestBlockIterationOracle:
+    @pytest.mark.parametrize("v_m", [0.400, 0.408])
+    @pytest.mark.parametrize("sigma", [0.1, 5.0])
+    def test_matches_arpack_on_shipped_device(self, shipped_device, caplog,
+                                              v_m, sigma):
+        grid, mat, fmap, coulomb, sols = shipped_device
+        cfg = NoiseConfig(sigma_uev=sigma, seed=17, n_samples=4)
+        with caplog.at_level(logging.DEBUG, logger="dqdsim"):
+            for i in range(1, cfg.n_samples + 1):
+                noise = sample_noise(grid, cfg, i)
+                p = perturbed_spin_params(sols[v_m], noise, fmap, grid, mat,
+                                          coulomb)
+                ref = arpack_spin_params(sols[v_m], noise, fmap, grid, mat,
+                                         coulomb)
+                assert abs(p.e_zl_hz - ref.e_zl_hz) <= 10.0
+                assert abs(p.e_zr_hz - ref.e_zr_hz) <= 10.0
+                assert abs(p.j_hz - ref.j_hz) <= 1e-6 * ref.j_hz
+        assert fallbacks(caplog) == []
+
+
+class TestCoulombIntegrals:
+    @pytest.mark.parametrize("dx, dy", [(1.0, 1.0), (2.0, 1.0)])
+    def test_fft_matches_dense_kernel(self, dx, dy):
+        from dqdsim.device import DeviceSpec, Layer, MaterialParams
+        layers = (Layer("SiGe", 10.0), Layer("Si", 8.0), Layer("SiGe", 10.0))
+        grid = build_grid(DeviceSpec(layers=layers, electrodes=(),
+                                     width_nm=240.0 * dx, dx_nm=dx, dy_nm=dy))
+        mat = MaterialParams()
+        dense = dense_coulomb_kernel(grid, mat, 420.0)
+        fft = coulomb_kernel(grid, mat, 420.0)
+        shape = (8, 240)
+        rng = np.random.default_rng(3)
+        x = np.arange(240)[None, :]
+        blob_l = np.exp(-((x - 60) / 12.0) ** 2) * np.ones((8, 1))
+        blob_r = np.exp(-((x - 170) / 15.0) ** 2) * np.ones((8, 1))
+        fields = [rng.random(shape), rng.random(shape), blob_l, blob_r]
+        for f1 in fields:
+            for f2 in fields:
+                want = dense_two_body_integral(dense, f1, f2, grid)
+                got = two_body_integral(fft, f1, f2, grid)
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+
+class TestSampleFailures:
+    @staticmethod
+    def failing_at(indices, exc_cls=GeometryError):
+        def fake(solution, noise, *args):
+            if noise.sample_index in indices:
+                raise exc_cls(f"sample {noise.sample_index}")
+            k = noise.sample_index
+            return SpinParams(e_zl_hz=1e9 + k, e_zr_hz=2e9 + k, j_hz=1e6 + k,
+                              v_m_mv=400.0)
+        return fake
+
+    def run(self, flat_well, well_solution, field_map, n):
+        spec, grid, mat = flat_well
+        cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=n)
+        return fluctuation_stats(spec, mat, DeviceBiases(), field_map, cfg,
+                                 grid=grid, solution=well_solution)
+
+    def test_fluctuation_stats_counts_any_sample_error(
+            self, flat_well, well_solution, field_map, monkeypatch):
+        monkeypatch.setattr(noise_mod, "perturbed_spin_params",
+                            self.failing_at({3}))
+        st = self.run(flat_well, well_solution, field_map, 100)
+        assert st.n_failures == 1
+        assert st.samples.shape == (99, 3)
+        assert st.stats["J"]["min"] == 1e6 + 1
+
+    def test_fluctuation_stats_aborts_past_threshold(
+            self, flat_well, well_solution, field_map, monkeypatch):
+        monkeypatch.setattr(noise_mod, "perturbed_spin_params",
+                            self.failing_at({3, 8}))
+        with pytest.raises(NumericalError) as info:
+            self.run(flat_well, well_solution, field_map, 100)
+        assert info.value.diagnostics["failures"] == {"GeometryError": 2}
+
+    def test_configuration_error_is_not_a_sample_failure(
+            self, flat_well, well_solution, field_map, monkeypatch):
+        monkeypatch.setattr(noise_mod, "perturbed_spin_params",
+                            self.failing_at({5}, ConfigurationError))
+        with pytest.raises(ConfigurationError):
+            self.run(flat_well, well_solution, field_map, 100)
