@@ -35,6 +35,7 @@ from .dots import (
     exchange_energy,
     find_dots,
     localized_pair,
+    orbital_centroid_x,
     zeeman_splittings,
 )
 from .schrodinger import self_consistent_solve
@@ -60,10 +61,7 @@ def solve_operating_point(spec, mat, v_m_v=0.400, grid=None, **kw):
 def dot_centroids(solution, grid) -> tuple[float, float]:
     """Lateral density centroids of the two localized dot orbitals (nm)."""
     phi_a, phi_b, _ = localized_pair(solution, grid)
-    cx = []
-    for phi in (phi_a, phi_b):
-        w = (phi**2).sum(axis=0)
-        cx.append(float((w * grid.x).sum() / w.sum()))
+    cx = [orbital_centroid_x(phi, grid) for phi in (phi_a, phi_b)]
     return (min(cx), max(cx))
 
 

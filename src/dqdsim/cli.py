@@ -7,7 +7,7 @@ plus a JSON sidecar with identical content. Exit codes: 0 success,
 2 configuration error, 3 numerical failure, 4 partial results written.
 
 Config schema (INI):
-  [experiment]  seed, out, threads, integrator (lab|rwa)
+  [experiment]  seed, out, integrator (lab|rwa)
   [device]      file = <device cfg path> | default
   [params]      table = "v_m_mv e_zl_hz e_zr_hz j_hz; ..."   (direct mode)
   [stability]   v_l_mv, v_r_mv ("start:stop:step"), v_m_mv, v_b_mv
@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -85,8 +84,8 @@ def default_device_path() -> str:
 class Experiment:
     """Parsed experiment configuration plus lazily-built device objects."""
 
-    def __init__(self, path, seed=None, out=None, threads=None,
-                 integrator=None, resume=False):
+    def __init__(self, path, seed=None, out=None, integrator=None,
+                 resume=False):
         cp = configparser.ConfigParser()
         if not cp.read(str(path)):
             raise ConfigurationError(f"cannot read experiment config {path}")
@@ -94,7 +93,6 @@ class Experiment:
         exp = cp["experiment"] if cp.has_section("experiment") else {}
         self.seed = int(seed if seed is not None else exp.get("seed", "1"))
         self.out = str(out if out is not None else exp.get("out", "result.csv"))
-        self.threads = int(threads if threads is not None else exp.get("threads", "1"))
         self.integrator = str(integrator if integrator is not None
                               else exp.get("integrator", "rwa"))
         self.resume = bool(resume)
@@ -103,13 +101,14 @@ class Experiment:
         self._device = None
         self._solutions = {}
 
-    def resume_rows(self, key_cols: int) -> dict:
-        """Previously written rows keyed by their leading columns.
+    def resume_rows(self, experiment: str) -> dict:
+        """Previously written rows of `experiment`, parsed as floats and
+        keyed by their first column.
 
         Rows are deterministic functions of (config, seed, integrator), so
         reusing them reproduces the uninterrupted run exactly. A file
-        written under another config hash, seed or integrator raises
-        ConfigurationError.
+        written by another experiment, or under another config hash, seed
+        or integrator, raises ConfigurationError.
         """
         if not self.resume:
             return {}
@@ -120,7 +119,8 @@ class Experiment:
             return {}
         header = dict(l[1:].strip().split(" = ", 1) for l in text
                       if l.startswith("#") and " = " in l)
-        for key, want in (("config_hash", self.config_hash),
+        for key, want in (("experiment", experiment),
+                          ("config_hash", self.config_hash),
                           ("seed", str(self.seed)),
                           ("integrator", self.integrator)):
             if header.get(key) != want:
@@ -130,12 +130,11 @@ class Experiment:
         lines = [l for l in text if l and not l.startswith("#")]
         out = {}
         for line in lines[1:]:
-            parts = line.split(",")
             try:
-                key = tuple(float(p) for p in parts[:key_cols])
+                row = tuple(float(p) for p in line.split(","))
             except ValueError:
                 continue
-            out[key] = line
+            out[row[0]] = row
         return out
 
     # -- direct-mode parameter table ---------------------------------------
@@ -282,28 +281,14 @@ def _fidelity_samples(exp, schedule, ideal, factory, sigma_uev, n_samples):
     cfg = NoiseConfig(sigma_uev=sigma_uev, seed=exp.seed, n_samples=n_samples)
     failures = SampleFailures(n_samples)
 
-    def one(i):
-        table = factory.table_for(cfg, i)
-        res = evolve(schedule, table, integrator=exp.integrator)
-        return gate_fidelity(res.u, ideal)
-
     vals = []
-    if exp.threads > 1:
-        with ThreadPoolExecutor(max_workers=exp.threads) as pool:
-            futs = {pool.submit(one, i): i for i in range(1, n_samples + 1)}
-            results = {}
-            for f, i in futs.items():
-                try:
-                    results[i] = f.result()
-                except DqdError as exc:
-                    failures.add(exc)
-            vals = [results[i] for i in sorted(results)]
-    else:
-        for i in range(1, n_samples + 1):
-            try:
-                vals.append(one(i))
-            except DqdError as exc:
-                failures.add(exc)
+    for i in range(1, n_samples + 1):
+        try:
+            res = evolve(schedule, factory.table_for(cfg, i),
+                         integrator=exp.integrator)
+            vals.append(gate_fidelity(res.u, ideal))
+        except DqdError as exc:
+            failures.add(exc)
     arr = np.asarray(vals)
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return float(arr.mean()), std, arr.size
@@ -381,11 +366,11 @@ def run_noise_sweep(exp: Experiment) -> int:
     factory = NoisyTableFactory(exp, [v_w, v_s])
     table = factory.clean_table()
     schedule, ideal = build_protocol(sec["protocol"], table, v_w, v_s, tau_tr)
-    done = exp.resume_rows(1)
+    done = exp.resume_rows("noise-sweep")
     rows = []
     for sg in sigmas:
-        if (float(sg),) in done:
-            rows.append(tuple(float(t) for t in done[(float(sg),)].split(",")))
+        if float(sg) in done:
+            rows.append(done[float(sg)])
             continue
         if sg == 0.0:
             res = evolve(schedule, table, integrator=exp.integrator)
@@ -416,10 +401,10 @@ def run_transition_sweep(exp: Experiment) -> int:
     else:
         factory = None
         table = exp.params_table()
-    done = exp.resume_rows(1)
+    done = exp.resume_rows("transition-sweep")
     for tau in taus:
-        if (float(tau),) in done:
-            rows.append(tuple(float(t) for t in done[(float(tau),)].split(",")))
+        if float(tau) in done:
+            rows.append(done[float(tau)])
             continue
         schedule, ideal = build_protocol("cnot_multi", table, v_w, v_s,
                                          float(tau))
@@ -475,15 +460,13 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--out", default=None)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--integrator", choices=("lab", "rwa"), default=None)
     ap.add_argument("--resume", action="store_true",
                     help="reuse rows already present in the output file")
     args = ap.parse_args(argv)
     try:
         exp = Experiment(args.config, seed=args.seed, out=args.out,
-                         threads=args.threads, integrator=args.integrator,
-                         resume=args.resume)
+                         integrator=args.integrator, resume=args.resume)
         return RUNNERS[args.experiment](exp)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

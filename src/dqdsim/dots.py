@@ -204,9 +204,8 @@ def zeeman_splittings(solution: ConvergedSolution, field_map: MagnetFieldMap,
     vals = []
     for phi in (phi_a, phi_b):
         w = (phi**2).sum(axis=0)
-        cx = float((w * grid.x).sum() / w.sum())
         ez = float(ZEEMAN_HZ_PER_T * (w * b_x).sum() * grid.dx * grid.dy)
-        vals.append((cx, ez))
+        vals.append((orbital_centroid_x(phi, grid), ez))
     vals.sort()
     return vals[0][1], vals[1][1]
 

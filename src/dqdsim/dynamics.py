@@ -21,7 +21,8 @@ Two integrators:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,12 +72,14 @@ class DrivePulse:
             raise ConfigurationError("drive target must be L, R or both")
 
 
-def drive_operator(target: str) -> np.ndarray:
+def drive_operator(target: str, axis: str = "y") -> np.ndarray:
+    """Pauli `axis` ("x" or "y") on the driven qubit(s) of `target`."""
+    left, right = (SY_L, SY_R) if axis == "y" else (SX_L, SX_R)
     if target == "L":
-        return SY_L
+        return left
     if target == "R":
-        return SY_R
-    return SY_L + SY_R
+        return right
+    return left + right
 
 
 def static_hamiltonian(p: SpinParams) -> np.ndarray:
@@ -102,8 +105,8 @@ def rwa_hamiltonian(p: SpinParams, d: DrivePulse | None, frame_freq_hz: float) -
     if d is not None and d.active and d.rabi_hz > 0:
         if abs(d.freq_hz - frame_freq_hz) > 1e-6:
             raise ScheduleError("drive frequency differs from the schedule frame")
-        op = (math.cos(d.phase_rad) * (SY_L if d.target == "L" else SY_R if d.target == "R" else SY_L + SY_R)
-              - math.sin(d.phase_rad) * (SX_L if d.target == "L" else SX_R if d.target == "R" else SX_L + SX_R))
+        op = (math.cos(d.phase_rad) * drive_operator(d.target)
+              - math.sin(d.phase_rad) * drive_operator(d.target, "x"))
         h = h + 0.5 * d.rabi_hz * op
     return h
 
@@ -199,9 +202,60 @@ def _expm_h(h: np.ndarray, t_s: float) -> np.ndarray:
     return (v * np.exp(-2j * np.pi * t_s * w)[None, :]) @ v.conj().T
 
 
+@dataclass(frozen=True)
+class _Affine:
+    """Generator h_base + gamma(t) h_coef of a stepped segment, with steps
+    capped at 1/(dt_factor f_cap). Drives are cut into chunks at the
+    sampling stride (`at_stride`); a ramp is always one batch."""
+    h_base: np.ndarray
+    h_coef: np.ndarray
+    gamma: Callable[[np.ndarray], np.ndarray]   # t [s] -> coefficient
+    f_cap: float
+    at_stride: bool
+
+
+def _compile_segment(seg, t0_s: float, params_source, integrator: str,
+                     frame_freq: float) -> np.ndarray | _Affine:
+    """A segment's constant Hamiltonian (RWA hold or drive, lab-frame hold)
+    or its affine generator (ramp in either frame, lab-frame drive)."""
+    p_hold = params_source(seg.v_m_mv)
+    if seg.ramp_from_mv is not None:
+        # linear V_M ramp; J follows the calibrated curve (log-linear in
+        # V_M, hence near-exponential in time); E_Z held at the start
+        # point, whose drift over the step is a few MHz at most
+        p0 = params_source(seg.ramp_from_mv)
+        shift = frame_freq if integrator == "rwa" else 0.0
+        h_base = (0.5 * (p0.e_zl_hz - shift) * SZ_L
+                  + 0.5 * (p0.e_zr_hz - shift) * SZ_R)
+        v0, v1, dur_s = seg.ramp_from_mv, seg.v_m_mv, seg.duration_ps * PS
+
+        def gamma(ts):
+            frac = np.clip((ts - t0_s) / dur_s, 0.0, 1.0)
+            return params_source.j_of_vm(v0 + (v1 - v0) * frac)
+
+        if integrator == "rwa":
+            f_cap = max(p_hold.j_hz, p0.j_hz,
+                        abs(p0.e_zl_hz - frame_freq), abs(p0.e_zr_hz - frame_freq))
+        else:
+            f_cap = max(p0.e_zl_hz, p0.e_zr_hz)
+        return _Affine(h_base, HEIS, gamma, f_cap, at_stride=False)
+    if integrator == "rwa":
+        return rwa_hamiltonian(p_hold, seg.drive, frame_freq)
+    d = seg.drive
+    if d is None or not d.active or d.rabi_hz == 0.0:
+        return static_hamiltonian(p_hold)
+
+    def gamma_drive(ts):
+        return d.rabi_hz * np.cos(2.0 * math.pi * d.freq_hz * ts + d.phase_rad)
+
+    return _Affine(static_hamiltonian(p_hold), drive_operator(d.target),
+                   gamma_drive, max(p_hold.e_zl_hz, p_hold.e_zr_hz, d.freq_hz),
+                   at_stride=True)
+
+
 def evolve(schedule, params_source, integrator: str = "rwa",
            dt_factor: float = 200.0, sample_every_ns: float | None = None,
-           initial_state: int = STATE_DD, backend: str | None = None) -> UnitaryResult:
+           initial_state: int = STATE_DD) -> UnitaryResult:
     """Integrate a pulse schedule into a 4x4 propagator.
 
     Parameters
@@ -216,7 +270,7 @@ def evolve(schedule, params_source, integrator: str = "rwa",
 
     Rotating-frame steps are capped at 1/(dt_factor max(J, B_o, detunings)),
     lab-frame steps at 1/(dt_factor max(E_ZL, E_ZR)); segments with constant
-    H cost a single exact exponential.
+    H cost a single exact exponential (one per stride when sampling).
     """
     if integrator not in ("rwa", "lab"):
         raise ConfigurationError(f"unknown integrator {integrator!r}")
@@ -236,6 +290,13 @@ def evolve(schedule, params_source, integrator: str = "rwa",
             raise ScheduleError(
                 "all driven segments must share the schedule frame frequency"
             )
+
+    generators = []
+    t_ps = 0
+    for seg in segments:
+        generators.append(_compile_segment(seg, t_ps * PS, params_source,
+                                           integrator, frame_freq))
+        t_ps += seg.duration_ps
 
     events = sorted(schedule.vz_events, key=lambda e: e[0])
     ev_idx = 0
@@ -279,101 +340,33 @@ def evolve(schedule, params_source, integrator: str = "rwa",
                 psi = m @ psi
             ev_idx += 1
 
-    for seg in segments:
+    for seg, gen in zip(segments, generators):
         apply_events_at(t_ps)
-        p_hold = params_source(seg.v_m_mv)
-        dur_s = seg.duration_ps * PS
-
-        if seg.ramp_from_mv is not None:
-            # linear V_M ramp; J follows the calibrated curve (log-linear in
-            # V_M, hence near-exponential in time); E_Z held at the start
-            # point, whose drift over the step is a few MHz at most
-            p0 = params_source(seg.ramp_from_mv)
-            shift = frame_freq if integrator == "rwa" else 0.0
-            h_base = (0.5 * (p0.e_zl_hz - shift) * SZ_L
-                      + 0.5 * (p0.e_zr_hz - shift) * SZ_R)
-            h_coef = HEIS.astype(complex)
-            v0, v1 = seg.ramp_from_mv, seg.v_m_mv
-
-            def gamma(ts, _v0=v0, _v1=v1, _t0=t_ps * PS, _dur=dur_s):
-                frac = np.clip((ts - _t0) / _dur, 0.0, 1.0)
-                return params_source.j_of_vm(_v0 + (_v1 - _v0) * frac)
-
-            if integrator == "rwa":
-                f_cap = max(p_hold.j_hz, p0.j_hz,
-                            abs(p0.e_zl_hz - frame_freq), abs(p0.e_zr_hz - frame_freq))
-            else:
-                f_cap = max(p0.e_zl_hz, p0.e_zr_hz)
-            dt_s = 1.0 / (dt_factor * f_cap)
+        seg_end_ps = t_ps + seg.duration_ps
+        if isinstance(gen, _Affine):
+            dur_s = seg.duration_ps * PS
+            dt_s = 1.0 / (dt_factor * gen.f_cap)
             n_steps = max(int(math.ceil(dur_s / dt_s)), 1)
             dt_s = dur_s / n_steps
             dt_max_s = max(dt_max_s, dt_s)
-            coefs = _cf4_coefs(gamma, t_ps * PS, dt_s, n_steps)
-            mat = propagate_affine(h_base.astype(complex), h_coef, coefs,
-                                   0.5 * dt_s, backend=backend)
+            coefs = _cf4_coefs(gen.gamma, t_ps * PS, dt_s, n_steps)
             n_exp += coefs.size
-            apply(mat, seg.duration_ps)
-            continue
-
-        if integrator == "rwa":
-            h = rwa_hamiltonian(p_hold, seg.drive, frame_freq)
-            if sampling:
-                # chunk constant segments at the sampling stride
-                remaining = seg.duration_ps
-                chunk = min(stride_ps, remaining)
-                while remaining > 0:
-                    step = min(chunk, remaining)
-                    apply(_expm_h(h, step * PS), step)
-                    n_exp += 1
-                    remaining -= step
-            else:
-                apply(_expm_h(h, dur_s), seg.duration_ps)
-                n_exp += 1
-            continue
-
-        # lab frame
-        h_static = static_hamiltonian(p_hold)
-        d = seg.drive
-        if d is None or not d.active or d.rabi_hz == 0.0:
-            if sampling:
-                remaining = seg.duration_ps
-                while remaining > 0:
-                    step = min(stride_ps, remaining)
-                    apply(_expm_h(h_static, step * PS), step)
-                    n_exp += 1
-                    remaining -= step
-            else:
-                apply(_expm_h(h_static, dur_s), seg.duration_ps)
-                n_exp += 1
-            continue
-
-        f_cap = max(p_hold.e_zl_hz, p_hold.e_zr_hz, d.freq_hz)
-        dt_s = 1.0 / (dt_factor * f_cap)
-        n_steps = max(int(math.ceil(dur_s / dt_s)), 1)
-        dt_s = dur_s / n_steps
-        dt_max_s = max(dt_max_s, dt_s)
-
-        def gamma_drive(ts, _d=d):
-            return _d.rabi_hz * np.cos(2.0 * math.pi * _d.freq_hz * ts + _d.phase_rad)
-
-        coefs = _cf4_coefs(gamma_drive, t_ps * PS, dt_s, n_steps)
-        h_coef = drive_operator(d.target)
-        if sampling:
-            seg_start_ps = t_ps
-            steps_per_chunk = max(int(stride_ps / (dt_s / PS)), 1)
-            done = 0
-            while done < n_steps:
-                take = min(steps_per_chunk, n_steps - done)
-                sub = coefs[2 * done: 2 * (done + take)]
-                mat = propagate_affine(h_static, h_coef, sub, 0.5 * dt_s, backend=backend)
-                dt_ps_local = int(round(take * dt_s / PS))
-                apply(mat, dt_ps_local)
-                done += take
-            t_ps = seg_start_ps + seg.duration_ps  # undo chunk rounding
+            per_chunk = n_steps
+            if sampling and gen.at_stride:
+                per_chunk = max(int(stride_ps / (dt_s / PS)), 1)
+            for done in range(0, n_steps, per_chunk):
+                take = min(per_chunk, n_steps - done)
+                apply(propagate_affine(gen.h_base, gen.h_coef,
+                                       coefs[2 * done:2 * (done + take)],
+                                       0.5 * dt_s),
+                      int(round(take * dt_s / PS)))
         else:
-            mat = propagate_affine(h_static, h_coef, coefs, 0.5 * dt_s, backend=backend)
-            apply(mat, seg.duration_ps)
-        n_exp += coefs.size
+            piece_ps = stride_ps if sampling else seg.duration_ps
+            while t_ps < seg_end_ps:
+                step = min(piece_ps, seg_end_ps - t_ps)
+                apply(_expm_h(gen, step * PS), step)
+                n_exp += 1
+        t_ps = seg_end_ps  # undo the rounding of stepped chunks
 
     apply_events_at(t_ps)
 
@@ -383,7 +376,7 @@ def evolve(schedule, params_source, integrator: str = "rwa",
                              diagnostics={"defect": defect})
     total_ns = t_ps * 1e-3
     return UnitaryResult(
-        u=u, frame=("rwa" if integrator == "rwa" else "lab"),
+        u=u, frame=integrator,
         frame_freq_hz=frame_freq, total_time_ns=total_ns,
         dt_ns=dt_max_s * 1e9, n_exponentials=n_exp, unitarity_defect=defect,
         trajectory_t_ns=np.array(traj_t) if sampling else None,
@@ -395,24 +388,28 @@ def evolve(schedule, params_source, integrator: str = "rwa",
 # Conditional resonances of the static Hamiltonian
 # ---------------------------------------------------------------------------
 
+def labeled_eigenstates(p: SpinParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenenergies (uu, ud-like, du-like, dd) of the static Hamiltonian,
+    and the |ud>-like and |du>-like eigenvectors, labeled by dominant weight."""
+    h = static_hamiltonian(p).real
+    w, v = np.linalg.eigh(h[1:3, 1:3])
+    ud_like = 0 if abs(v[0, 0]) >= abs(v[0, 1]) else 1
+    du_like = 1 - ud_like
+    vec_ud = np.zeros(4)
+    vec_ud[1:3] = v[:, ud_like]
+    vec_du = np.zeros(4)
+    vec_du[1:3] = v[:, du_like]
+    energies = np.array([h[0, 0], w[ud_like], w[du_like], h[3, 3]])
+    return energies, vec_ud, vec_du
+
+
 def conditional_resonances(p: SpinParams) -> dict:
     """Transition frequencies and drive matrix elements of the 4-level system.
 
     Keys: f_<q>_ctrl_<s> for target qubit q in {l, r} and the other qubit's
     state s in {up, down}; m_<q>_ctrl_<s> are |<f| sy_q |i>| matrix elements.
     """
-    h = static_hamiltonian(p).real
-    e_uu, e_dd = h[0, 0], h[3, 3]
-    block = h[1:3, 1:3]
-    w, v = np.linalg.eigh(block)
-    # identify the |ud>-like and |du>-like eigenstates by dominant weight
-    ud_like = 0 if abs(v[0, 0]) >= abs(v[0, 1]) else 1
-    du_like = 1 - ud_like
-    e_ud, e_du = w[ud_like], w[du_like]
-    vec_ud = np.zeros(4)
-    vec_ud[1:3] = v[:, ud_like]
-    vec_du = np.zeros(4)
-    vec_du[1:3] = v[:, du_like]
+    (e_uu, e_ud, e_du, e_dd), vec_ud, vec_du = labeled_eigenstates(p)
     uu = np.array([1.0, 0, 0, 0])
     dd = np.array([0, 0, 0, 1.0])
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DrivePulse, conditional_resonances
+from .dynamics import DrivePulse, conditional_resonances, labeled_eigenstates
 from .errors import ConfigurationError, RegimeError, ScheduleError
 from .params import SpinParams
 
@@ -167,13 +167,7 @@ def _hold_vz_angles(p_weak: SpinParams, p_strong: SpinParams,
     calibration of the experiment. The two-qubit (ZZ) phase and anything
     accrued on the ramps are left untouched.
     """
-    from .dynamics import static_hamiltonian
-
-    h = static_hamiltonian(p_strong).real
-    e_uu, e_dd = h[0, 0], h[3, 3]
-    w, v = np.linalg.eigh(h[1:3, 1:3])
-    ud_like = 0 if abs(v[0, 0]) >= abs(v[0, 1]) else 1
-    lam = np.array([e_uu, w[ud_like], w[1 - ud_like], e_dd])
+    lam = labeled_eigenstates(p_strong)[0]
     track = 0.5 * np.array([
         p_weak.e_zl_hz + p_weak.e_zr_hz,
         p_weak.e_zl_hz - p_weak.e_zr_hz,

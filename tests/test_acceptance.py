@@ -170,7 +170,6 @@ def _noise_fidelity_curve(device, protocol, sigmas, n_samples, seed,
     exp._solutions = {}
     exp.device = lambda: (spec, mat, biases, grid, fmap, coulomb)
     exp.seed = seed
-    exp.threads = 1
     exp.integrator = "rwa"
 
     def solution_at(v_m_mv):

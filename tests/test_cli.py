@@ -162,6 +162,29 @@ sigma_uev = 0
                      "--resume"]) == EXIT_CONFIG
         assert out.read_text() == written
 
+    def test_refuses_rows_of_another_experiment(self, tmp_path):
+        # one `out` for both sections: the gate's t_ns rows 1.0 and 2.0
+        # would otherwise be taken as the sweep's tau rows
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""
+[experiment]
+seed = 9
+out = {tmp_path / "shared.csv"}
+[params]
+table = {DIRECT_TABLE}
+[gate]
+protocol = ry_pi_left
+sample_ns = 1.0
+[transition-sweep]
+tau_tr_ns = 1,2
+v_m_strong_mv = 410
+sigma_uev = 0
+""")
+        assert main(["gate", "--config", cfg]) == EXIT_OK
+        written = (tmp_path / "shared.csv").read_text()
+        assert main(["transition-sweep", "--config", cfg,
+                     "--resume"]) == EXIT_CONFIG
+        assert (tmp_path / "shared.csv").read_text() == written
+
 
 class TestNoisyTableFactory:
     def test_clean_table_from_the_solutions(self, flat_well):
@@ -191,25 +214,23 @@ class TestFidelitySampleFailures:
                 raise self.exc_cls(f"sample {i}")
             return self.table
 
-    def run(self, factory, threads, n=100):
-        exp = SimpleNamespace(seed=1, threads=threads, integrator="rwa")
+    def run(self, factory, n=100):
+        exp = SimpleNamespace(seed=1, integrator="rwa")
         table = paper_table()
         schedule = schedule_ry("L", math.pi, table(400.0))
         return _fidelity_samples(exp, schedule, ry_matrix("L", math.pi),
                                  factory, 1.0, n)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_counts_any_sample_error(self, threads):
-        mean, std, n = self.run(self.Factory({7}), threads)
+    def test_counts_any_sample_error(self):
+        mean, std, n = self.run(self.Factory({7}))
         assert n == 99
         assert mean >= 99.9
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_aborts_past_threshold(self, threads):
+    def test_aborts_past_threshold(self):
         with pytest.raises(NumericalError) as info:
-            self.run(self.Factory({7, 11}), threads)
+            self.run(self.Factory({7, 11}))
         assert info.value.diagnostics["failures"] == {"GeometryError": 2}
 
     def test_configuration_error_is_not_a_sample_failure(self):
         with pytest.raises(ConfigurationError):
-            self.run(self.Factory({7}, ConfigurationError), 1)
+            self.run(self.Factory({7}, ConfigurationError))

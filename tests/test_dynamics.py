@@ -8,6 +8,7 @@ from dqdsim.dynamics import (
     CNOT_DOWN,
     DrivePulse,
     HEIS,
+    STATE_DD,
     SY_L,
     SZ_L,
     SZ_R,
@@ -200,6 +201,19 @@ class TestEvolve:
         probs = np.abs(res.trajectory_amps) ** 2
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-10
         assert res.trajectory_t_ns[-1] == pytest.approx(100.0, abs=1.0)
+
+    @pytest.mark.parametrize("integrator", ["rwa", "lab"])
+    def test_sampled_evolution_matches_unsampled(self, table, integrator):
+        # drives, ramps, a hold and virtual-Z events; the 1.009 ns stride
+        # divides the gate time, so the last sample is the final state
+        sched = cnot_multi_schedule(table(400.0), table(408.0), tau_tr_ns=1.0)
+        assert sched.vz_events and sched.total_time_ps % 1009 == 0
+        full = evolve(sched, table, integrator=integrator)
+        res = evolve(sched, table, integrator=integrator,
+                     sample_every_ns=1.009, initial_state=STATE_DD)
+        assert np.abs(res.u - full.u).max() <= 1e-12
+        assert np.abs(res.trajectory_amps[-1]
+                      - res.u[:, STATE_DD]).max() <= 1e-12
 
 
 class TestGateFidelity:

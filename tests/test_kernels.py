@@ -1,12 +1,7 @@
 import numpy as np
-import pytest
 
-from dqdsim import _propagate, kernels
-from dqdsim._propagate import (
-    ordered_product,
-    propagate_affine as py_propagate,
-    step_exponentials,
-)
+from dqdsim import kernels
+from dqdsim.kernels import ordered_product, propagate_affine, step_exponentials
 
 
 def random_hermitian(rng):
@@ -15,32 +10,22 @@ def random_hermitian(rng):
 
 
 class TestKernels:
-    def test_backends_agree(self):
-        if not kernels.HAVE_COMPILED:
-            pytest.skip("compiled kernel not built")
-        rng = np.random.default_rng(12)
-        a, b = random_hermitian(rng), random_hermitian(rng)
-        coefs = rng.normal(size=5000)
-        u_py = kernels.propagate_affine(a, b, coefs, 2e-4, backend="python")
-        u_cy = kernels.propagate_affine(a, b, coefs, 2e-4, backend="compiled")
-        assert np.abs(u_py - u_cy).max() < 1e-11
-
     def test_unitary_product(self):
         rng = np.random.default_rng(4)
         a, b = random_hermitian(rng), random_hermitian(rng)
-        u = kernels.propagate_affine(a, b, rng.normal(size=20000), 1e-3)
+        u = propagate_affine(a, b, rng.normal(size=20000), 1e-3)
         assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-10
 
     def test_empty_sequence_is_identity(self):
         a = np.zeros((4, 4), dtype=complex)
-        u = kernels.propagate_affine(a, a, np.array([]), 1.0)
+        u = propagate_affine(a, a, np.array([]), 1.0)
         assert np.array_equal(u, np.eye(4, dtype=complex))
 
     def test_single_step_matches_expm(self):
         rng = np.random.default_rng(8)
         a, b = random_hermitian(rng), random_hermitian(rng)
         dt, c = 3e-3, 0.7
-        u = kernels.propagate_affine(a, b, np.array([c]), dt)
+        u = propagate_affine(a, b, np.array([c]), dt)
         w, v = np.linalg.eigh(a + c * b)
         expect = (v * np.exp(-2j * np.pi * dt * w)) @ v.conj().T
         assert np.abs(u - expect).max() < 1e-13
@@ -59,8 +44,8 @@ class TestKernels:
         u0 = np.linalg.qr(rng.normal(size=(4, 4))
                           + 1j * rng.normal(size=(4, 4)))[0]
         coefs = rng.normal(size=50)
-        u = py_propagate(a, b, coefs, 1e-3)
-        u_with = py_propagate(a, b, coefs, 1e-3, u0=u0)
+        u = propagate_affine(a, b, coefs, 1e-3)
+        u_with = propagate_affine(a, b, coefs, 1e-3, u0=u0)
         assert np.abs(u_with - u @ u0).max() < 1e-12
 
     def test_chunked_product_matches_single_batch(self, monkeypatch):
@@ -70,7 +55,7 @@ class TestKernels:
                           + 1j * rng.normal(size=(4, 4)))[0]
         coefs = rng.normal(size=4 * 37 + 11)
         single = ordered_product(step_exponentials(a, b, coefs, 1e-2))
-        monkeypatch.setattr(_propagate, "CHUNK_STEPS", 37)
-        assert np.abs(py_propagate(a, b, coefs, 1e-2) - single).max() < 1e-13
-        u_with = py_propagate(a, b, coefs, 1e-2, u0=u0)
+        monkeypatch.setattr(kernels, "CHUNK_STEPS", 37)
+        assert np.abs(propagate_affine(a, b, coefs, 1e-2) - single).max() < 1e-13
+        u_with = propagate_affine(a, b, coefs, 1e-2, u0=u0)
         assert np.abs(u_with - single @ u0).max() < 1e-13
