@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 from importlib import resources
 
@@ -86,18 +88,26 @@ class Experiment:
 
     def __init__(self, path, seed=None, out=None, integrator=None,
                  resume=False):
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read experiment config {path}") from exc
         cp = configparser.ConfigParser()
-        if not cp.read(str(path)):
-            raise ConfigurationError(f"cannot read experiment config {path}")
+        try:
+            cp.read_string(raw.decode("utf-8"), source=str(path))
+        except (UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigurationError(
+                f"malformed experiment config {path}: {exc}") from exc
         self.cp = cp
+        self.config_hash = hashlib.sha256(raw).hexdigest()[:16]
         exp = cp["experiment"] if cp.has_section("experiment") else {}
         self.seed = int(seed if seed is not None else exp.get("seed", "1"))
         self.out = str(out if out is not None else exp.get("out", "result.csv"))
         self.integrator = str(integrator if integrator is not None
                               else exp.get("integrator", "rwa"))
         self.resume = bool(resume)
-        with open(path, "rb") as fh:
-            self.config_hash = hashlib.sha256(fh.read()).hexdigest()[:16]
         self._device = None
         self._solutions = {}
 
@@ -182,18 +192,35 @@ class Experiment:
 
 
 def write_outputs(out_path: str, header_cols: list, rows: list, meta: dict):
-    """CSV with '#' metadata header + machine-readable JSON sidecar."""
+    """CSV with '#' metadata header + machine-readable JSON sidecar.
+
+    Both files are written to temporary files beside their targets and
+    renamed into place only once both are complete, so a failed write
+    leaves the previous outputs intact and no temporary file behind.
+    """
     lines = [f"# {k} = {v}" for k, v in meta.items()]
     lines.append(",".join(header_cols))
     for r in rows:
         lines.append(",".join(_fmt(v) for v in r))
     body = "\n".join(lines) + "\n"
-    with open(out_path, "w") as fh:
-        fh.write(body)
     sidecar = {"meta": meta, "columns": header_cols,
                "rows": [[_jsonable(v) for v in r] for r in rows]}
-    with open(out_path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
+    texts = ((out_path, body),
+             (out_path + ".json", json.dumps(sidecar, indent=1, sort_keys=True)))
+    pending = []
+    try:
+        for path, text in texts:
+            tmp = f"{path}.{os.getpid()}.tmp"
+            pending.append((tmp, path))
+            with open(tmp, "w") as fh:
+                fh.write(text)
+    except BaseException:
+        for tmp, _ in pending:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+    for tmp, path in pending:
+        os.replace(tmp, path)
 
 
 def _fmt(v):

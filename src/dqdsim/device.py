@@ -349,7 +349,12 @@ class PoissonProblem:
 
     def _factor(self):
         if self._lu is None:
-            self._lu = spla.splu(self.matrix.tocsc())
+            # symmetric positive definite: a symmetric fill-reducing
+            # ordering with diagonal pivots keeps the factor small
+            self._lu = spla.splu(self.matrix.tocsc(),
+                                 permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
         return self._lu
 
     def rhs(self, charge_nm3: np.ndarray,
@@ -445,20 +450,25 @@ def _fermi_integral(eta: np.ndarray, order: float) -> np.ndarray:
 
     Vectorized composite Gauss-Legendre after x = s^2, which removes the
     x^(-1/2) endpoint singularity for j = -1/2. Non-degenerate series for
-    eta << 0 keeps the bulk branch cheap at cryogenic temperatures.
+    eta << 0 keeps the bulk branch cheap at cryogenic temperatures. Below
+    eta = -40 every term after the first is under half an ulp of it
+    (e^-40 < 2^-54), so the series is exactly exp(eta); evaluating it there
+    would only push z^k into the subnormal range.
     """
     from math import gamma
 
     eta = np.asarray(eta, dtype=float)
     out = np.empty_like(eta)
-    series = eta < -8.0
+    tail = eta < -40.0
+    out[tail] = np.exp(eta[tail])
+    series = (eta < -8.0) & ~tail
     if series.any():
         z = np.exp(eta[series])
         acc = np.zeros_like(z)
         for k in range(1, 9):
             acc += (-1) ** (k - 1) * z**k / k ** (order + 1.0)
         out[series] = acc
-    rest = ~series
+    rest = ~(tail | series)
     if rest.any():
         e = eta[rest]
         s_max = np.sqrt(np.maximum(e, 0.0) + 42.0)

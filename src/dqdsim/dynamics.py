@@ -266,7 +266,7 @@ def evolve(schedule, params_source, integrator: str = "rwa",
         ParamsTable provides, for J along the ramp.
     integrator : "rwa" (production) or "lab" (reference oracle)
     sample_every_ns : if set, record the state trajectory from
-        `initial_state` at this stride.
+        `initial_state` at this stride and at the end of the schedule.
 
     Rotating-frame steps are capped at 1/(dt_factor max(J, B_o, detunings)),
     lab-frame steps at 1/(dt_factor max(E_ZL, E_ZR)); segments with constant
@@ -318,10 +318,10 @@ def evolve(schedule, params_source, integrator: str = "rwa",
         stride_ps = max(int(round(sample_every_ns * 1000.0)), 1)
         next_sample_ps = stride_ps
 
-    def apply(mat: np.ndarray, dt_ps_local: int):
+    def apply(mat: np.ndarray, t_after_ps: int):
         nonlocal u, t_ps, psi, next_sample_ps
         u = mat @ u
-        t_ps += dt_ps_local
+        t_ps = t_after_ps
         if sampling:
             psi = mat @ psi
             if t_ps >= next_sample_ps:
@@ -351,23 +351,32 @@ def evolve(schedule, params_source, integrator: str = "rwa",
             dt_max_s = max(dt_max_s, dt_s)
             coefs = _cf4_coefs(gen.gamma, t_ps * PS, dt_s, n_steps)
             n_exp += coefs.size
-            per_chunk = n_steps
+            ends = [n_steps]
             if sampling and gen.at_stride:
-                per_chunk = max(int(stride_ps / (dt_s / PS)), 1)
-            for done in range(0, n_steps, per_chunk):
-                take = min(per_chunk, n_steps - done)
+                # chunks end at the first step at or after each stride from
+                # the segment start, where constant segments end their pieces
+                marks_s = np.arange(stride_ps, seg.duration_ps, stride_ps) * PS
+                ends = np.unique(np.append(np.ceil(marks_s / dt_s).astype(int),
+                                           n_steps))
+            seg_start_ps, done = t_ps, 0
+            for end in ends:
+                # the clock is the rounded cumulative time, so chunk
+                # rounding does not accumulate
                 apply(propagate_affine(gen.h_base, gen.h_coef,
-                                       coefs[2 * done:2 * (done + take)],
-                                       0.5 * dt_s),
-                      int(round(take * dt_s / PS)))
+                                       coefs[2 * done:2 * end], 0.5 * dt_s),
+                      seg_start_ps + int(round(end * dt_s / PS)))
+                done = end
         else:
             piece_ps = stride_ps if sampling else seg.duration_ps
             while t_ps < seg_end_ps:
                 step = min(piece_ps, seg_end_ps - t_ps)
-                apply(_expm_h(gen, step * PS), step)
+                apply(_expm_h(gen, step * PS), t_ps + step)
                 n_exp += 1
-        t_ps = seg_end_ps  # undo the rounding of stepped chunks
 
+    if sampling and traj_t[-1] < t_ps * 1e-3:
+        # the gate time is not a multiple of the stride: end on the final state
+        traj_t.append(t_ps * 1e-3)
+        traj_a.append(psi.copy())
     apply_events_at(t_ps)
 
     defect = unitarity_defect(u)

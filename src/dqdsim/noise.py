@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cho_solve_banded
 
 from .device import DeviceBiases, DeviceSpec, Grid, MaterialParams, build_grid
 from .dots import (
@@ -52,8 +52,9 @@ from .params import SpinParams
 from .schrodinger import (
     ConvergedSolution,
     Spectrum,
-    _well_kinetic,
+    _column_major_kinetic,
     self_consistent_solve,
+    shifted_well_cholesky,
     solve_eigenstates,
     well_rows,
     well_spectrum,
@@ -116,23 +117,6 @@ def sample_noise(grid: Grid, cfg: NoiseConfig, sample_index: int) -> NoiseField:
                       sample_index=sample_index, sigma_uev=cfg.sigma_uev)
 
 
-def _column_major_kinetic(grid: Grid, mat: MaterialParams):
-    """The well's kinetic operator with cells ordered column by column
-    (bandwidth = well rows): (order, CSR matrix, upper band storage).
-    Cached per grid."""
-    key = ("kinetic-column-major", mat.mass_lateral, mat.mass_vertical)
-    if key not in grid._cache:
-        j0, j1 = well_rows(grid)
-        nr, nx = j1 - j0, grid.nx
-        order = np.arange(nr * nx).reshape(nr, nx).T.ravel()
-        kin = _well_kinetic(grid, mat)[order][:, order].tocsr()
-        band = np.zeros((nr + 1, nr * nx))
-        for k in range(nr + 1):
-            band[nr - k, k:] = kin.diagonal(k)
-        grid._cache[key] = (order, kin, band)
-    return grid._cache[key]
-
-
 def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
                         grid: Grid, mat: MaterialParams,
                         sample_index: int) -> Spectrum:
@@ -150,10 +134,8 @@ def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
     order, kin, band = _column_major_kinetic(grid, mat)
     v = u[j0:j1, :].ravel()[order]
     shift = solution.spectrum.energies_ev[0] - SHIFT_BELOW_GROUND_EV
-    ab = band.copy()
-    ab[-1] += v - shift
     try:
-        chol = cholesky_banded(ab, check_finite=False)
+        chol = shifted_well_cholesky(band, v, shift)
     except LinAlgError:
         reason = "H - s is not positive definite"
     else:

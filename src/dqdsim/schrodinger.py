@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .constants import HBAR2_OVER_2M0, K_B_EV
 from .device import (
@@ -43,6 +44,9 @@ log = logging.getLogger("dqdsim")
 # iterations is abandoned: it would only run on to the cap, and a failed
 # stage is discarded anyway.
 STALL_WINDOW = 50
+
+# A warm-started eigensolve shifts this far below the start's ground energy.
+WARM_SHIFT_BELOW_GROUND_EV = 1e-3
 
 
 @dataclass
@@ -127,8 +131,36 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_major_kinetic(grid: Grid, mat: MaterialParams):
+    """The well's kinetic operator with cells ordered column by column
+    (bandwidth = well rows): (order, CSR matrix, upper band storage).
+    Cached per grid."""
+    key = ("kinetic-column-major", mat.mass_lateral, mat.mass_vertical)
+    if key not in grid._cache:
+        j0, j1 = well_rows(grid)
+        nr, nx = j1 - j0, grid.nx
+        order = np.arange(nr * nx).reshape(nr, nx).T.ravel()
+        kin = _well_kinetic(grid, mat)[order][:, order].tocsr()
+        band = np.zeros((nr + 1, nr * nx))
+        for k in range(nr + 1):
+            band[nr - k, k:] = kin.diagonal(k)
+        grid._cache[key] = (order, kin, band)
+    return grid._cache[key]
+
+
+def shifted_well_cholesky(band: np.ndarray, v: np.ndarray,
+                          shift: float) -> np.ndarray:
+    """Upper banded Cholesky factor of H - shift on the column-ordered well,
+    H = kinetic `band` + diag(v). Raises LinAlgError unless every eigenvalue
+    of H lies above `shift`."""
+    ab = band.copy()
+    ab[-1] += v - shift
+    return cholesky_banded(ab, check_finite=False)
+
+
 def solve_eigenstates(potential_ev: np.ndarray, grid: Grid, mat: MaterialParams,
-                      n_states: int, method: str = "auto") -> Spectrum:
+                      n_states: int, method: str = "auto",
+                      start: Spectrum | None = None) -> Spectrum:
     """Lowest eigenpairs of the effective-mass Hamiltonian on the well.
 
     Parameters
@@ -136,6 +168,18 @@ def solve_eigenstates(potential_ev: np.ndarray, grid: Grid, mat: MaterialParams,
     potential_ev : full-grid (ny, nx) electron potential energy, eV.
     method : "auto" | "sparse" | "dense". The dense branch is the test
         oracle for small problems and the fallback for tiny grids.
+    start : a spectrum of a nearby potential with the same `n_states`, for
+        a warm start of the sparse solve.
+
+    The sparse solve is ARPACK in shift-invert mode, with (H - sigma)^-1
+    applied through a banded Cholesky factor of the column-ordered well.
+    Cold, sigma = min(V) - 5 meV and the start vector is uniform; H - sigma
+    is then always positive definite. Warm, sigma lies
+    `WARM_SHIFT_BELOW_GROUND_EV` below the start's ground energy and the
+    start vector is the sum of its states. The factorization succeeds only
+    when every eigenvalue lies above sigma, so either way ARPACK returns
+    the lowest `n_states`; when it fails, the solve runs cold and logs the
+    fallback at DEBUG on the `dqdsim` logger.
     """
     if n_states < 2:
         raise ConfigurationError("n_states must be >= 2")
@@ -143,31 +187,54 @@ def solve_eigenstates(potential_ev: np.ndarray, grid: Grid, mat: MaterialParams,
         raise ConfigurationError("potential contains non-finite entries")
     j0, j1 = well_rows(grid)
     v = potential_ev[j0:j1, :].ravel()
-    kin = _well_kinetic(grid, mat)
     n = v.size
     if n_states >= n:
         raise ConfigurationError("n_states exceeds the Quantum-region size")
-    h = kin + sp.diags(v)
 
     if method == "auto":
         method = "dense" if n <= 400 else "sparse"
     if method == "dense":
+        h = _well_kinetic(grid, mat) + sp.diags(v)
         w, vecs = np.linalg.eigh(h.toarray())
         w, vecs = w[:n_states], vecs[:, :n_states]
     elif method == "sparse":
-        sigma = float(v.min()) - 5e-3
-        v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start vector: determinism
+        order, kin, band = _column_major_kinetic(grid, mat)
+        v = v[order]
+        chol = None
+        if start is not None and start.n_states == n_states:
+            sigma = float(start.energies_ev[0]) - WARM_SHIFT_BELOW_GROUND_EV
+            try:
+                chol = shifted_well_cholesky(band, v, sigma)
+            except LinAlgError:
+                log.debug("warm eigensolve fell back to a cold start: an "
+                          "eigenvalue lies below the shift %.6e eV", sigma)
+            else:
+                v0 = start.wavefunctions[:, j0:j1, :].reshape(
+                    n_states, -1).sum(axis=0)[order]
+        if chol is None:
+            sigma = float(v.min()) - 5e-3
+            chol = shifted_well_cholesky(band, v, sigma)
+            v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start vector: determinism
+        # in shift-invert mode ARPACK applies only OPinv; h gives it the shape
+        h = spla.LinearOperator((n, n), matvec=lambda x: kin @ x + v * x,
+                                dtype=float)
+        op_inv = spla.LinearOperator(
+            (n, n), matvec=lambda x: cho_solve_banded((chol, False), x,
+                                                      check_finite=False),
+            dtype=float)
         try:
-            w, vecs = spla.eigsh(h, k=n_states, sigma=sigma, which="LM",
-                                 v0=v0, tol=0, maxiter=1000)
+            w, vecs_c = spla.eigsh(h, k=n_states, sigma=sigma, which="LM",
+                                   v0=v0, tol=0, maxiter=1000, OPinv=op_inv)
         except spla.ArpackNoConvergence as exc:
             raise NumericalError(
                 "eigensolver did not converge",
                 diagnostics={"converged": len(getattr(exc, "eigenvalues", [])),
                              "requested": n_states},
             ) from exc
-        order = np.argsort(w)
-        w, vecs = w[order], vecs[:, order]
+        vecs = np.empty_like(vecs_c)
+        vecs[order] = vecs_c
+        idx = np.argsort(w)
+        w, vecs = w[idx], vecs[:, idx]
     else:
         raise ConfigurationError(f"unknown eigensolver method {method!r}")
 
@@ -288,7 +355,9 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
     The update norm is the undamped residual max|G(u) - u| with
     G(u) = poisson(charge(u)), so the stopping point does not depend on the
     mixing factor. With `stall_window`, the stage is abandoned once its
-    residual has set no new minimum for that many iterations.
+    residual has set no new minimum for that many iterations. Every
+    eigensolve after the stage's first is warm-started from the previous
+    iteration's spectrum.
 
     Returns (u, charge, spectrum, resid, history, stage). When the stage
     does not converge, u is the last iterate and charge and spectrum are
@@ -298,8 +367,10 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
     history = []
     beta = mixing
     best, best_it = np.inf, 0
+    spectrum = None
     for it in range(1, max_iter + 1):
-        spectrum = solve_eigenstates(u, grid, mat, n_states, method=eig_method)
+        spectrum = solve_eigenstates(u, grid, mat, n_states, method=eig_method,
+                                     start=spectrum)
         if pin_occupation is None:
             qcharge = quantum_charge(spectrum, mat.fermi_level_ev, t_k, grid, mat)
         else:

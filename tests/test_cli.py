@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -5,7 +6,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dqdsim.cli import EXIT_CONFIG, EXIT_OK, NoisyTableFactory, _fidelity_samples, main
+from dqdsim import cli
+from dqdsim.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    Experiment,
+    NoisyTableFactory,
+    _fidelity_samples,
+    main,
+    write_outputs,
+)
 from dqdsim.device import DeviceBiases
 from dqdsim.dots import MagnetFieldMap, exchange_energy, zeeman_splittings
 from dqdsim.dynamics import ry_matrix
@@ -107,9 +117,62 @@ protocol = swap_everything
         assert main(["gate", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
 
+    def test_unreadable_config_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            Experiment(tmp_path)       # a directory
+        assert main(["gate", "--config", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("body", [b"garbage\n", b"[gate]\x00\xff\n",
+                                      b"[gate]\n[gate]\n"])
+    def test_malformed_config_is_config_error(self, tmp_path, body):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(body)
+        assert main(["gate", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_config_hash_is_of_the_file_bytes(self, tmp_path):
+        cfg = write_cfg(tmp_path / "exp.cfg", "[experiment]\nseed = 4\n")
+        exp = Experiment(cfg)
+        assert exp.seed == 4
+        assert exp.config_hash == hashlib.sha256(
+            (tmp_path / "exp.cfg").read_bytes()).hexdigest()[:16]
+
     def test_unknown_experiment_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["teleport", "--config", "x"])
+
+
+class TestWriteOutputs:
+    def _rewrite_fails(self, tmp_path, rows, error, arm=lambda: None):
+        out = tmp_path / "r.csv"
+        write_outputs(str(out), ["a", "b"], [(1.0, 2.0)], {"seed": 1})
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert set(before) == {"r.csv", "r.csv.json"}
+        arm()
+        with pytest.raises(error):
+            write_outputs(str(out), ["a", "b"], rows, {"seed": 1})
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert after == before
+
+    def test_unserializable_sidecar_keeps_previous_outputs(self, tmp_path):
+        # the CSV renders any value; the JSON sidecar cannot
+        self._rewrite_fails(tmp_path, [(3.0, object())], TypeError)
+
+    def test_failed_sidecar_write_keeps_previous_outputs(self, tmp_path,
+                                                         monkeypatch):
+        sidecar = str(tmp_path / "r.csv.json")
+
+        def open_failing_on_sidecar(path, *args, **kw):
+            fh = open(path, *args, **kw)
+            if str(path).startswith(sidecar):
+                fh.close()
+                raise OSError("no space left on device")
+            return fh
+
+        self._rewrite_fails(
+            tmp_path, [(3.0, 4.0)], OSError,
+            arm=lambda: monkeypatch.setattr(cli, "open",
+                                            open_failing_on_sidecar,
+                                            raising=False))
 
 
 class TestResume:

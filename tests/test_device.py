@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from dqdsim.cli import default_device_path
 from dqdsim.constants import Q_OVER_EPS0_EV_NM
 from dqdsim.device import (
     DeviceBiases,
@@ -15,6 +17,7 @@ from dqdsim.device import (
     build_grid,
     effective_dos_nm3,
     fermi_half,
+    fermi_minus_half,
     field_to_csv,
     load_device_config,
     save_device_config,
@@ -80,6 +83,20 @@ class TestSolvePoisson:
                      np.full(grid.nx, v0))
         u = prob.solve_rhs(b)
         assert np.abs(u - v0).max() < 1e-12
+
+    def test_symmetric_factor_matches_spsolve(self):
+        # the shipped device's operator on a random charge of ~1e18 cm^-3
+        spec, mat, biases, _ = load_device_config(default_device_path())
+        grid = build_grid(spec)
+        prob = PoissonProblem(grid, mat)
+        rng = np.random.default_rng(5)
+        charge_nm3 = 1e-3 * rng.random((grid.ny, grid.nx))
+        b = prob.rhs(charge_nm3, np.full(grid.nx, 0.2), np.zeros(grid.ny),
+                     np.zeros(grid.ny))
+        u = prob.solve_rhs(b)
+        ref = spla.spsolve(prob.matrix.tocsc(), b).reshape(grid.ny, grid.nx)
+        assert np.abs(ref).max() > 0.1
+        assert np.abs(u - ref).max() <= 1e-12
 
     def test_linear_ramp_between_side_dirichlet(self):
         layers = (Layer("SiGe", 20.0), Layer("SiGe", 20.0))
@@ -212,6 +229,22 @@ class TestBulkCharge:
         n = bulk_charge(u, grid, mat, t_k)
         assert n.max() > 0.0
         assert np.array_equal(n, expect)
+
+    @pytest.mark.parametrize("fermi, order", [(fermi_half, 0.5),
+                                              (fermi_minus_half, -0.5)])
+    def test_deep_tail_equals_series(self, fermi, order):
+        # below eta = -40 the integral is exp(eta); bit-identical to the
+        # eight-term series (the branch below eta = -8), subnormal and
+        # underflowing terms included
+        eta = np.concatenate([np.linspace(-800.0, -8.0, 20001)[:-1],
+                              [-40.0, np.nextafter(-40.0, 0.0),
+                               np.nextafter(-8.0, -9.0), -745.2]])
+        z = np.exp(eta)
+        series = np.zeros_like(z)
+        with np.errstate(under="ignore"):
+            for k in range(1, 9):
+                series += (-1) ** (k - 1) * z**k / k ** (order + 1.0)
+        assert np.array_equal(fermi(eta), series)
 
     def test_fermi_half_against_quadrature(self):
         for eta in (-12.0, -3.0, 0.0, 5.0, 30.0):

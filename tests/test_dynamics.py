@@ -204,16 +204,38 @@ class TestEvolve:
 
     @pytest.mark.parametrize("integrator", ["rwa", "lab"])
     def test_sampled_evolution_matches_unsampled(self, table, integrator):
-        # drives, ramps, a hold and virtual-Z events; the 1.009 ns stride
-        # divides the gate time, so the last sample is the final state
+        # drives, ramps, a hold and virtual-Z events; the 0.25 ns stride
+        # does not divide the gate time, so the last row is the appended
+        # final state
         sched = cnot_multi_schedule(table(400.0), table(408.0), tau_tr_ns=1.0)
-        assert sched.vz_events and sched.total_time_ps % 1009 == 0
+        assert sched.vz_events and sched.total_time_ps % 250 != 0
         full = evolve(sched, table, integrator=integrator)
         res = evolve(sched, table, integrator=integrator,
-                     sample_every_ns=1.009, initial_state=STATE_DD)
+                     sample_every_ns=0.25, initial_state=STATE_DD)
         assert np.abs(res.u - full.u).max() <= 1e-12
+        assert res.trajectory_t_ns[-1] == res.total_time_ns
         assert np.abs(res.trajectory_amps[-1]
                       - res.u[:, STATE_DD]).max() <= 1e-12
+
+    @pytest.mark.parametrize("stride_ns", [0.123, 0.25])
+    def test_lab_and_rwa_trajectories_share_their_times(self, table,
+                                                        stride_ns):
+        # lab drives are stepped in chunks of whole steps; their rows must
+        # still fall at the RWA rows' times and end at the gate's end
+        sched = cnot_multi_schedule(table(400.0), table(408.0), tau_tr_ns=1.0)
+        res = {integrator: evolve(sched, table, integrator=integrator,
+                                  sample_every_ns=stride_ns,
+                                  initial_state=STATE_DD)
+               for integrator in ("rwa", "lab")}
+        t = res["lab"].trajectory_t_ns
+        assert np.array_equal(t, res["rwa"].trajectory_t_ns)
+        assert t[-1] == res["lab"].total_time_ns
+        assert t[-1] == pytest.approx(sched.total_time_ns, abs=1e-9)
+        assert np.all(np.diff(t) > 0)
+        # rows hold the state at their time: the two frames agree on the
+        # populations row by row
+        p = {k: np.abs(r.trajectory_amps) ** 2 for k, r in res.items()}
+        assert np.abs(p["lab"] - p["rwa"]).max() <= 2e-4
 
 
 class TestGateFidelity:

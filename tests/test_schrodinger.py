@@ -2,8 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from dqdsim import schrodinger
+from dqdsim.cli import default_device_path
 from dqdsim.constants import HBAR2_OVER_2M0
 from dqdsim.device import (
     DeviceBiases,
@@ -12,11 +14,13 @@ from dqdsim.device import (
     Layer,
     MaterialParams,
     build_grid,
+    load_device_config,
     solve_poisson,
 )
 from dqdsim.errors import ConfigurationError, NonConvergenceError
 from dqdsim.schrodinger import (
     STALL_WINDOW,
+    WARM_SHIFT_BELOW_GROUND_EV,
     ScfStage,
     load_snapshot,
     quantum_charge,
@@ -100,6 +104,97 @@ class TestEigenstates:
         spec, grid, mat = flat_well
         with pytest.raises(ConfigurationError):
             solve_eigenstates(np.zeros((grid.ny, grid.nx)), grid, mat, 1)
+
+
+@pytest.fixture(scope="module")
+def shipped_400mv():
+    """A cold 400 mV solve on the shipped device, recording the (potential,
+    start) of every stage's first eigensolve and of every 20th one."""
+    spec, mat, biases, _ = load_device_config(default_device_path())
+    grid = build_grid(spec)
+    b = DeviceBiases(v_b=biases.v_b, v_l=biases.v_l, v_m=0.400,
+                     v_r=biases.v_r, drain_bias_v=biases.drain_bias_v)
+    solve = schrodinger.solve_eigenstates
+    calls, kept = [], []
+
+    def recording(u, grid_, mat_, n_states, method="auto", start=None):
+        calls.append(1)
+        if start is None or len(calls) % 20 == 0:
+            kept.append((u, start))
+        return solve(u, grid_, mat_, n_states, method, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schrodinger, "solve_eigenstates", recording)
+        sol = self_consistent_solve(spec, mat, b, grid=grid)
+    return spec, mat, b, grid, sol, kept
+
+
+def warm_fallbacks(caplog):
+    return [r for r in caplog.records
+            if r.name == "dqdsim" and "fell back" in r.getMessage()]
+
+
+@pytest.mark.slow
+class TestWarmStartedEigensolve:
+    def test_scf_warm_starts_all_but_each_stage_first_solve(self,
+                                                            shipped_400mv):
+        *_, sol, kept = shipped_400mv
+        assert sum(start is None for _, start in kept) == len(sol.stages)
+        assert len(kept) > 10
+
+    def test_warm_matches_cold_on_scf_iterates(self, shipped_400mv,
+                                               monkeypatch, caplog):
+        # early iterates may move the ground state below the warm shift and
+        # fall back; late ones, where the potential moves by ueV, must not
+        _, mat, _, grid, _, kept = shipped_400mv
+        shifts = []
+
+        def eigsh(*args, **kw):
+            shifts.append(kw["sigma"])
+            return spla_eigsh(*args, **kw)
+
+        spla_eigsh = spla.eigsh
+        monkeypatch.setattr(spla, "eigsh", eigsh)
+        warm_started = []
+        with caplog.at_level(logging.DEBUG, logger="dqdsim"):
+            for u, start in kept:
+                if start is None:
+                    continue
+                n_fallbacks = len(warm_fallbacks(caplog))
+                warm = solve_eigenstates(u, grid, mat, 6, start=start)
+                warm_started.append(len(warm_fallbacks(caplog))
+                                    == n_fallbacks)
+                if warm_started[-1]:
+                    assert shifts[-1] == (start.energies_ev[0]
+                                          - WARM_SHIFT_BELOW_GROUND_EV)
+                cold = solve_eigenstates(u, grid, mat, 6)
+                assert np.abs(warm.energies_ev
+                              - cold.energies_ev).max() <= 1e-12
+                assert np.abs(warm.wavefunctions**2
+                              - cold.wavefunctions**2).max() <= 1e-10
+        assert all(warm_started[-5:]) and sum(warm_started) > 8
+
+    def test_start_above_ground_falls_back_to_cold(self, shipped_400mv,
+                                                   caplog):
+        # lowering the potential 2 meV puts the new ground state below the
+        # shift 1 meV under the start's: H - sigma is not positive definite
+        _, mat, _, grid, sol, _ = shipped_400mv
+        u = sol.potential_ev - 2e-3
+        with caplog.at_level(logging.DEBUG, logger="dqdsim"):
+            warm = solve_eigenstates(u, grid, mat, 6, start=sol.spectrum)
+        records = warm_fallbacks(caplog)
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        cold = solve_eigenstates(u, grid, mat, 6)
+        assert np.array_equal(warm.energies_ev, cold.energies_ev)
+        assert np.array_equal(warm.wavefunctions, cold.wavefunctions)
+
+    def test_scf_is_deterministic(self, shipped_400mv):
+        spec, mat, b, grid, sol, _ = shipped_400mv
+        again = self_consistent_solve(spec, mat, b, grid=grid)
+        assert again.stages == sol.stages
+        assert np.array_equal(again.potential_ev, sol.potential_ev)
+        assert np.array_equal(again.spectrum.wavefunctions,
+                              sol.spectrum.wavefunctions)
 
 
 def _well_matrix(grid, mat, potential):
