@@ -1,73 +1,97 @@
-"""Calibration fixture for the default device.
+"""Calibration of a device file against the reference anchors.
 
-The geometry file shipped with the package was produced by this module: the
-lateral gate layout and the stack set the exchange anchors, the Schottky
-barrier height balances the (1,1) filling at the reference bias point, and
-the micromagnet field profile is solved exactly from the two Zeeman targets.
+    python -m dqdsim.calibrate [DEVICE] > calibrated.cfg
 
-Entry points:
-  calibrate_field_map   exact (B0, gradient) from the Zeeman anchors
-  refine_schottky       secant on Phi_B for the target electron filling
-  refine_spacer         secant on the spacer thickness for the J(400) anchor
-  verify_anchors        measure the four anchors on a device file
+reads DEVICE (the shipped `data/device_default.cfg` when omitted) and writes
+the calibrated device file to stdout. Three quantities are re-fitted, in
+this order, at the file's own biases:
 
-Run `python -m dqdsim.calibrate <device.cfg>` to re-verify a device file.
+1. the Schottky barrier height Phi_B, so that the dots hold 1.9 electrons
+   (the summed subband line density over `DOT_LENGTH_NM`), within 0.08;
+2. the right edge of gate R, so that the detuning of the localized pair is
+   within 2 ueV of zero; gate B2 moves with that edge, so the R-B2 gap
+   stays fixed;
+3. the two-plateau micromagnet field map, solved exactly from the Zeeman
+   anchors at 400 mV with the transition width `[field_map] width_nm`.
+
+Everything else in the file (stack, the other gates, grid, materials,
+biases, `[exchange] coulomb_length_nm`) is the design being calibrated. To
+re-calibrate, edit a copy of the file and run the command on it.
+
+Each fit is a secant that stops at its start point when that is already
+within tolerance, so a calibrated file is a fixed point: the command
+reproduces it byte for byte. The anchor report goes to stderr: E_Z at
+400 mV, and J at 400 and 408 mV with the file's Coulomb length. Exit codes:
+0 all anchors met, 1 an anchor missed, 2 configuration error.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import sys
+from dataclasses import replace
 
 import numpy as np
 
+from .cli import EXIT_CONFIG, default_device_path
 from .constants import ZEEMAN_HZ_PER_T
 from .device import (
-    DeviceBiases,
-    DeviceSpec,
-    Layer,
-    MaterialParams,
     build_grid,
+    device_config_text,
     load_device_config,
+    parse_device_config,
 )
 from .dots import (
-    DEFAULT_COULOMB_LENGTH_NM,
+    DOT_LENGTH_NM,
     MagnetFieldMap,
     exchange_energy,
+    field_map_from_config,
     find_dots,
     localized_pair,
-    orbital_centroid_x,
     zeeman_splittings,
 )
+from .errors import ConfigurationError
 from .schrodinger import self_consistent_solve
 
 ANCHOR_E_ZL_HZ = 18.309e9
 ANCHOR_E_ZR_HZ = 18.453e9
 ANCHOR_J400_HZ = 75.6e3
 ANCHOR_J408_HZ = 19.3e6
+E_Z_REL_TOL = 0.01
+J_REL_TOL = 0.20
 
-PINIT = dict(v_b=0.2, v_l=0.54, v_r=0.57)
-
-
-def pinit_biases(v_m_v: float = 0.400) -> DeviceBiases:
-    return DeviceBiases(v_m=v_m_v, **PINIT)
-
-
-def solve_operating_point(spec, mat, v_m_v=0.400, grid=None, **kw):
-    """Self-consistent solve at the reference biases with V_M overridden."""
-    grid = grid or build_grid(spec)
-    return self_consistent_solve(spec, mat, pinit_biases(v_m_v), grid=grid, **kw)
+FILLING_ELECTRONS = 1.9
+FILLING_TOL = 0.08
+PHI_B_STEP_EV = -0.004           # second secant point, from the file's Phi_B
+PHI_B_RANGE_EV = (0.38, 0.50)
+DETUNING_TOL_UEV = 2.0
+R_EDGE_STEP = -0.04              # second secant point, in units of R's width
+R_EDGE_RANGE = (0.5, 1.5)        # R's width, in units of its input width
 
 
-def dot_centroids(solution, grid) -> tuple[float, float]:
-    """Lateral density centroids of the two localized dot orbitals (nm)."""
-    phi_a, phi_b, _ = localized_pair(solution, grid)
-    cx = [orbital_centroid_x(phi, grid) for phi in (phi_a, phi_b)]
-    return (min(cx), max(cx))
+def secant(f, x0, x1, target, tol, lo, hi, max_steps):
+    """Solve f(x) = target by secant steps clipped to [lo, hi].
+
+    Returns (x, f(x)) for the last point evaluated. When |f(x0) - target|
+    is below `tol`, that is x0 and f is called once. Otherwise the steps
+    start from (x0, x1) and stop within `tol`, when the last two values
+    coincide, or after `max_steps` steps.
+    """
+    y0 = f(x0)
+    if abs(y0 - target) < tol:
+        return x0, y0
+    y1 = f(x1)
+    for _ in range(max_steps):
+        if abs(y1 - target) < tol or y1 == y0:
+            break
+        x2 = float(np.clip(x1 + (target - y1) * (x1 - x0) / (y1 - y0), lo, hi))
+        x0, y0 = x1, y1
+        x1, y1 = x2, f(x2)
+    return x1, y1
 
 
-def calibrate_field_map(spec: DeviceSpec, mat: MaterialParams,
-                        *, grid=None, solution=None,
-                        transition_width_nm: float = 15.0):
+def calibrate_field_map(solution, grid, transition_width_nm: float = 15.0):
     """Solve the two-plateau B_Z(x) exactly for the Zeeman anchors.
 
     B(x) = B_L + (B_R - B_L) s(x) with a tanh transition under the middle
@@ -75,15 +99,9 @@ def calibrate_field_map(spec: DeviceSpec, mat: MaterialParams,
     anchor equations solve exactly; flat plateaus at the dots keep the
     splittings first-order insensitive to noise-driven dot motion (a linear
     gradient converts centroid jitter of the soft dots into E_Z noise well
-    above the acceptance bound). Returns (map, parameter dict).
+    above the acceptance bound). Returns (map, `[field_map]` section).
     """
-    from .dots import find_dots, localized_pair
-
-    grid = grid or build_grid(spec)
-    if solution is None:
-        solution = solve_operating_point(spec, mat, grid=grid)
-    regions = find_dots(solution, grid)
-    x_mid = regions.barrier_x_nm
+    x_mid = find_dots(solution, grid).barrier_x_nm
     phi_a, phi_b, _ = localized_pair(solution, grid)
     weights = []
     for phi in (phi_a, phi_b):
@@ -105,107 +123,118 @@ def calibrate_field_map(spec: DeviceSpec, mat: MaterialParams,
     }
     fmap = MagnetFieldMap.from_plateaus(b_left, b_right, x_mid,
                                         transition_width_nm,
-                                        -1.0, spec.width_nm + 1.0)
+                                        -1.0, grid.spec.width_nm + 1.0)
     return fmap, params
 
 
-def total_filling(solution, coulomb_length_nm: float) -> float:
-    return float(solution.occupancies_per_nm.sum() * coulomb_length_nm)
+def right_gate_span(spec) -> tuple[float, float]:
+    for e in spec.electrodes:
+        if e.name == "R":
+            return e.span_nm
+    raise ConfigurationError("the calibration fits gate R; the device has none")
 
 
-def refine_schottky(make_spec, phi0: float, phi1: float, *,
-                    target_electrons: float = 1.9, tol: float = 0.1,
-                    coulomb_length_nm: float = DEFAULT_COULOMB_LENGTH_NM,
-                    max_steps: int = 5):
-    """Secant on the Schottky barrier height for the (1,1) filling.
+def with_right_edge(spec, edge_nm: float):
+    """`spec` with gate R ending at `edge_nm` and B2 shifted along."""
+    r0, r1 = right_gate_span(spec)
+    shift = edge_nm - r1
+    moved = {"R": (r0, edge_nm)}
+    for e in spec.electrodes:
+        if e.name == "B2":
+            moved["B2"] = (e.span_nm[0] + shift, e.span_nm[1] + shift)
+    return replace(spec, electrodes=tuple(
+        replace(e, span_nm=moved.get(e.name, e.span_nm))
+        for e in spec.electrodes))
 
-    `make_spec(phi_b)` returns (DeviceSpec, MaterialParams) for a candidate
-    barrier height; the target is ~2 electrons integrated over the dot pair.
+
+def calibrate(spec, mat, biases, extra):
+    """Fit Phi_B, R's right edge and the field map; measure the anchors.
+
+    Returns (device file text, report lines, whether every anchor is met).
+    `extra` holds the file's other sections; `[field_map] width_nm` and
+    `[exchange] coulomb_length_nm` are read from it.
     """
-    def fill(phi):
-        spec, mat = make_spec(phi)
-        sol = self_consistent_solve(spec, mat, pinit_biases())
-        return total_filling(sol, coulomb_length_nm)
+    try:
+        width_nm = float(extra["field_map"]["width_nm"])
+        coulomb = float(extra["exchange"]["coulomb_length_nm"])
+    except (KeyError, ValueError) as exc:
+        raise ConfigurationError(
+            f"device file lacks a valid {exc!r} for the calibration") from exc
+    grid_for = functools.cache(build_grid)
 
-    n0, n1 = fill(phi0), fill(phi1)
-    for _ in range(max_steps):
-        if abs(n1 - target_electrons) < tol or n1 == n0:
-            break
-        phi2 = phi1 + (target_electrons - n1) * (phi1 - phi0) / (n1 - n0)
-        phi2 = float(np.clip(phi2, 0.30, 0.60))
-        phi0, n0 = phi1, n1
-        phi1, n1 = phi2, fill(phi2)
-    return phi1, n1
+    @functools.cache
+    def solve(spec, mat, v_m):
+        return self_consistent_solve(spec, mat, replace(biases, v_m=v_m),
+                                     grid=grid_for(spec))
 
+    def filling(phi_b):
+        sol = solve(spec, replace(mat, schottky_barrier_ev=phi_b), biases.v_m)
+        return float(sol.occupancies_per_nm.sum() * DOT_LENGTH_NM)
 
-def measure_j(spec: DeviceSpec, mat: MaterialParams, v_m_v: float,
-              coulomb_length_nm: float = DEFAULT_COULOMB_LENGTH_NM,
-              grid=None) -> float:
-    grid = grid or build_grid(spec)
-    sol = solve_operating_point(spec, mat, v_m_v, grid=grid)
-    return exchange_energy(sol, grid, mat, coulomb_length_nm)
+    phi0 = mat.schottky_barrier_ev
+    phi_b, n_e = secant(filling, phi0, phi0 + PHI_B_STEP_EV,
+                        FILLING_ELECTRONS, FILLING_TOL, *PHI_B_RANGE_EV,
+                        max_steps=5)
+    mat = replace(mat, schottky_barrier_ev=phi_b)
 
+    def detuning_uev(edge_nm):
+        s = with_right_edge(spec, edge_nm)
+        _, _, h2 = localized_pair(solve(s, mat, biases.v_m), grid_for(s))
+        return (h2[0, 0] - h2[1, 1]) * 1e6
 
-def refine_spacer(make_spec, s0: float, s1: float, *,
-                  target_j_hz: float = ANCHOR_J400_HZ, rel_tol: float = 0.08,
-                  max_steps: int = 6):
-    """Secant on the spacer thickness, matching ln J(400) to the anchor.
-
-    `make_spec(spacer_nm)` returns (DeviceSpec, MaterialParams); the spacer
-    sets the smoothing of the inter-dot barrier and therefore ln J almost
-    linearly over the relevant window.
-    """
-    def lnj(s):
-        spec, mat = make_spec(s)
-        return np.log(measure_j(spec, mat, 0.400))
-
-    target = np.log(target_j_hz)
-    y0, y1 = lnj(s0), lnj(s1)
-    for _ in range(max_steps):
-        if abs(y1 - target) < rel_tol or y1 == y0:
-            break
-        s2 = s1 + (target - y1) * (s1 - s0) / (y1 - y0)
-        s0, y0 = s1, y1
-        s1, y1 = float(s2), lnj(float(s2))
-    return s1, float(np.exp(y1))
-
-
-def verify_anchors(device_cfg_path, *, e_z_rel_tol: float = 0.01,
-                   j_rel_tol: float = 0.20) -> dict:
-    """Measure the four anchors on a device file; returns the report dict."""
-    from .dots import field_map_from_config
-
-    spec, mat, biases, extra = load_device_config(device_cfg_path)
-    grid = build_grid(spec)
-    fmap = field_map_from_config(extra.get("field_map", {}), spec.width_nm)
-    coulomb = float(extra.get("exchange", {}).get("coulomb_length_nm",
-                                                  DEFAULT_COULOMB_LENGTH_NM))
-    sol400 = solve_operating_point(spec, mat, grid=grid)
+    r0, r1 = right_gate_span(spec)
+    w_r = r1 - r0
+    edge, eps_uev = secant(detuning_uev, r1, r1 + R_EDGE_STEP * w_r, 0.0,
+                           DETUNING_TOL_UEV,
+                           *(r0 + k * w_r for k in R_EDGE_RANGE), max_steps=4)
+    # the map and the anchors are solved on the geometry as the file
+    # states it (spans are written to 6 significant digits), so that a
+    # calibrated file is a fixed point
+    spec, mat, _, _ = parse_device_config(
+        device_config_text(with_right_edge(spec, edge), mat, biases))
+    grid = grid_for(spec)
+    sol400 = solve(spec, mat, 0.400)
+    _, fm_params = calibrate_field_map(sol400, grid, width_nm)
+    extra = {**extra, "field_map": fm_params}
+    fmap = field_map_from_config(fm_params, spec.width_nm)
     e_zl, e_zr = zeeman_splittings(sol400, fmap, grid)
     j400 = exchange_energy(sol400, grid, mat, coulomb)
-    j408 = measure_j(spec, mat, 0.408, coulomb, grid=grid)
-    report = {
-        "e_zl_hz": e_zl, "e_zr_hz": e_zr, "j400_hz": j400, "j408_hz": j408,
-        "n_dots": find_dots(sol400, grid).n_dots,
-        "pass_e_zl": abs(e_zl - ANCHOR_E_ZL_HZ) <= e_z_rel_tol * ANCHOR_E_ZL_HZ,
-        "pass_e_zr": abs(e_zr - ANCHOR_E_ZR_HZ) <= e_z_rel_tol * ANCHOR_E_ZR_HZ,
-        "pass_j400": abs(j400 - ANCHOR_J400_HZ) <= j_rel_tol * ANCHOR_J400_HZ,
-        "pass_j408": abs(j408 - ANCHOR_J408_HZ) <= j_rel_tol * ANCHOR_J408_HZ,
-    }
-    report["pass_all"] = all(report[k] for k in
-                             ("pass_e_zl", "pass_e_zr", "pass_j400", "pass_j408"))
-    return report
+    j408 = exchange_energy(solve(spec, mat, 0.408), grid, mat, coulomb)
+
+    report = [f"Phi_B {phi_b!r} eV: filling {n_e:.4f} electrons "
+              f"(target {FILLING_ELECTRONS} +- {FILLING_TOL})",
+              f"R right edge {edge:.6g} nm: detuning {eps_uev:.3f} ueV "
+              f"(target 0 +- {DETUNING_TOL_UEV})"]
+    ok = True
+    for name, got, want, rel_tol in (
+            ("E_ZL(400 mV)", e_zl, ANCHOR_E_ZL_HZ, E_Z_REL_TOL),
+            ("E_ZR(400 mV)", e_zr, ANCHOR_E_ZR_HZ, E_Z_REL_TOL),
+            ("J(400 mV)", j400, ANCHOR_J400_HZ, J_REL_TOL),
+            ("J(408 mV)", j408, ANCHOR_J408_HZ, J_REL_TOL)):
+        met = abs(got - want) <= rel_tol * want
+        ok &= met
+        report.append(f"[{'PASS' if met else 'FAIL'}] {name} = {got:.2f} Hz "
+                      f"(anchor {want:.6g} Hz +- {rel_tol:.0%})")
+    return device_config_text(spec, mat, biases, extra), report, ok
 
 
-def main(argv=None):
-    argv = argv if argv is not None else sys.argv[1:]
-    if not argv:
-        from .cli import default_device_path
-        argv = [default_device_path()]
-    report = verify_anchors(argv[0])
-    for k, v in report.items():
-        print(f"{k:12s} {v}")
-    return 0 if report["pass_all"] else 1
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(
+        prog="python -m dqdsim.calibrate",
+        description="Re-fit a device file to the reference anchors; the "
+                    "calibrated file goes to stdout, the report to stderr.")
+    ap.add_argument("device", nargs="?", default=None,
+                    help="device file (default: the shipped device)")
+    args = ap.parse_args(argv)
+    try:
+        text, report, ok = calibrate(
+            *load_device_config(args.device or default_device_path()))
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    sys.stdout.write(text)
+    print("\n".join(report), file=sys.stderr)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

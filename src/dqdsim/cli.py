@@ -35,15 +35,8 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .device import DeviceBiases, build_grid, load_device_config
-from .dots import (
-    DEFAULT_COULOMB_LENGTH_NM,
-    MagnetFieldMap,
-    charge_stability,
-    exchange_energy,
-    find_dots,
-    zeeman_splittings,
-)
+from .device import DeviceBiases
+from .dots import charge_stability, exchange_energy, load_device, zeeman_splittings
 from .dynamics import CNOT_DOWN, cnot_matrix, cz_matrix, evolve, gate_fidelity, ry_matrix
 from .errors import ConfigurationError, DqdError, NumericalError
 from .noise import (
@@ -162,14 +155,7 @@ class Experiment:
             path = sec.get("file", "default")
             if path == "default":
                 path = default_device_path()
-            spec, mat, biases, extra = load_device_config(path)
-            grid = build_grid(spec)
-            from .dots import field_map_from_config
-            fmap = field_map_from_config(extra.get("field_map", {}),
-                                         spec.width_nm)
-            coulomb = float(extra.get("exchange", {}).get(
-                "coulomb_length_nm", DEFAULT_COULOMB_LENGTH_NM))
-            self._device = (spec, mat, biases, grid, fmap, coulomb)
+            self._device = load_device(path)
         return self._device
 
     def solution_at(self, v_m_mv: float):
@@ -332,7 +318,7 @@ def run_stability(exp: Experiment) -> int:
         spec, mat,
         _parse_range(sec["v_l_mv"]), _parse_range(sec["v_r_mv"]),
         float(sec.get("v_m_mv", "400")), float(sec.get("v_b_mv", "200")),
-        grid=grid, coulomb_length_nm=coulomb,
+        grid=grid,
     )
     rows = []
     for j, vr in enumerate(diagram.v_r_mv):

@@ -34,8 +34,3 @@ ZEEMAN_HZ_PER_T = G_FACTOR_SI * MU_B_OVER_H      # ~27.992 GHz/T
 EV_TO_HZ = Q_E / H_PLANCK      # 1 eV in Hz
 HZ_TO_EV = 1.0 / EV_TO_HZ
 UEV_TO_HZ = 1e-6 * EV_TO_HZ
-
-
-def kt_ev(temperature_k: float) -> float:
-    """Thermal energy k_B T in eV."""
-    return K_B_EV * temperature_k

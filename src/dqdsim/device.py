@@ -529,27 +529,23 @@ def bulk_charge(potential_ev: np.ndarray, grid: Grid, mat: MaterialParams,
 
 
 # ---------------------------------------------------------------------------
-# Configuration file I/O and CSV export
+# Device file I/O
 # ---------------------------------------------------------------------------
 
-def field_to_csv(grid: Grid, values: np.ndarray, header: str = "x_nm,y_nm,value") -> str:
-    """Serialize a grid field as (x, y, value) CSV rows."""
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for j in range(grid.ny):
-        for i in range(grid.nx):
-            buf.write(f"{grid.x[i]:.6g},{grid.y[j]:.6g},{values[j, i]:.10g}\n")
-    return buf.getvalue()
-
-
 def load_device_config(path) -> tuple[DeviceSpec, MaterialParams, DeviceBiases, dict]:
-    """Read and parse a device file; see `parse_device_config`."""
+    """Read and parse a device file; see `parse_device_config`. A file that
+    cannot be read or parsed raises ConfigurationError."""
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read device file {path}") from exc
-    return parse_device_config(text, source=str(path))
+    try:
+        return parse_device_config(text, source=str(path))
+    except (configparser.Error, KeyError, IndexError, TypeError,
+            ValueError) as exc:
+        raise ConfigurationError(
+            f"malformed device file {path}: {exc!r}") from exc
 
 
 def parse_device_config(text: str, source: str = "<string>"

@@ -19,7 +19,14 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .constants import COULOMB_EV_NM, EV_TO_HZ, ZEEMAN_HZ_PER_T
-from .device import DeviceBiases, DeviceSpec, Grid, MaterialParams, build_grid
+from .device import (
+    DeviceBiases,
+    DeviceSpec,
+    Grid,
+    MaterialParams,
+    build_grid,
+    load_device_config,
+)
 from .errors import ConfigurationError, GeometryError, ModelValidityError
 from .schrodinger import (
     ConvergedSolution,
@@ -28,6 +35,12 @@ from .schrodinger import (
 )
 
 DEFAULT_COULOMB_LENGTH_NM = 60.0
+
+# [001] extent of one dot (nm): the length over which a dot's line density
+# counts its electrons, both for the occupation map and for the filling the
+# calibration fits. The Coulomb kernel's averaging length is a separate,
+# per-device value (`[exchange] coulomb_length_nm`).
+DOT_LENGTH_NM = 60.0
 
 
 class MagnetFieldMap:
@@ -106,6 +119,24 @@ def field_map_from_config(section: dict, device_width_nm: float) -> MagnetFieldM
     )
 
 
+def load_device(path):
+    """Read a device file with everything the device pipeline needs.
+
+    Returns (spec, materials, biases, grid, field map, Coulomb length in
+    nm); the Coulomb length is `[exchange] coulomb_length_nm`. A file that
+    cannot be read or parsed raises ConfigurationError.
+    """
+    spec, mat, biases, extra = load_device_config(path)
+    try:
+        fmap = field_map_from_config(extra.get("field_map", {}), spec.width_nm)
+        coulomb = float(extra.get("exchange", {}).get(
+            "coulomb_length_nm", DEFAULT_COULOMB_LENGTH_NM))
+    except (KeyError, OSError, ValueError) as exc:
+        raise ConfigurationError(
+            f"malformed device file {path}: {exc!r}") from exc
+    return spec, mat, biases, build_grid(spec), fmap, coulomb
+
+
 @dataclass
 class DotRegions:
     n_dots: int
@@ -162,25 +193,6 @@ def find_dots(solution: ConvergedSolution, grid: Grid,
 def orbital_centroid_x(psi: np.ndarray, grid: Grid) -> float:
     w = (psi**2).sum(axis=0)
     return float((w * grid.x).sum() / w.sum())
-
-
-def assign_orbitals(solution: ConvergedSolution, grid: Grid,
-                    regions: DotRegions) -> np.ndarray:
-    """Dot index (0 = left, 1 = right) per orbital, by density centroid;
-    orbitals straddling the barrier are classified by majority mass."""
-    if regions.n_dots != 2:
-        raise GeometryError("orbital assignment needs two dots")
-    out = np.empty(solution.spectrum.n_states, dtype=int)
-    x_bar = regions.barrier_x_nm
-    for k in range(solution.spectrum.n_states):
-        psi = solution.spectrum.wavefunctions[k]
-        cx = orbital_centroid_x(psi, grid)
-        if abs(cx - x_bar) >= grid.dx:
-            out[k] = 0 if cx < x_bar else 1
-        else:
-            mass_left = (psi**2).sum(axis=0)[grid.x < x_bar].sum()
-            out[k] = 0 if mass_left > 0.5 * (psi**2).sum() else 1
-    return out
 
 
 def zeeman_splittings(solution: ConvergedSolution, field_map: MagnetFieldMap,
@@ -347,14 +359,14 @@ class StabilityDiagram:
 
 
 def dot_occupations(solution: ConvergedSolution, grid: Grid, spec: DeviceSpec,
-                    mat: MaterialParams,
-                    coulomb_length_nm: float = DEFAULT_COULOMB_LENGTH_NM
+                    mat: MaterialParams, length_nm: float = DOT_LENGTH_NM
                     ) -> tuple[int, int]:
     """Integer electron count per dot (0 or 1 in the operating window).
 
-    The line density of each occupied subband is attributed to a dot by the
-    orbital's majority side and integrated over the [001] dot extent; a dot
-    counts as occupied above half an electron.
+    The line density of each occupied subband is split between the dots by
+    its probability mass on each side of the barrier and integrated over
+    the [001] dot extent `length_nm`; a dot counts as occupied above half
+    an electron.
     """
     regions = find_dots(solution, grid)
     lam = np.zeros(2)
@@ -373,14 +385,13 @@ def dot_occupations(solution: ConvergedSolution, grid: Grid, spec: DeviceSpec,
             frac_left = w[left].sum() / w.sum()
             lam[0] += occ[k] * frac_left
             lam[1] += occ[k] * (1.0 - frac_left)
-    n = np.minimum((lam * coulomb_length_nm >= 0.5).astype(int), 1)
+    n = np.minimum((lam * length_nm >= 0.5).astype(int), 1)
     return int(n[0]), int(n[1])
 
 
 def charge_stability(spec: DeviceSpec, mat: MaterialParams,
                      v_l_mv, v_r_mv, v_m_mv: float, v_b_mv: float,
                      *, grid: Grid | None = None,
-                     coulomb_length_nm: float = DEFAULT_COULOMB_LENGTH_NM,
                      **solve_kwargs) -> StabilityDiagram:
     """Occupation map over a (V_L, V_R) window at fixed V_M, V_B."""
     v_l_mv = np.asarray(v_l_mv, dtype=float)
@@ -402,7 +413,5 @@ def charge_stability(spec: DeviceSpec, mat: MaterialParams,
             row_start = sol.potential_ev
             if i == 0:
                 start = sol.potential_ev
-            n_l[j, i], n_r[j, i] = dot_occupations(
-                sol, grid, spec, mat, coulomb_length_nm
-            )
+            n_l[j, i], n_r[j, i] = dot_occupations(sol, grid, spec, mat)
     return StabilityDiagram(v_l_mv=v_l_mv, v_r_mv=v_r_mv, n_l=n_l, n_r=n_r)

@@ -97,16 +97,6 @@ def ry_pulse(target: str, angle_rad: float, p: SpinParams,
     )
 
 
-def virtual_z(target: str, angle_rad: float):
-    """Instantaneous reference-frame Z rotation; zero time cost.
-
-    Returns (target, angle); the composing schedule assigns the time point.
-    """
-    if target not in ("L", "R"):
-        raise ConfigurationError("target must be L or R")
-    return (target, float(angle_rad))
-
-
 def schedule_ry(target: str, angle_rad: float, p: SpinParams,
                 rabi_hz: float = RY_RABI_HZ) -> PulseSchedule:
     seg = ry_pulse(target, angle_rad, p, rabi_hz)
@@ -266,60 +256,3 @@ def cnot_multi_schedule(p_weak: SpinParams, p_strong: SpinParams,
             "tau_tr_ns": tau_tr_ns,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Schedule text format
-# ---------------------------------------------------------------------------
-
-def schedule_to_text(s: PulseSchedule) -> str:
-    """Structured-text listing: one line per segment and per virtual-Z event."""
-    lines = [
-        "# columns: segment t_start_ns duration_ns v_m_mv drive target "
-        "b_o_mhz omega_d_ghz theta_rad ramp ramp_from_mv",
-        f"frame_ghz {s.frame_freq_hz / 1e9:.9f}",
-    ]
-    t = 0
-    for seg in s.segments:
-        d = seg.drive
-        lines.append(
-            "segment "
-            f"{t * 1e-3:.6f} {seg.duration_ps * 1e-3:.6f} {seg.v_m_mv:.6f} "
-            + (f"on {d.target} {d.rabi_hz / 1e6:.9f} {d.freq_hz / 1e9:.9f} "
-               f"{d.phase_rad:.9f} "
-               if d is not None and d.active else "off - 0 0 0 ")
-            + (f"1 {seg.ramp_from_mv:.6f}" if seg.ramp_from_mv is not None else "0 -")
-        )
-        t += seg.duration_ps
-    for t_ps, target, angle in s.vz_events:
-        lines.append(f"vz {t_ps * 1e-3:.6f} {target} {angle:.9f}")
-    return "\n".join(lines) + "\n"
-
-
-def schedule_from_text(text: str) -> PulseSchedule:
-    frame = None
-    segs: list[Segment] = []
-    events = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tok = line.split()
-        if tok[0] == "frame_ghz":
-            frame = float(tok[1]) * 1e9
-        elif tok[0] == "segment":
-            (_t0, dur_ns, v_m) = (float(tok[1]), float(tok[2]), float(tok[3]))
-            drive = None
-            if tok[4] == "on":
-                drive = DrivePulse(rabi_hz=float(tok[6]) * 1e6,
-                                   freq_hz=float(tok[7]) * 1e9,
-                                   phase_rad=float(tok[8]), target=tok[5])
-            ramp_from = float(tok[10]) if tok[9] == "1" else None
-            segs.append(Segment(int(round(dur_ns * 1e3)), v_m, drive, ramp_from))
-        elif tok[0] == "vz":
-            events.append((int(round(float(tok[1]) * 1e3)), tok[2], float(tok[3])))
-        else:
-            raise ConfigurationError(f"unknown schedule line {line!r}")
-    if frame is None:
-        raise ConfigurationError("schedule text misses the frame frequency")
-    return PulseSchedule(tuple(segs), tuple(events), frame)

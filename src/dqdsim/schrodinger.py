@@ -31,9 +31,7 @@ from .device import (
     MaterialParams,
     build_grid,
     bulk_charge,
-    device_config_text,
     fermi_minus_half,
-    parse_device_config,
     solve_poisson,
 )
 from .errors import ConfigurationError, NonConvergenceError, NumericalError
@@ -280,26 +278,6 @@ def localized_pair_from(wavefunctions: np.ndarray, energies_ev: np.ndarray,
     return phi[0], phi[1], h2
 
 
-def pinned_quantum_charge(spectrum: Spectrum, grid: Grid,
-                          occupations: tuple[float, float],
-                          length_nm: float) -> np.ndarray:
-    """Quantum charge with Coulomb-blockade-pinned dot occupation, cm^-3.
-
-    In the (1,1) operating regime the electron number per dot is locked by
-    the addition energy; each dot's charge is its occupation spread over the
-    localized ground orbital and over the [001] dot extent. Grand-canonical
-    filling (quantum_charge) is still what detects the regime boundaries in
-    bias sweeps.
-    """
-    phi_l, phi_r, _ = localized_pair_from(spectrum.wavefunctions,
-                                          spectrum.energies_ev, grid)
-    j0, j1 = well_rows(grid)
-    n_nm3 = np.zeros((grid.ny, grid.nx))
-    n_nm3[j0:j1, :] = (occupations[0] * phi_l**2
-                       + occupations[1] * phi_r**2) / length_nm
-    return n_nm3 / NM3_PER_CM3
-
-
 def subband_line_density(energies_ev: np.ndarray, e_fermi_ev: float,
                          temperature_k: float, mat: MaterialParams) -> np.ndarray:
     """Electrons per nm of [001] length in each 2D subband.
@@ -347,8 +325,7 @@ class ConvergedSolution:
 
 def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
                  t_k: float, u0: np.ndarray, n_states: int, mixing: float,
-                 tol_ev: float, max_iter: int, eig_method: str,
-                 pin_occupation=None, pin_length_nm=60.0,
+                 tol_ev: float, max_iter: int,
                  stall_window: int | None = None):
     """One damped fixed-point stage at a fixed temperature.
 
@@ -369,14 +346,9 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
     best, best_it = np.inf, 0
     spectrum = None
     for it in range(1, max_iter + 1):
-        spectrum = solve_eigenstates(u, grid, mat, n_states, method=eig_method,
-                                     start=spectrum)
-        if pin_occupation is None:
-            qcharge = quantum_charge(spectrum, mat.fermi_level_ev, t_k, grid, mat)
-        else:
-            qcharge = pinned_quantum_charge(spectrum, grid, pin_occupation,
-                                            pin_length_nm)
-        charge = bulk_charge(u, grid, mat, t_k) + qcharge
+        spectrum = solve_eigenstates(u, grid, mat, n_states, start=spectrum)
+        charge = (bulk_charge(u, grid, mat, t_k)
+                  + quantum_charge(spectrum, mat.fermi_level_ev, t_k, grid, mat))
         u_new = solve_poisson(grid, mat, biases, charge)
         resid = float(np.max(np.abs(u_new - u)))
         history.append(resid)
@@ -401,10 +373,8 @@ def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
                           biases: DeviceBiases, *, grid: Grid | None = None,
                           n_states: int = 6, mixing: float = 0.1,
                           tol_ev: float = 1e-6, max_iter: int = 600,
-                          start_potential: np.ndarray | None = None,
-                          eig_method: str = "auto",
-                          pin_occupation: tuple[float, float] | None = None,
-                          pin_length_nm: float = 60.0) -> ConvergedSolution:
+                          start_potential: np.ndarray | None = None
+                          ) -> ConvergedSolution:
     """Alternate Poisson and charge models with damped potential mixing.
 
     A cold start descends through a short temperature continuation
@@ -420,12 +390,6 @@ def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
 
     The solution records every stage as a `ScfStage` and the residual
     history of all stages in order; `iterations` is their total.
-
-    With `pin_occupation` = (n_left, n_right) the quantum charge is the
-    Coulomb-blockade-pinned model (fixed electron number per dot, spread
-    over the localized ground orbitals and the [001] extent `pin_length_nm`)
-    instead of the grand-canonical reservoir filling. Operating-point solves
-    in the (1,1) regime use this; bias-sweep occupancy detection does not.
     """
     if not 0.0 < mixing <= 0.5:
         raise ConfigurationError("mixing factor must lie in (0, 0.5]")
@@ -435,8 +399,7 @@ def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
 
     def stage(t_k, u0, beta, tol, cap, stall_window=None):
         u, charge, spectrum, resid, hist, record = _scf_fixed_t(
-            grid, mat, biases, t_k, u0, n_states, beta, tol, cap, eig_method,
-            pin_occupation, pin_length_nm, stall_window)
+            grid, mat, biases, t_k, u0, n_states, beta, tol, cap, stall_window)
         history.extend(hist)
         stages.append(record)
         return u, charge, spectrum, resid, record
@@ -474,64 +437,3 @@ def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
         final_update_norm_ev=resid, occupancies_per_nm=occ,
         stages=tuple(stages), update_history_ev=history,
     )
-
-
-# ---------------------------------------------------------------------------
-# Snapshot serialization
-# ---------------------------------------------------------------------------
-
-SNAPSHOT_VERSION = 1
-
-
-def save_snapshot(path, solution: ConvergedSolution, spec: DeviceSpec,
-                  mat: MaterialParams, extra: dict | None = None) -> None:
-    """Versioned binary snapshot a downstream run can reload without re-solving."""
-    # reuse the text schema for geometry metadata
-    cfg_text = device_config_text(spec, mat, solution.biases, extra)
-    np.savez_compressed(
-        path,
-        version=np.int64(SNAPSHOT_VERSION),
-        potential_ev=solution.potential_ev,
-        charge_cm3=solution.charge_cm3,
-        energies_ev=solution.spectrum.energies_ev,
-        wavefunctions=solution.spectrum.wavefunctions,
-        occupancies_per_nm=solution.occupancies_per_nm,
-        biases=np.array([solution.biases.v_b, solution.biases.v_l,
-                         solution.biases.v_m, solution.biases.v_r,
-                         solution.biases.drain_bias_v]),
-        iterations=np.int64(solution.iterations),
-        final_update_norm_ev=np.float64(solution.final_update_norm_ev),
-        device_config=np.array(cfg_text),
-    )
-
-
-def load_snapshot(path):
-    """Returns (solution, spec, mat, extra) from a snapshot file.
-
-    The snapshot keeps the iteration total but not the stage records or the
-    residual history; the loaded solution has those empty.
-    """
-    with np.load(path, allow_pickle=False) as z:
-        if int(z["version"]) != SNAPSHOT_VERSION:
-            raise ConfigurationError(
-                f"snapshot version {int(z['version'])} not supported"
-            )
-        spec, mat, biases, extra = parse_device_config(str(z["device_config"]))
-        vb, vl, vm, vr, eps = z["biases"]
-        biases = DeviceBiases(v_b=float(vb), v_l=float(vl), v_m=float(vm),
-                              v_r=float(vr), drain_bias_v=float(eps))
-        spectrum = Spectrum(
-            energies_ev=z["energies_ev"].copy(),
-            wavefunctions=z["wavefunctions"].copy(),
-            n_states=int(z["energies_ev"].shape[0]),
-        )
-        solution = ConvergedSolution(
-            potential_ev=z["potential_ev"].copy(),
-            charge_cm3=z["charge_cm3"].copy(),
-            spectrum=spectrum,
-            biases=biases,
-            iterations=int(z["iterations"]),
-            final_update_norm_ev=float(z["final_update_norm_ev"]),
-            occupancies_per_nm=z["occupancies_per_nm"].copy(),
-        )
-    return solution, spec, mat, extra

@@ -12,11 +12,12 @@ import pytest
 
 from dqdsim.cli import default_device_path
 from dqdsim.constants import UEV_TO_HZ
-from dqdsim.device import DeviceBiases, build_grid, load_device_config
+from dqdsim.device import DeviceBiases
 from dqdsim.dots import (
     MagnetFieldMap,
     charge_stability,
     exchange_energy,
+    load_device,
     zeeman_splittings,
 )
 from dqdsim.dynamics import CNOT_DOWN, cnot_matrix, evolve, gate_fidelity, ry_matrix
@@ -45,13 +46,7 @@ def table():
 
 @pytest.fixture(scope="module")
 def device():
-    from dqdsim.dots import field_map_from_config
-
-    spec, mat, biases, extra = load_device_config(default_device_path())
-    grid = build_grid(spec)
-    fmap = field_map_from_config(extra["field_map"], spec.width_nm)
-    coulomb = float(extra["exchange"]["coulomb_length_nm"])
-    return spec, mat, biases, grid, fmap, coulomb
+    return load_device(default_device_path())
 
 
 class TestCriterion1:
@@ -150,7 +145,7 @@ class TestCriterion5:
         v_l = np.array([505.0, 540.0, 575.0])
         v_r = np.array([535.0, 570.0, 605.0])
         diagram = charge_stability(spec, mat, v_l, v_r, 400.0, 200.0,
-                                   grid=grid, coulomb_length_nm=coulomb)
+                                   grid=grid)
         regimes = diagram.regimes()
         at_pinit = diagram.occupation_at(540.0, 570.0)
         ok = regimes == {(0, 0), (1, 0), (0, 1), (1, 1)} and at_pinit == (1, 1)

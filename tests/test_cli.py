@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -128,6 +129,20 @@ protocol = swap_everything
         cfg = tmp_path / "exp.cfg"
         cfg.write_bytes(body)
         assert main(["gate", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("device", [
+        "garbage\n",
+        "[layers]\nlayer0 = Si\n",
+        Path(cli.default_device_path()).read_text().replace(
+            "profile = plateaus", "file = no-such-map.txt"),
+    ], ids=["no-section-header", "no-layer-thickness", "no-field-map-file"])
+    def test_malformed_device_file_is_config_error(self, tmp_path, capsys,
+                                                    device):
+        (tmp_path / "device.cfg").write_text(device)
+        cfg = write_cfg(tmp_path / "exp.cfg",
+                        f"[device]\nfile = {tmp_path / 'device.cfg'}\n")
+        assert main(["j-sweep", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_config_hash_is_of_the_file_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path / "exp.cfg", "[experiment]\nseed = 4\n")

@@ -18,7 +18,6 @@ from dqdsim.device import (
     effective_dos_nm3,
     fermi_half,
     fermi_minus_half,
-    field_to_csv,
     load_device_config,
     save_device_config,
     solve_poisson,
@@ -266,8 +265,3 @@ class TestConfigIO:
         assert mat2 == mat
         assert biases2 == biases
         assert extra["field_map"]["b0_tesla"] == "0.65"
-
-    def test_field_csv_has_all_cells(self):
-        grid = build_grid(make_spec())
-        text = field_to_csv(grid, np.zeros((grid.ny, grid.nx)))
-        assert len(text.strip().splitlines()) == grid.nx * grid.ny + 1

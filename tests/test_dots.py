@@ -4,10 +4,10 @@ import pytest
 from dqdsim.constants import ZEEMAN_HZ_PER_T
 from dqdsim.dots import (
     MagnetFieldMap,
-    assign_orbitals,
     exchange_energy,
     find_dots,
     localized_pair,
+    orbital_centroid_x,
     zeeman_splittings,
 )
 from dqdsim.errors import ConfigurationError, GeometryError, ModelValidityError
@@ -59,10 +59,11 @@ class TestFindDots:
         sol = synthetic_solution(
             grid, mat, quartic_double_well(grid, 10.0, tilt_uev=400.0))
         reg = find_dots(sol, grid)
-        assign = assign_orbitals(sol, grid, reg)
         # tilt lowers the left side: ground state left, first excited right
-        assert assign[0] == 0
-        assert assign[1] == 1
+        x0, x1 = (orbital_centroid_x(sol.spectrum.wavefunctions[k], grid)
+                  for k in (0, 1))
+        assert x0 < reg.barrier_x_nm - grid.dx
+        assert x1 > reg.barrier_x_nm + grid.dx
 
 
 class TestZeeman:
@@ -176,7 +177,7 @@ class TestFieldMapCalibration:
         from dqdsim.calibrate import ANCHOR_E_ZL_HZ, ANCHOR_E_ZR_HZ, calibrate_field_map
         spec, grid, mat = flat_well
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 10.0))
-        fmap, params = calibrate_field_map(spec, mat, grid=grid, solution=sol)
+        fmap, params = calibrate_field_map(sol, grid)
         assert params["profile"] == "plateaus"
         e_zl, e_zr = zeeman_splittings(sol, fmap, grid)
         # sampled-curve interpolation leaves a sub-kHz residual, far
@@ -189,7 +190,7 @@ class TestFieldMapCalibration:
         from dqdsim.dots import field_map_from_config
         spec, grid, mat = flat_well
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 10.0))
-        fmap, params = calibrate_field_map(spec, mat, grid=grid, solution=sol)
+        fmap, params = calibrate_field_map(sol, grid)
         fmap2 = field_map_from_config(params, spec.width_nm)
         x = np.linspace(0, spec.width_nm, 23)
         assert np.allclose(fmap(x), fmap2(x), rtol=0, atol=1e-9)

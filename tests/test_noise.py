@@ -6,12 +6,12 @@ import pytest
 
 import dqdsim.noise as noise_mod
 from dqdsim.cli import default_device_path
-from dqdsim.device import DeviceBiases, build_grid, load_device_config
+from dqdsim.device import DeviceBiases, build_grid
 from dqdsim.dots import (
     MagnetFieldMap,
     coulomb_kernel,
     exchange_energy,
-    field_map_from_config,
+    load_device,
     two_body_integral,
     zeeman_splittings,
 )
@@ -184,10 +184,7 @@ class TestBlockIterationFallback:
 
 @pytest.fixture(scope="module")
 def shipped_device():
-    spec, mat, biases, extra = load_device_config(default_device_path())
-    grid = build_grid(spec)
-    fmap = field_map_from_config(extra["field_map"], spec.width_nm)
-    coulomb = float(extra["exchange"]["coulomb_length_nm"])
+    spec, mat, biases, grid, fmap, coulomb = load_device(default_device_path())
     sols = {}
     for v_m in (0.400, 0.408):
         b = DeviceBiases(v_b=biases.v_b, v_l=biases.v_l, v_m=v_m,

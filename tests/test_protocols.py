@@ -20,12 +20,9 @@ from dqdsim.protocols import (
     cnot_single_schedule,
     cz_schedule,
     ry_pulse,
-    schedule_from_text,
-    schedule_to_text,
     schedule_ry,
     u_gate_schedule,
     u_hold_time_s,
-    virtual_z,
 )
 
 
@@ -62,8 +59,7 @@ class TestRyPulse:
 
 class TestVirtualZ:
     def test_zero_angle_identity_event(self):
-        target, angle = virtual_z("L", 0.0)
-        assert np.abs(rz_matrix(target, angle) - np.eye(4)).max() == 0.0
+        assert np.abs(rz_matrix("L", 0.0) - np.eye(4)).max() == 0.0
 
     def test_composition_is_additive(self):
         a, b = 0.7, -1.9
@@ -160,29 +156,3 @@ class TestCnotMulti:
         res = evolve(sched, two_point_source(p_weak, p_strong))
         from dqdsim.dynamics import cz_matrix
         assert gate_fidelity(res.u, cz_matrix()) >= 99.9
-
-
-class TestScheduleText:
-    def test_roundtrip(self, p400, p408):
-        sched = cnot_multi_schedule(p400, p408, tau_tr_ns=5.0)
-        text = schedule_to_text(sched)
-        back = schedule_from_text(text)
-        assert back.frame_freq_hz == pytest.approx(sched.frame_freq_hz, abs=1.0)
-        assert len(back.segments) == len(sched.segments)
-        for a, b in zip(back.segments, sched.segments):
-            assert a.duration_ps == b.duration_ps
-            assert a.v_m_mv == pytest.approx(b.v_m_mv)
-            assert (a.drive is None) == (b.drive is None)
-            if a.drive is not None:
-                assert a.drive.freq_hz == pytest.approx(b.drive.freq_hz, abs=1.0)
-                assert a.drive.target == b.drive.target
-            assert (a.ramp_from_mv is None) == (b.ramp_from_mv is None)
-        assert back.vz_events[0][0] == sched.vz_events[0][0]
-        for (t1, q1, a1), (t2, q2, a2) in zip(back.vz_events, sched.vz_events):
-            assert (t1, q1) == (t2, q2)
-            assert a1 == pytest.approx(a2, abs=1e-8)
-
-    def test_ry_schedule_exports(self, p400):
-        text = schedule_to_text(schedule_ry("R", math.pi, p400))
-        assert "on R" in text
-        assert text.startswith("#")

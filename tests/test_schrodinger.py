@@ -22,9 +22,7 @@ from dqdsim.schrodinger import (
     STALL_WINDOW,
     WARM_SHIFT_BELOW_GROUND_EV,
     ScfStage,
-    load_snapshot,
     quantum_charge,
-    save_snapshot,
     self_consistent_solve,
     solve_eigenstates,
     subband_line_density,
@@ -324,7 +322,7 @@ def _scripted_scf(monkeypatch, grid, mat, biases, shifts_ev):
 
 def _stage(grid, mat, biases, u0, tol_ev, max_iter, stall_window):
     return schrodinger._scf_fixed_t(grid, mat, biases, 8.0, u0, 3, 0.1,
-                                    tol_ev, max_iter, "auto",
+                                    tol_ev, max_iter,
                                     stall_window=stall_window)
 
 
@@ -389,20 +387,3 @@ class TestStallRule:
         assert sol.iterations == sum(st.iterations for st in sol.stages)
         assert len(sol.update_history_ev) == sol.iterations
         assert sol.update_history_ev[-1] == sol.final_update_norm_ev
-
-
-class TestSnapshot:
-    def test_roundtrip(self, tmp_path):
-        spec, mat = _tiny_device()
-        grid = build_grid(spec)
-        biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3)
-        sol = self_consistent_solve(spec, mat, biases, grid=grid, n_states=3)
-        path = tmp_path / "snap.npz"
-        save_snapshot(path, sol, spec, mat)
-        sol2, spec2, mat2, _ = load_snapshot(path)
-        assert spec2 == spec
-        assert mat2 == mat
-        assert np.array_equal(sol2.potential_ev, sol.potential_ev)
-        assert np.array_equal(sol2.spectrum.wavefunctions,
-                              sol.spectrum.wavefunctions)
-        assert sol2.iterations == sol.iterations
