@@ -44,15 +44,13 @@ from .device import (
 )
 from .dots import (
     DOT_LENGTH_NM,
+    Device,
     MagnetFieldMap,
-    exchange_energy,
     field_map_from_config,
     find_dots,
     localized_pair,
-    zeeman_splittings,
 )
 from .errors import ConfigurationError
-from .schrodinger import self_consistent_solve
 
 ANCHOR_E_ZL_HZ = 18.309e9
 ANCHOR_E_ZR_HZ = 18.453e9
@@ -161,14 +159,15 @@ def calibrate(spec, mat, biases, extra):
         raise ConfigurationError(
             f"device file lacks a valid {exc!r} for the calibration") from exc
     grid_for = functools.cache(build_grid)
+    v_m_mv = biases.v_m * 1e3
 
-    @functools.cache
-    def solve(spec, mat, v_m):
-        return self_consistent_solve(spec, mat, replace(biases, v_m=v_m),
-                                     grid=grid_for(spec))
+    def device(spec, mat, fmap=None):
+        # solutions are memoized on the grid, which is shared per geometry
+        return Device(spec, mat, biases, grid_for(spec), fmap, coulomb)
 
     def filling(phi_b):
-        sol = solve(spec, replace(mat, schottky_barrier_ev=phi_b), biases.v_m)
+        sol = device(spec, replace(mat, schottky_barrier_ev=phi_b)
+                     ).solution_at(v_m_mv)
         return float(sol.occupancies_per_nm.sum() * DOT_LENGTH_NM)
 
     phi0 = mat.schottky_barrier_ev
@@ -178,8 +177,8 @@ def calibrate(spec, mat, biases, extra):
     mat = replace(mat, schottky_barrier_ev=phi_b)
 
     def detuning_uev(edge_nm):
-        s = with_right_edge(spec, edge_nm)
-        _, _, h2 = localized_pair(solve(s, mat, biases.v_m), grid_for(s))
+        dev = device(with_right_edge(spec, edge_nm), mat)
+        _, _, h2 = localized_pair(dev.solution_at(v_m_mv), dev.grid)
         return (h2[0, 0] - h2[1, 1]) * 1e6
 
     r0, r1 = right_gate_span(spec)
@@ -192,14 +191,12 @@ def calibrate(spec, mat, biases, extra):
     # calibrated file is a fixed point
     spec, mat, _, _ = parse_device_config(
         device_config_text(with_right_edge(spec, edge), mat, biases))
-    grid = grid_for(spec)
-    sol400 = solve(spec, mat, 0.400)
-    _, fm_params = calibrate_field_map(sol400, grid, width_nm)
+    sol400 = device(spec, mat).solution_at(400.0)
+    _, fm_params = calibrate_field_map(sol400, grid_for(spec), width_nm)
     extra = {**extra, "field_map": fm_params}
-    fmap = field_map_from_config(fm_params, spec.width_nm)
-    e_zl, e_zr = zeeman_splittings(sol400, fmap, grid)
-    j400 = exchange_energy(sol400, grid, mat, coulomb)
-    j408 = exchange_energy(solve(spec, mat, 0.408), grid, mat, coulomb)
+    dev = device(spec, mat, field_map_from_config(fm_params, spec.width_nm))
+    p400 = dev.spin_params(sol400)
+    j408 = dev.spin_params(dev.solution_at(408.0)).j_hz
 
     report = [f"Phi_B {phi_b!r} eV: filling {n_e:.4f} electrons "
               f"(target {FILLING_ELECTRONS} +- {FILLING_TOL})",
@@ -207,9 +204,9 @@ def calibrate(spec, mat, biases, extra):
               f"(target 0 +- {DETUNING_TOL_UEV})"]
     ok = True
     for name, got, want, rel_tol in (
-            ("E_ZL(400 mV)", e_zl, ANCHOR_E_ZL_HZ, E_Z_REL_TOL),
-            ("E_ZR(400 mV)", e_zr, ANCHOR_E_ZR_HZ, E_Z_REL_TOL),
-            ("J(400 mV)", j400, ANCHOR_J400_HZ, J_REL_TOL),
+            ("E_ZL(400 mV)", p400.e_zl_hz, ANCHOR_E_ZL_HZ, E_Z_REL_TOL),
+            ("E_ZR(400 mV)", p400.e_zr_hz, ANCHOR_E_ZR_HZ, E_Z_REL_TOL),
+            ("J(400 mV)", p400.j_hz, ANCHOR_J400_HZ, J_REL_TOL),
             ("J(408 mV)", j408, ANCHOR_J408_HZ, J_REL_TOL)):
         met = abs(got - want) <= rel_tol * want
         ok &= met

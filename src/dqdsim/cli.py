@@ -18,6 +18,10 @@ Config schema (INI):
   [transition-sweep] tau_tr_ns (comma list), v_m_strong_mv, sigma_uev,
                 n_samples
   [fluct-stats] sigma_uev (comma list), n_samples, v_m_mv
+
+Device-backed experiments load the `[device]` file once as a `dots.Device`
+(`Experiment.device`); its `solution_at` and `spin_params` give every
+operating point and spin parameter the experiments use.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .device import DeviceBiases
-from .dots import charge_stability, exchange_energy, load_device, zeeman_splittings
+from .dots import charge_stability, load_device
 from .dynamics import CNOT_DOWN, cnot_matrix, cz_matrix, evolve, gate_fidelity, ry_matrix
 from .errors import ConfigurationError, DqdError, NumericalError
 from .noise import (
@@ -54,7 +57,6 @@ from .protocols import (
     schedule_ry,
     u_gate_schedule,
 )
-from .schrodinger import self_consistent_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,7 +104,6 @@ class Experiment:
                               else exp.get("integrator", "rwa"))
         self.resume = bool(resume)
         self._device = None
-        self._solutions = {}
 
     def resume_rows(self, experiment: str) -> dict:
         """Previously written rows of `experiment`, parsed as floats and
@@ -159,22 +160,10 @@ class Experiment:
         return self._device
 
     def solution_at(self, v_m_mv: float):
-        key = round(v_m_mv, 6)
-        if key not in self._solutions:
-            spec, mat, biases, grid, fmap, coulomb = self.device()
-            b = DeviceBiases(v_b=biases.v_b, v_l=biases.v_l,
-                             v_m=v_m_mv * 1e-3, v_r=biases.v_r,
-                             drain_bias_v=biases.drain_bias_v)
-            sol = self_consistent_solve(spec, mat, b, grid=grid)
-            self._solutions[key] = sol
-        return self._solutions[key]
+        return self.device().solution_at(v_m_mv)
 
     def device_spin_params(self, v_m_mv: float) -> SpinParams:
-        spec, mat, biases, grid, fmap, coulomb = self.device()
-        sol = self.solution_at(v_m_mv)
-        e_zl, e_zr = zeeman_splittings(sol, fmap, grid)
-        j = exchange_energy(sol, grid, mat, coulomb)
-        return SpinParams(e_zl_hz=e_zl, e_zr_hz=e_zr, j_hz=j, v_m_mv=v_m_mv)
+        return self.device().spin_params(self.solution_at(v_m_mv))
 
 
 def write_outputs(out_path: str, header_cols: list, rows: list, meta: dict):
@@ -259,46 +248,43 @@ def build_protocol(name: str, table, v_weak: float, v_strong: float,
 class NoisyTableFactory:
     """Per-sample perturbed parameter tables from the device pipeline.
 
-    One quasi-static noise field per sample perturbs the converged solutions
-    at every required V_M node; the spin parameters recomputed from each
+    `solutions` maps each V_M node (mV) to its converged solution on
+    `device`, a `dots.Device`. One quasi-static noise field per sample
+    perturbs the solution at every node; the spin parameters of each
     perturbed solution form the sample's interpolation table.
     """
 
-    def __init__(self, exp: Experiment, v_m_nodes):
-        self.v_m_nodes = sorted(set(round(v, 6) for v in v_m_nodes))
-        spec, mat, biases, grid, fmap, coulomb = exp.device()
-        self.grid, self.mat, self.fmap, self.coulomb = grid, mat, fmap, coulomb
-        self.solutions = {v: exp.solution_at(v) for v in self.v_m_nodes}
+    def __init__(self, device, solutions: dict):
+        self.device = device
+        self.solutions = solutions
+        self.v_m_nodes = sorted(solutions)
+
+    def _table(self, params) -> ParamsTable:
+        return ParamsTable(self.v_m_nodes, [p.e_zl_hz for p in params],
+                           [p.e_zr_hz for p in params],
+                           [p.j_hz for p in params])
 
     def clean_table(self) -> ParamsTable:
-        e_z = [zeeman_splittings(self.solutions[v], self.fmap, self.grid)
-               for v in self.v_m_nodes]
-        j = [exchange_energy(self.solutions[v], self.grid, self.mat,
-                             self.coulomb) for v in self.v_m_nodes]
-        return ParamsTable(self.v_m_nodes, [e[0] for e in e_z],
-                           [e[1] for e in e_z], j)
+        return self._table([self.device.spin_params(self.solutions[v])
+                            for v in self.v_m_nodes])
 
     def table_for(self, cfg: NoiseConfig, sample_index: int) -> ParamsTable:
-        noise = sample_noise(self.grid, cfg, sample_index)
-        ps = []
-        for v in self.v_m_nodes:
-            ps.append(perturbed_spin_params(self.solutions[v], noise,
-                                            self.fmap, self.grid, self.mat,
-                                            self.coulomb))
-        return ParamsTable(self.v_m_nodes, [p.e_zl_hz for p in ps],
-                           [p.e_zr_hz for p in ps], [p.j_hz for p in ps])
+        noise = sample_noise(self.device.grid, cfg, sample_index)
+        return self._table([perturbed_spin_params(self.device,
+                                                  self.solutions[v], noise)
+                            for v in self.v_m_nodes])
 
 
-def _fidelity_samples(exp, schedule, ideal, factory, sigma_uev, n_samples):
-    """Mean/std gate fidelity over noise samples (common random numbers)."""
-    cfg = NoiseConfig(sigma_uev=sigma_uev, seed=exp.seed, n_samples=n_samples)
-    failures = SampleFailures(n_samples)
-
+def _fidelity_samples(schedule, ideal, factory, cfg: NoiseConfig,
+                      integrator: str):
+    """(mean, std, n) of the gate fidelity over the noise samples of `cfg`
+    (common random numbers); failed samples follow `SampleFailures`."""
+    failures = SampleFailures(cfg.n_samples)
     vals = []
-    for i in range(1, n_samples + 1):
+    for i in range(1, cfg.n_samples + 1):
         try:
             res = evolve(schedule, factory.table_for(cfg, i),
-                         integrator=exp.integrator)
+                         integrator=integrator)
             vals.append(gate_fidelity(res.u, ideal))
         except DqdError as exc:
             failures.add(exc)
@@ -313,12 +299,12 @@ def _fidelity_samples(exp, schedule, ideal, factory, sigma_uev, n_samples):
 
 def run_stability(exp: Experiment) -> int:
     sec = exp.cp["stability"]
-    spec, mat, biases, grid, fmap, coulomb = exp.device()
+    dev = exp.device()
     diagram = charge_stability(
-        spec, mat,
+        dev.spec, dev.mat,
         _parse_range(sec["v_l_mv"]), _parse_range(sec["v_r_mv"]),
         float(sec.get("v_m_mv", "400")), float(sec.get("v_b_mv", "200")),
-        grid=grid,
+        grid=dev.grid,
     )
     rows = []
     for j, vr in enumerate(diagram.v_r_mv):
@@ -376,7 +362,9 @@ def run_noise_sweep(exp: Experiment) -> int:
     v_w = float(sec.get("v_m_weak_mv", "400"))
     v_s = float(sec.get("v_m_strong_mv", "408"))
     tau_tr = float(sec.get("tau_tr_ns", "5"))
-    factory = NoisyTableFactory(exp, [v_w, v_s])
+    dev = exp.device()
+    factory = NoisyTableFactory(
+        dev, {v: dev.solution_at(v) for v in (v_w, v_s)})
     table = factory.clean_table()
     schedule, ideal = build_protocol(sec["protocol"], table, v_w, v_s, tau_tr)
     done = exp.resume_rows("noise-sweep")
@@ -389,9 +377,10 @@ def run_noise_sweep(exp: Experiment) -> int:
             res = evolve(schedule, table, integrator=exp.integrator)
             rows.append((float(sg), gate_fidelity(res.u, ideal), 0.0, 1))
             continue
-        mean, std, n = _fidelity_samples(exp, schedule, ideal, factory,
-                                         float(sg), n_samples)
-        rows.append((float(sg), mean, std, n))
+        cfg = NoiseConfig(sigma_uev=float(sg), seed=exp.seed,
+                          n_samples=n_samples)
+        rows.append((float(sg), *_fidelity_samples(
+            schedule, ideal, factory, cfg, exp.integrator)))
     meta = _meta(exp, "noise-sweep")
     meta["protocol"] = sec["protocol"]
     write_outputs(exp.out, ["sigma_uev", "fidelity_mean_percent",
@@ -409,7 +398,9 @@ def run_transition_sweep(exp: Experiment) -> int:
     device_mode = exp.cp.has_section("device")
     rows = []
     if device_mode:
-        factory = NoisyTableFactory(exp, [v_w, v_s])
+        dev = exp.device()
+        factory = NoisyTableFactory(
+            dev, {v: dev.solution_at(v) for v in (v_w, v_s)})
         table = factory.clean_table()
     else:
         factory = None
@@ -425,9 +416,10 @@ def run_transition_sweep(exp: Experiment) -> int:
             res = evolve(schedule, table, integrator=exp.integrator)
             rows.append((float(tau), gate_fidelity(res.u, ideal), 0.0, 1))
         else:
-            mean, std, n = _fidelity_samples(exp, schedule, ideal, factory,
-                                             sigma, n_samples)
-            rows.append((float(tau), mean, std, n))
+            cfg = NoiseConfig(sigma_uev=sigma, seed=exp.seed,
+                              n_samples=n_samples)
+            rows.append((float(tau), *_fidelity_samples(
+                schedule, ideal, factory, cfg, exp.integrator)))
     meta = _meta(exp, "transition-sweep")
     meta["sigma_uev"] = sigma
     write_outputs(exp.out, ["tau_tr_ns", "fidelity_mean_percent",
@@ -440,15 +432,13 @@ def run_fluct_stats(exp: Experiment) -> int:
     sigmas = _parse_range(sec["sigma_uev"])
     n_samples = int(sec.get("n_samples", "1000"))
     v_m = float(sec.get("v_m_mv", "400"))
-    spec, mat, biases, grid, fmap, coulomb = exp.device()
-    sol = exp.solution_at(v_m)
+    dev = exp.device()
+    sol = dev.solution_at(v_m)
     rows = []
     for sg in sigmas:
         cfg = NoiseConfig(sigma_uev=float(sg), seed=exp.seed,
                           n_samples=n_samples)
-        st = fluctuation_stats(spec, mat, sol.biases, fmap, cfg, grid=grid,
-                               solution=sol, coulomb_length_nm=coulomb)
-        rows.extend(st.to_csv_rows())
+        rows.extend(fluctuation_stats(dev, sol, cfg).to_csv_rows())
     meta = _meta(exp, "fluct-stats")
     meta["v_m_mv"] = v_m
     write_outputs(exp.out, ["sigma_uev", "quantity", "mean_hz", "std_hz", "n"],

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .constants import K_B_EV, Q_OVER_EPS0_EV_NM
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 
 NM3_PER_CM3 = 1e-21  # density conversion: n[nm^-3] = n[cm^-3] * 1e-21
 
@@ -265,7 +265,6 @@ class PoissonProblem:
 
     def __init__(self, grid: Grid, mat: MaterialParams,
                  dirichlet_top_weight: np.ndarray | None = None,
-                 dirichlet_sides: bool = True,
                  dirichlet_all: bool = False):
         self.grid = grid
         self.mat = mat
@@ -303,38 +302,24 @@ class PoissonProblem:
         np.add.at(diag, (jj.ravel(), ii.ravel()), w)
         np.add.at(diag, (jj.ravel() + 1, ii.ravel()), w)
 
-        # Dirichlet couplings to boundary faces (half-cell distance)
-        self._bc_coeff = np.zeros((ny, nx))  # filled per boundary below
-
-        # top surface, electrode-covered fraction of each face
+        # Dirichlet couplings to boundary faces (half-cell distance): the
+        # electrode-covered fraction of each top face and the source/drain
+        # segments of the sides, or with `dirichlet_all` every face
         wt = self.top_weight * 2.0 * eps[0, :] / dy**2
         diag[0, :] += wt
         self._top_coeff = wt
-
         if dirichlet_all:
             wb = 2.0 * eps[-1, :] / dy**2
             diag[-1, :] += wb
             self._bottom_coeff = wb
-            wl = 2.0 * eps[:, 0] / dx**2
-            wr = 2.0 * eps[:, -1] / dx**2
-            diag[:, 0] += wl
-            diag[:, -1] += wr
-            self._left_coeff, self._right_coeff = wl, wr
-            self._side_mask = np.ones(ny, dtype=bool)
-        elif dirichlet_sides:
-            m = grid.sd_mask
-            wl = np.where(m, 2.0 * eps[:, 0] / dx**2, 0.0)
-            wr = np.where(m, 2.0 * eps[:, -1] / dx**2, 0.0)
-            diag[:, 0] += wl
-            diag[:, -1] += wr
-            self._left_coeff, self._right_coeff = wl, wr
-            self._bottom_coeff = np.zeros(nx)
-            self._side_mask = m
+            sides = np.ones(ny, dtype=bool)
         else:
-            self._left_coeff = np.zeros(ny)
-            self._right_coeff = np.zeros(ny)
             self._bottom_coeff = np.zeros(nx)
-            self._side_mask = np.zeros(ny, dtype=bool)
+            sides = grid.sd_mask
+        self._left_coeff = np.where(sides, 2.0 * eps[:, 0] / dx**2, 0.0)
+        self._right_coeff = np.where(sides, 2.0 * eps[:, -1] / dx**2, 0.0)
+        diag[:, 0] += self._left_coeff
+        diag[:, -1] += self._right_coeff
 
         n = grid.n_cells
         idx = np.arange(n)
@@ -369,28 +354,8 @@ class PoissonProblem:
             b[-1, :] += self._bottom_coeff * u_bottom
         return b.ravel()
 
-    def solve_rhs(self, b: np.ndarray, method: str = "auto",
-                  rtol: float = 1e-10, maxiter: int = 20000) -> np.ndarray:
-        n = self.grid.n_cells
-        if method == "auto":
-            method = "direct" if n <= 200_000 else "cg"
-        if method == "direct":
-            u = self._factor().solve(b)
-        elif method == "cg":
-            ml = spla.LinearOperator(
-                (n, n), matvec=lambda v: v / self.matrix.diagonal()
-            )
-            u, info = spla.cg(self.matrix, b, rtol=rtol, atol=0.0,
-                              maxiter=maxiter, M=ml)
-            if info != 0:
-                res = np.linalg.norm(self.matrix @ u - b) / np.linalg.norm(b)
-                raise NumericalError(
-                    f"Poisson CG did not converge (info={info})",
-                    diagnostics={"residual": res, "maxiter": maxiter},
-                )
-        else:
-            raise ConfigurationError(f"unknown linear solver {method!r}")
-        return u.reshape(self.grid.ny, self.grid.nx)
+    def solve_rhs(self, b: np.ndarray) -> np.ndarray:
+        return self._factor().solve(b).reshape(self.grid.ny, self.grid.nx)
 
 
 def _poisson_problem(grid: Grid, mat: MaterialParams) -> PoissonProblem:
@@ -417,7 +382,7 @@ def boundary_values(grid: Grid, mat: MaterialParams, biases: DeviceBiases):
 
 
 def solve_poisson(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
-                  charge_cm3: np.ndarray, method: str = "auto") -> np.ndarray:
+                  charge_cm3: np.ndarray) -> np.ndarray:
     """Solve -div(eps grad u) = (q/eps0) n for the electron potential energy.
 
     Parameters
@@ -435,7 +400,7 @@ def solve_poisson(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
     prob = _poisson_problem(grid, mat)
     u_top, u_left, u_right = boundary_values(grid, mat, biases)
     b = prob.rhs(charge_cm3 * NM3_PER_CM3, u_top, u_left, u_right)
-    return prob.solve_rhs(b, method=method)
+    return prob.solve_rhs(b)
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +572,6 @@ def parse_device_config(text: str, source: str = "<string>"
         if s not in ("layers", "electrodes", "grid", "materials", "biases")
     }
     return spec, mat, biases, extra
-
-
-def save_device_config(path, spec: DeviceSpec, mat: MaterialParams,
-                       biases: DeviceBiases, extra: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(device_config_text(spec, mat, biases, extra))
 
 
 def device_config_text(spec: DeviceSpec, mat: MaterialParams,

@@ -7,13 +7,19 @@ rotation yields maximally localized left/right orbitals, whose effective
 2x2 Hamiltonian gives the tunnel coupling t and detuning eps; on-site and
 inter-site Coulomb integrals U and V come from grid quadrature of a
 finite-length screened Coulomb kernel ([001] extent of the dots enters as the
-averaging length). J is the singlet-triplet gap of the detuned two-site
+averaging length, the device file's required `[exchange]
+coulomb_length_nm`). J is the singlet-triplet gap of the detuned two-site
 model, which reduces to 4 t^2/(U - V) at zero detuning.
+
+`load_device` returns a `Device`: the device file's model, which gives the
+converged solution at a middle-gate bias (`Device.solution_at`) and maps a
+solution to its spin parameters (`Device.spin_params`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -28,13 +34,12 @@ from .device import (
     load_device_config,
 )
 from .errors import ConfigurationError, GeometryError, ModelValidityError
+from .params import SpinParams
 from .schrodinger import (
     ConvergedSolution,
     self_consistent_solve,
     well_rows,
 )
-
-DEFAULT_COULOMB_LENGTH_NM = 60.0
 
 # [001] extent of one dot (nm): the length over which a dot's line density
 # counts its electrons, both for the occupation map and for the filling the
@@ -86,10 +91,6 @@ class MagnetFieldMap:
             raise ConfigurationError("field map file must have two columns (x_nm, B_tesla)")
         return cls(data[:, 0], data[:, 1])
 
-    def to_file(self, path):
-        np.savetxt(path, np.column_stack([self.x_nm, self.b_tesla]),
-                   header="x_nm B_tesla")
-
     def covers(self, x0: float, x1: float) -> bool:
         return self.x_nm[0] <= x0 and self.x_nm[-1] >= x1
 
@@ -119,22 +120,58 @@ def field_map_from_config(section: dict, device_width_nm: float) -> MagnetFieldM
     )
 
 
-def load_device(path):
-    """Read a device file with everything the device pipeline needs.
+class Device(NamedTuple):
+    """A device file's model: geometry, materials, the file's biases, the
+    grid built from the geometry, the micromagnet field map and the Coulomb
+    kernel's averaging length (nm)."""
 
-    Returns (spec, materials, biases, grid, field map, Coulomb length in
-    nm); the Coulomb length is `[exchange] coulomb_length_nm`. A file that
-    cannot be read or parsed raises ConfigurationError.
+    spec: DeviceSpec
+    mat: MaterialParams
+    biases: DeviceBiases
+    grid: Grid
+    field_map: MagnetFieldMap
+    coulomb_length_nm: float
+
+    def solution_at(self, v_m_mv: float) -> ConvergedSolution:
+        """Cold self-consistent solution at the file's biases with V_M
+        replaced by `v_m_mv` (mV).
+
+        Memoized on the grid under (spec, materials, biases), every input
+        of the solve, so devices that share a grid never share a solution
+        of another input.
+        """
+        biases = replace(self.biases, v_m=v_m_mv * 1e-3)
+        key = ("solution", self.spec, self.mat, biases)
+        if key not in self.grid._cache:
+            self.grid._cache[key] = self_consistent_solve(
+                self.spec, self.mat, biases, grid=self.grid)
+        return self.grid._cache[key]
+
+    def spin_params(self, solution: ConvergedSolution) -> SpinParams:
+        """(E_ZL, E_ZR, J) of a solution on this device."""
+        e_zl, e_zr = zeeman_splittings(solution, self.field_map, self.grid)
+        j_hz = exchange_energy(solution, self.grid, self.mat,
+                               self.coulomb_length_nm)
+        return SpinParams(e_zl_hz=e_zl, e_zr_hz=e_zr, j_hz=j_hz,
+                          v_m_mv=solution.biases.v_m * 1e3)
+
+
+def load_device(path) -> Device:
+    """Read a device file into a `Device`.
+
+    The field map comes from `[field_map]` and the Coulomb length from
+    `[exchange] coulomb_length_nm`, which is required. A file that cannot
+    be read or parsed, or that lacks the Coulomb length, raises
+    ConfigurationError.
     """
     spec, mat, biases, extra = load_device_config(path)
     try:
         fmap = field_map_from_config(extra.get("field_map", {}), spec.width_nm)
-        coulomb = float(extra.get("exchange", {}).get(
-            "coulomb_length_nm", DEFAULT_COULOMB_LENGTH_NM))
+        coulomb = float(extra["exchange"]["coulomb_length_nm"])
     except (KeyError, OSError, ValueError) as exc:
         raise ConfigurationError(
             f"malformed device file {path}: {exc!r}") from exc
-    return spec, mat, biases, build_grid(spec), fmap, coulomb
+    return Device(spec, mat, biases, build_grid(spec), fmap, coulomb)
 
 
 @dataclass
@@ -234,7 +271,7 @@ def _segment_coulomb(rho_nm: np.ndarray, length_nm: float) -> np.ndarray:
 
 
 def coulomb_kernel(grid: Grid, mat: MaterialParams,
-                   length_nm: float = DEFAULT_COULOMB_LENGTH_NM) -> np.ndarray:
+                   length_nm: float) -> np.ndarray:
     """Screened Coulomb kernel over Quantum-region cells, as the real 2D FFT
     of its generator (eV).
 
@@ -271,17 +308,6 @@ def two_body_integral(kernel: np.ndarray, f1: np.ndarray, f2: np.ndarray,
     return float((f1 * k_f2[:f2.shape[0], :f2.shape[1]]).sum() * da * da)
 
 
-@dataclass
-class ExchangeDetails:
-    j_hz: float
-    t_hz: float
-    detuning_hz: float
-    u_ev: float
-    v_ev: float
-    u_l_ev: float
-    u_r_ev: float
-
-
 def localized_pair(solution: ConvergedSolution, grid: Grid):
     """Maximally localized (left, right) combinations of the two lowest well
     orbitals; returns (phi_l, phi_r, h2) with h2 the effective 2x2
@@ -293,9 +319,7 @@ def localized_pair(solution: ConvergedSolution, grid: Grid):
 
 
 def exchange_energy(solution: ConvergedSolution, grid: Grid,
-                    mat: MaterialParams,
-                    coulomb_length_nm: float = DEFAULT_COULOMB_LENGTH_NM,
-                    details: bool = False):
+                    mat: MaterialParams, coulomb_length_nm: float) -> float:
     """Two-site singlet-triplet exchange J in Hz (>= 0).
 
     Singlet sector {S(1,1), S(2,0), S(0,2)} of the two-site model:
@@ -322,13 +346,7 @@ def exchange_energy(solution: ConvergedSolution, grid: Grid,
         [np.sqrt(2.0) * t_ev, 0.0, (u_r - v) - eps_ev],
     ])
     e_s = float(np.linalg.eigvalsh(h_s)[0])
-    j_hz = max(-e_s, 0.0) * EV_TO_HZ
-    if details:
-        return ExchangeDetails(
-            j_hz=j_hz, t_hz=t_ev * EV_TO_HZ, detuning_hz=eps_ev * EV_TO_HZ,
-            u_ev=u, v_ev=v, u_l_ev=u_l, u_r_ev=u_r,
-        )
-    return j_hz
+    return max(-e_s, 0.0) * EV_TO_HZ
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +367,6 @@ class StabilityDiagram:
         i = int(np.argmin(np.abs(self.v_l_mv - v_l_mv)))
         j = int(np.argmin(np.abs(self.v_r_mv - v_r_mv)))
         return int(self.n_l[j, i]), int(self.n_r[j, i])
-
-    def to_csv(self) -> str:
-        lines = ["v_l_mv,v_r_mv,n_l,n_r"]
-        for j, vr in enumerate(self.v_r_mv):
-            for i, vl in enumerate(self.v_l_mv):
-                lines.append(f"{vl:.6g},{vr:.6g},{self.n_l[j, i]},{self.n_r[j, i]}")
-        return "\n".join(lines) + "\n"
 
 
 def dot_occupations(solution: ConvergedSolution, grid: Grid, spec: DeviceSpec,

@@ -10,8 +10,11 @@ curves smooth sample by sample.
 Each sample re-solves the single-particle eigenproblem on the frozen
 converged potential plus the noise field (no self-consistent re-loop: the
 noise scale is micro-eV against a many-meV landscape, and re-running the
-loop for every sample would dominate the Monte Carlo cost), then recomputes
-the Zeeman splittings and the exchange coupling.
+loop for every sample would dominate the Monte Carlo cost), then maps the
+perturbed solution to its spin parameters with `Device.spin_params`. Both
+entry points take the device and a converged solution on it
+(`Device.solution_at`): `perturbed_spin_params` for one noise field,
+`fluctuation_stats` for a whole run.
 
 The per-sample eigensolve is a block inverse iteration warm-started from
 the clean solution's states (subspace iteration with a Rayleigh-Ritz step,
@@ -40,20 +43,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded
 
-from .device import DeviceBiases, DeviceSpec, Grid, MaterialParams, build_grid
-from .dots import (
-    DEFAULT_COULOMB_LENGTH_NM,
-    MagnetFieldMap,
-    exchange_energy,
-    zeeman_splittings,
-)
+from .device import Grid, MaterialParams
+from .dots import Device
 from .errors import ConfigurationError, DqdError, NumericalError
 from .params import SpinParams
 from .schrodinger import (
     ConvergedSolution,
     Spectrum,
     _column_major_kinetic,
-    self_consistent_solve,
     shifted_well_cholesky,
     solve_eigenstates,
     well_rows,
@@ -159,29 +156,23 @@ def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
     return solve_eigenstates(u, grid, mat, n_states)
 
 
-def perturbed_spin_params(solution: ConvergedSolution, noise: NoiseField,
-                          field_map: MagnetFieldMap, grid: Grid,
-                          mat: MaterialParams,
-                          coulomb_length_nm: float = DEFAULT_COULOMB_LENGTH_NM
-                          ) -> SpinParams:
-    """Spin parameters of the noise-disturbed potential."""
+def perturbed_spin_params(device: Device, solution: ConvergedSolution,
+                          noise: NoiseField) -> SpinParams:
+    """Spin parameters of `solution`'s potential disturbed by `noise`."""
     if noise.values_ev.shape != solution.potential_ev.shape:
         raise ConfigurationError("noise field shape does not match the grid")
     u = solution.potential_ev + noise.values_ev
     try:
         if noise.values_ev.any():
-            spectrum = _perturbed_spectrum(solution, u, grid, mat,
-                                           noise.sample_index)
+            spectrum = _perturbed_spectrum(solution, u, device.grid,
+                                           device.mat, noise.sample_index)
         else:  # the zero field leaves the solution's own spectrum exact
             spectrum = solution.spectrum
     except NumericalError as exc:
         exc.diagnostics["sample_index"] = noise.sample_index
         raise
-    sol = replace(solution, potential_ev=u, spectrum=spectrum)
-    e_zl, e_zr = zeeman_splittings(sol, field_map, grid)
-    j_hz = exchange_energy(sol, grid, mat, coulomb_length_nm)
-    return SpinParams(e_zl_hz=e_zl, e_zr_hz=e_zr, j_hz=j_hz,
-                      v_m_mv=solution.biases.v_m * 1e3)
+    return device.spin_params(
+        replace(solution, potential_ev=u, spectrum=spectrum))
 
 
 class SampleFailures:
@@ -245,33 +236,25 @@ def _aggregate(sigma_uev, v_m_mv, n_samples, n_failures, rows) -> FluctStats:
                       n_failures=n_failures, stats=stats, samples=arr)
 
 
-def fluctuation_stats(spec: DeviceSpec, mat: MaterialParams,
-                      biases: DeviceBiases, field_map: MagnetFieldMap,
-                      cfg: NoiseConfig, *, grid: Grid | None = None,
-                      solution: ConvergedSolution | None = None,
-                      coulomb_length_nm: float = DEFAULT_COULOMB_LENGTH_NM,
-                      **solve_kwargs) -> FluctStats:
-    """Per-quantity {mean, std, min, max} over n noise samples.
+def fluctuation_stats(device: Device, solution: ConvergedSolution,
+                      cfg: NoiseConfig) -> FluctStats:
+    """Per-quantity {mean, std, min, max} over n noise samples of a
+    converged solution on `device`.
 
     Per-sample failures are counted and skipped under the `SampleFailures`
     rule. Deterministic for a fixed (seed, n_samples).
     """
     if cfg.n_samples < 2:
         raise ConfigurationError("fluctuation statistics need n_samples >= 2")
-    grid = grid or build_grid(spec)
-    if solution is None:
-        solution = self_consistent_solve(spec, mat, biases, grid=grid,
-                                         **solve_kwargs)
     rows = []
     failures = SampleFailures(cfg.n_samples)
     for i in range(1, cfg.n_samples + 1):
-        noise = sample_noise(grid, cfg, i)
+        noise = sample_noise(device.grid, cfg, i)
         try:
-            p = perturbed_spin_params(solution, noise, field_map, grid, mat,
-                                      coulomb_length_nm)
+            p = perturbed_spin_params(device, solution, noise)
         except DqdError as exc:
             failures.add(exc)
             continue
         rows.append((p.e_zl_hz, p.e_zr_hz, p.j_hz))
-    return _aggregate(cfg.sigma_uev, biases.v_m * 1e3, cfg.n_samples,
-                      failures.count, rows)
+    return _aggregate(cfg.sigma_uev, solution.biases.v_m * 1e3,
+                      cfg.n_samples, failures.count, rows)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from dqdsim.device import DeviceBiases, DeviceSpec, Layer, MaterialParams, build_grid
+from dqdsim.cli import default_device_path
+from dqdsim.device import (
+    DeviceBiases,
+    DeviceSpec,
+    Electrode,
+    Layer,
+    MaterialParams,
+    build_grid,
+)
+from dqdsim.dots import Device, MagnetFieldMap, load_device
 from dqdsim.params import SpinParams, paper_table
 from dqdsim.schrodinger import ConvergedSolution, solve_eigenstates, subband_line_density
 
@@ -13,6 +22,37 @@ def flat_well():
     spec = DeviceSpec(layers=layers, electrodes=(), width_nm=240.0,
                       dx_nm=1.0, dy_nm=1.0)
     return spec, build_grid(spec), MaterialParams()
+
+
+def tiny_device():
+    """A small five-gate stack: (spec, materials)."""
+    layers = (Layer("Si", 2.0), Layer("SiGe", 20.0), Layer("Si", 8.0),
+              Layer("SiGe", 14.0))
+    spec = DeviceSpec(
+        layers=layers,
+        electrodes=(Electrode("B1", (10, 40)), Electrode("L", (55, 85)),
+                    Electrode("M", (100, 130)), Electrode("R", (145, 175)),
+                    Electrode("B2", (190, 220))),
+        width_nm=230.0, dx_nm=2.0, dy_nm=1.0,
+    )
+    return spec, MaterialParams(schottky_barrier_ev=0.42)
+
+
+def tiny_model():
+    """`tiny_device` as a `Device` at the biases the SCF tests use, with a
+    linear field map and the shipped file's 420 nm Coulomb length; it
+    solves in milliseconds."""
+    spec, mat = tiny_device()
+    fmap = MagnetFieldMap.from_gradient(0.65, 5e-5, -1.0, spec.width_nm + 1.0)
+    biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45)
+    return Device(spec, mat, biases, build_grid(spec), fmap, 420.0)
+
+
+@pytest.fixture(scope="session")
+def shipped_device():
+    """The shipped device, loaded once per session: its operating points are
+    memoized on its grid, so each is solved cold once for every test."""
+    return load_device(default_device_path())
 
 
 def quartic_double_well(grid, barrier_mev, a_nm=40.0, tilt_uev=0.0):

@@ -18,7 +18,7 @@ def fermi_integral_quadrature(eta: float, order: float) -> float:
     return val / math.gamma(order + 1.0)
 
 
-def dense_coulomb_kernel(grid, mat, length_nm=60.0):
+def dense_coulomb_kernel(grid, mat, length_nm):
     """Pairwise screened Coulomb matrix over Quantum-region cells (eV), built
     from the cell-center coordinates; every pair distance is softened by
     half a cell diagonal."""
@@ -36,7 +36,7 @@ def dense_two_body_integral(kernel, f1, f2, grid):
     return float(f1.ravel() @ (kernel @ f2.ravel()) * da * da)
 
 
-def ci_singlet_triplet_j(solution, grid, mat, coulomb_length_nm=60.0):
+def ci_singlet_triplet_j(solution, grid, mat, coulomb_length_nm):
     """Two-electron CI on the localized 2-orbital basis: J = E_T - E_S (Hz).
 
     Uses the full set of one- and two-body integrals of the two-site basis

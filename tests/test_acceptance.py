@@ -10,16 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from dqdsim.cli import default_device_path
+from dqdsim.cli import NoisyTableFactory, _fidelity_samples
 from dqdsim.constants import UEV_TO_HZ
-from dqdsim.device import DeviceBiases
-from dqdsim.dots import (
-    MagnetFieldMap,
-    charge_stability,
-    exchange_energy,
-    load_device,
-    zeeman_splittings,
-)
+from dqdsim.dots import charge_stability
 from dqdsim.dynamics import CNOT_DOWN, cnot_matrix, evolve, gate_fidelity, ry_matrix
 from dqdsim.noise import NoiseConfig, fluctuation_stats
 from dqdsim.params import SpinParams, paper_table
@@ -29,7 +22,7 @@ from dqdsim.protocols import (
     schedule_ry,
     u_hold_time_s,
 )
-from dqdsim.schrodinger import self_consistent_solve, solve_eigenstates
+from dqdsim.schrodinger import solve_eigenstates
 
 pytestmark = pytest.mark.acceptance
 
@@ -42,11 +35,6 @@ def report(criterion: str, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def table():
     return paper_table()
-
-
-@pytest.fixture(scope="module")
-def device():
-    return load_device(default_device_path())
 
 
 class TestCriterion1:
@@ -121,17 +109,11 @@ class TestCriterion4:
 
 @pytest.mark.slow
 class TestCriterion5:
-    def test_device_anchors(self, device):
-        spec, mat, biases, grid, fmap, coulomb = device
-        b400 = DeviceBiases(v_b=biases.v_b, v_l=biases.v_l, v_m=0.400,
-                            v_r=biases.v_r)
-        sol = self_consistent_solve(spec, mat, b400, grid=grid)
-        e_zl, e_zr = zeeman_splittings(sol, fmap, grid)
-        j400 = exchange_energy(sol, grid, mat, coulomb)
-        b408 = DeviceBiases(v_b=biases.v_b, v_l=biases.v_l, v_m=0.408,
-                            v_r=biases.v_r)
-        sol408 = self_consistent_solve(spec, mat, b408, grid=grid)
-        j408 = exchange_energy(sol408, grid, mat, coulomb)
+    def test_device_anchors(self, shipped_device):
+        dev = shipped_device
+        p400 = dev.spin_params(dev.solution_at(400.0))
+        e_zl, e_zr, j400 = p400.e_zl_hz, p400.e_zr_hz, p400.j_hz
+        j408 = dev.spin_params(dev.solution_at(408.0)).j_hz
         ok = (abs(e_zl - 18.309e9) <= 0.01 * 18.309e9
               and abs(e_zr - 18.453e9) <= 0.01 * 18.453e9
               and abs(j400 - 75.6e3) <= 0.2 * 75.6e3
@@ -140,12 +122,12 @@ class TestCriterion5:
                f"E_ZL={e_zl / 1e9:.4f}GHz E_ZR={e_zr / 1e9:.4f}GHz "
                f"J400={j400 / 1e3:.1f}kHz J408={j408 / 1e6:.2f}MHz")
 
-    def test_stability_window(self, device):
-        spec, mat, biases, grid, fmap, coulomb = device
+    def test_stability_window(self, shipped_device):
+        dev = shipped_device
         v_l = np.array([505.0, 540.0, 575.0])
         v_r = np.array([535.0, 570.0, 605.0])
-        diagram = charge_stability(spec, mat, v_l, v_r, 400.0, 200.0,
-                                   grid=grid)
+        diagram = charge_stability(dev.spec, dev.mat, v_l, v_r, 400.0, 200.0,
+                                   grid=dev.grid)
         regimes = diagram.regimes()
         at_pinit = diagram.occupation_at(540.0, 570.0)
         ok = regimes == {(0, 0), (1, 0), (0, 1), (1, 1)} and at_pinit == (1, 1)
@@ -155,28 +137,8 @@ class TestCriterion5:
 
 def _noise_fidelity_curve(device, protocol, sigmas, n_samples, seed,
                           v_strong=408.0, tau_tr=5.0):
-    from dqdsim.cli import NoisyTableFactory
-
-    class _Exp:
-        pass
-
-    spec, mat, biases, grid, fmap, coulomb = device
-    exp = _Exp()
-    exp._solutions = {}
-    exp.device = lambda: (spec, mat, biases, grid, fmap, coulomb)
-    exp.seed = seed
-    exp.integrator = "rwa"
-
-    def solution_at(v_m_mv):
-        key = round(v_m_mv, 6)
-        if key not in exp._solutions:
-            b = DeviceBiases(v_b=biases.v_b, v_l=biases.v_l,
-                             v_m=v_m_mv * 1e-3, v_r=biases.v_r)
-            exp._solutions[key] = self_consistent_solve(spec, mat, b, grid=grid)
-        return exp._solutions[key]
-
-    exp.solution_at = solution_at
-    factory = NoisyTableFactory(exp, [400.0, v_strong])
+    factory = NoisyTableFactory(
+        device, {v: device.solution_at(v) for v in (400.0, v_strong)})
     table = factory.clean_table()
     if protocol == "cnot_single":
         sched = cnot_single_schedule(table(v_strong))
@@ -187,13 +149,10 @@ def _noise_fidelity_curve(device, protocol, sigmas, n_samples, seed,
     means, stds = [], []
     for sg in sigmas:
         cfg = NoiseConfig(sigma_uev=sg, seed=seed, n_samples=n_samples)
-        vals = []
-        for i in range(1, n_samples + 1):
-            tab_i = factory.table_for(cfg, i)
-            vals.append(gate_fidelity(evolve(sched, tab_i).u, ideal))
-        vals = np.array(vals)
-        means.append(vals.mean())
-        stds.append(vals.std(ddof=1))
+        mean, std, n = _fidelity_samples(sched, ideal, factory, cfg, "rwa")
+        assert n == n_samples
+        means.append(mean)
+        stds.append(std)
     return np.array(means), np.array(stds)
 
 
@@ -202,16 +161,13 @@ class TestCriterion6:
     N_SAMPLES = 1000
     SIGMAS = (1e-3, 1e-2, 1e-1, 1.0, 5.0)
 
-    def test_noise_attribution_bounds(self, device):
-        spec, mat, biases, grid, fmap, coulomb = device
+    def test_noise_attribution_bounds(self, shipped_device):
         ok = True
         details = []
         for v_m in (0.400, 0.408):
-            b = DeviceBiases(v_b=biases.v_b, v_l=biases.v_l, v_m=v_m,
-                             v_r=biases.v_r)
             cfg = NoiseConfig(sigma_uev=5.0, seed=11, n_samples=self.N_SAMPLES)
-            st = fluctuation_stats(spec, mat, b, fmap, cfg, grid=grid,
-                                   coulomb_length_nm=coulomb)
+            st = fluctuation_stats(
+                shipped_device, shipped_device.solution_at(v_m * 1e3), cfg)
             rel_ez = max(st.stats["E_ZL"]["std"] / st.stats["E_ZL"]["mean"],
                          st.stats["E_ZR"]["std"] / st.stats["E_ZR"]["mean"])
             rel_j = st.stats["J"]["std"] / st.stats["J"]["mean"]
@@ -223,11 +179,11 @@ class TestCriterion6:
         report("criterion 6a (std(E_Z)/E_Z <= 1e-5%, std(J)/J@408 > 1e-3)",
                ok, "; ".join(details))
 
-    def test_protocol_ordering_and_monotonicity(self, device):
-        single, _ = _noise_fidelity_curve(device, "cnot_single", self.SIGMAS,
-                                          self.N_SAMPLES, seed=11)
-        multi, _ = _noise_fidelity_curve(device, "cnot_multi", self.SIGMAS,
-                                         self.N_SAMPLES, seed=11)
+    def test_protocol_ordering_and_monotonicity(self, shipped_device):
+        single, _ = _noise_fidelity_curve(shipped_device, "cnot_single",
+                                          self.SIGMAS, self.N_SAMPLES, seed=11)
+        multi, _ = _noise_fidelity_curve(shipped_device, "cnot_multi",
+                                         self.SIGMAS, self.N_SAMPLES, seed=11)
         gap = multi[-1] - single[-1]
         mono_s = all(a >= b - 0.05 for a, b in zip(single, single[1:]))
         mono_m = all(a >= b - 0.05 for a, b in zip(multi, multi[1:]))
@@ -239,13 +195,13 @@ class TestCriterion6:
 
 @pytest.mark.slow
 class TestCriterion7:
-    def test_time_integral_invariance(self, device):
+    def test_time_integral_invariance(self, shipped_device):
         sigmas = (1e-3, 1.0, 5.0)
         n = 120
-        f408, s408 = _noise_fidelity_curve(device, "cnot_multi", sigmas, n,
-                                           seed=23, v_strong=408.0)
-        f410, s410 = _noise_fidelity_curve(device, "cnot_multi", sigmas, n,
-                                           seed=23, v_strong=410.0)
+        f408, s408 = _noise_fidelity_curve(shipped_device, "cnot_multi",
+                                           sigmas, n, seed=23, v_strong=408.0)
+        f410, s410 = _noise_fidelity_curve(shipped_device, "cnot_multi",
+                                           sigmas, n, seed=23, v_strong=410.0)
         err = np.sqrt(s408**2 + s410**2) / math.sqrt(n) + 1e-6
         ok = bool(np.all(np.abs(f408 - f410) <= 3.0 * err))
         report("criterion 7 (408 vs 410 curves agree within MC error)", ok,

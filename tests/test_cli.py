@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,14 +16,14 @@ from dqdsim.cli import (
     main,
     write_outputs,
 )
-from dqdsim.device import DeviceBiases
-from dqdsim.dots import MagnetFieldMap, exchange_energy, zeeman_splittings
+from dqdsim.dots import exchange_energy, zeeman_splittings
 from dqdsim.dynamics import ry_matrix
 from dqdsim.errors import ConfigurationError, GeometryError, NumericalError
+from dqdsim.noise import NoiseConfig
 from dqdsim.params import paper_table
 from dqdsim.protocols import schedule_ry
 
-from conftest import quartic_double_well, synthetic_solution
+from conftest import tiny_model
 
 DIRECT_TABLE = ("400 18.309e9 18.453e9 75.6e3; "
                 "408 18.312e9 18.448e9 19.3e6; "
@@ -135,7 +134,10 @@ protocol = swap_everything
         "[layers]\nlayer0 = Si\n",
         Path(cli.default_device_path()).read_text().replace(
             "profile = plateaus", "file = no-such-map.txt"),
-    ], ids=["no-section-header", "no-layer-thickness", "no-field-map-file"])
+        Path(cli.default_device_path()).read_text().replace(
+            "coulomb_length_nm = 420.0", ""),
+    ], ids=["no-section-header", "no-layer-thickness", "no-field-map-file",
+            "no-coulomb-length"])
     def test_malformed_device_file_is_config_error(self, tmp_path, capsys,
                                                     device):
         (tmp_path / "device.cfg").write_text(device)
@@ -265,19 +267,18 @@ sigma_uev = 0
 
 
 class TestNoisyTableFactory:
-    def test_clean_table_from_the_solutions(self, flat_well):
-        spec, grid, mat = flat_well
-        sol = synthetic_solution(grid, mat, quartic_double_well(grid, 12.0))
-        fmap = MagnetFieldMap.from_gradient(0.65, 5e-5, -1.0, spec.width_nm + 1.0)
-        exp = SimpleNamespace(
-            device=lambda: (spec, mat, DeviceBiases(), grid, fmap, 60.0),
-            solution_at=lambda v_m_mv: sol)
-        table = NoisyTableFactory(exp, [408.0, 400.0]).clean_table()
-        e_zl, e_zr = zeeman_splittings(sol, fmap, grid)
-        j = exchange_energy(sol, grid, mat, 60.0)
-        for v in (400.0, 408.0):
-            p = table(v)
-            assert (p.e_zl_hz, p.e_zr_hz, p.j_hz) == pytest.approx(
+    def test_clean_table_from_the_solutions(self):
+        dev = tiny_model()
+        sols = {v: dev.solution_at(v) for v in (350.0, 340.0)}
+        table = NoisyTableFactory(dev, sols).clean_table()
+        for v, sol in sols.items():
+            e_zl, e_zr = zeeman_splittings(sol, dev.field_map, dev.grid)
+            j = exchange_energy(sol, dev.grid, dev.mat, 420.0)
+            p = dev.spin_params(sol)
+            assert (p.e_zl_hz, p.e_zr_hz, p.j_hz) == (e_zl, e_zr, j)
+            assert p.v_m_mv == sol.biases.v_m * 1e3
+            q = table(v)
+            assert (q.e_zl_hz, q.e_zr_hz, q.j_hz) == pytest.approx(
                 (e_zl, e_zr, j), rel=1e-12)
 
 
@@ -293,11 +294,10 @@ class TestFidelitySampleFailures:
             return self.table
 
     def run(self, factory, n=100):
-        exp = SimpleNamespace(seed=1, integrator="rwa")
-        table = paper_table()
-        schedule = schedule_ry("L", math.pi, table(400.0))
-        return _fidelity_samples(exp, schedule, ry_matrix("L", math.pi),
-                                 factory, 1.0, n)
+        schedule = schedule_ry("L", math.pi, paper_table()(400.0))
+        cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=n)
+        return _fidelity_samples(schedule, ry_matrix("L", math.pi), factory,
+                                 cfg, "rwa")
 
     def test_counts_any_sample_error(self):
         mean, std, n = self.run(self.Factory({7}))

@@ -15,11 +15,11 @@ from dqdsim.device import (
     PoissonProblem,
     bulk_charge,
     build_grid,
+    device_config_text,
     effective_dos_nm3,
     fermi_half,
     fermi_minus_half,
     load_device_config,
-    save_device_config,
     solve_poisson,
 )
 from dqdsim.errors import ConfigurationError
@@ -158,15 +158,6 @@ class TestSolvePoisson:
         u2 = solve_poisson(grid, mat, biases, charge)
         assert np.array_equal(u1, u2)
 
-    def test_cg_agrees_with_direct(self):
-        grid = build_grid(make_spec())
-        mat = MaterialParams()
-        biases = DeviceBiases()
-        charge = np.full((grid.ny, grid.nx), 1e16)
-        u1 = solve_poisson(grid, mat, biases, charge, method="direct")
-        u2 = solve_poisson(grid, mat, biases, charge, method="cg")
-        assert np.abs(u1 - u2).max() < 1e-7
-
     def test_shape_mismatch_rejected(self):
         grid = build_grid(make_spec())
         with pytest.raises(ConfigurationError):
@@ -258,8 +249,8 @@ class TestConfigIO:
         mat = MaterialParams(schottky_barrier_ev=0.44)
         biases = DeviceBiases(v_l=0.54, v_r=0.57)
         path = tmp_path / "dev.cfg"
-        save_device_config(path, spec, mat, biases,
-                           extra={"field_map": {"b0_tesla": "0.65"}})
+        path.write_text(device_config_text(
+            spec, mat, biases, extra={"field_map": {"b0_tesla": "0.65"}}))
         spec2, mat2, biases2, extra = load_device_config(path)
         assert spec2 == spec
         assert mat2 == mat

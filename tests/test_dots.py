@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dqdsim.constants import ZEEMAN_HZ_PER_T
+from dqdsim.device import build_grid
 from dqdsim.dots import (
     MagnetFieldMap,
     exchange_energy,
@@ -12,7 +15,9 @@ from dqdsim.dots import (
 )
 from dqdsim.errors import ConfigurationError, GeometryError, ModelValidityError
 
-from conftest import quartic_double_well, synthetic_solution
+from dqdsim.schrodinger import self_consistent_solve
+
+from conftest import quartic_double_well, synthetic_solution, tiny_model
 
 from oracles import ci_singlet_triplet_j
 
@@ -26,7 +31,8 @@ class TestFieldMap:
     def test_file_roundtrip(self, tmp_path):
         fm = MagnetFieldMap.from_gradient(0.6, 4e-5, 0.0, 100.0, n=11)
         path = tmp_path / "bz.txt"
-        fm.to_file(path)
+        np.savetxt(path, np.column_stack([fm.x_nm, fm.b_tesla]),
+                   header="x_nm B_tesla")
         fm2 = MagnetFieldMap.from_file(path)
         assert np.allclose(fm2(np.linspace(0, 100, 7)),
                            fm(np.linspace(0, 100, 7)))
@@ -34,6 +40,32 @@ class TestFieldMap:
     def test_nonpositive_field_rejected(self):
         with pytest.raises(ConfigurationError):
             MagnetFieldMap([0.0, 1.0], [0.5, -0.1])
+
+
+class TestDevice:
+    def test_solution_at_is_memoized_per_v_m(self):
+        dev = tiny_model()
+        sol = dev.solution_at(350.0)
+        assert dev.solution_at(350.0) is sol
+        other = dev.solution_at(340.0)
+        assert other is not sol
+        assert other.biases == replace(dev.biases, v_m=340.0 * 1e-3)
+        assert not np.array_equal(other.potential_ev, sol.potential_ev)
+
+    def test_devices_on_one_grid_do_not_share_solutions(self):
+        dev = tiny_model()
+        sol = dev.solution_at(350.0)
+        for other in (
+                dev._replace(mat=replace(dev.mat, schottky_barrier_ev=0.40)),
+                dev._replace(biases=replace(dev.biases, v_l=0.44))):
+            assert other.grid is dev.grid
+            got = other.solution_at(350.0)
+            assert got is not sol
+            want = self_consistent_solve(
+                other.spec, other.mat, replace(other.biases, v_m=350.0 * 1e-3),
+                grid=build_grid(other.spec))
+            assert np.array_equal(got.potential_ev, want.potential_ev)
+            assert not np.array_equal(got.potential_ev, sol.potential_ev)
 
 
 class TestFindDots:
@@ -108,7 +140,7 @@ class TestExchange:
     def test_decoupled_limit(self, flat_well):
         _, grid, mat = flat_well
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 30.0))
-        j = exchange_energy(sol, grid, mat)
+        j = exchange_energy(sol, grid, mat, 60.0)
         assert j < 1.0  # Hz: infinite-barrier limit, J -> 0
 
     def test_monotone_in_barrier(self, flat_well):
@@ -116,7 +148,7 @@ class TestExchange:
         js = []
         for barrier in (10.0, 12.0, 14.0, 16.0):
             sol = synthetic_solution(grid, mat, quartic_double_well(grid, barrier))
-            js.append(exchange_energy(sol, grid, mat))
+            js.append(exchange_energy(sol, grid, mat, 60.0))
         assert all(a > b for a, b in zip(js, js[1:]))
         # near log-linear over the window: successive ratios within 2x
         ratios = [np.log(a / b) for a, b in zip(js, js[1:])]
@@ -128,11 +160,11 @@ class TestExchange:
         _, grid, mat = flat_well
         j0 = exchange_energy(
             synthetic_solution(grid, mat, quartic_double_well(grid, 14.0)),
-            grid, mat)
+            grid, mat, 60.0)
         j1 = exchange_energy(
             synthetic_solution(grid, mat,
                                quartic_double_well(grid, 14.0, tilt_uev=60.0)),
-            grid, mat)
+            grid, mat, 60.0)
         assert j1 == pytest.approx(j0, rel=0.05)
 
     def test_localized_pair_reproduces_splitting(self, flat_well):
@@ -150,8 +182,8 @@ class TestExchange:
         # sector itself
         _, grid, mat = flat_well
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 12.0))
-        j_hub = exchange_energy(sol, grid, mat)
-        j_ci = ci_singlet_triplet_j(sol, grid, mat)
+        j_hub = exchange_energy(sol, grid, mat, 60.0)
+        j_ci = ci_singlet_triplet_j(sol, grid, mat, 60.0)
         # the CI includes the ferromagnetic direct exchange, so it lower-bounds
         # the Hubbard value; the hybridization scale must still agree
         assert j_ci < j_hub
@@ -169,7 +201,7 @@ class TestExchange:
 
         monkeypatch.setattr(dots_mod, "two_body_integral", fake)
         with pytest.raises(ModelValidityError):
-            exchange_energy(sol, grid, mat)
+            exchange_energy(sol, grid, mat, 60.0)
 
 
 class TestFieldMapCalibration:

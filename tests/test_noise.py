@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 import dqdsim.noise as noise_mod
-from dqdsim.cli import default_device_path
 from dqdsim.device import DeviceBiases, build_grid
 from dqdsim.dots import (
+    Device,
     MagnetFieldMap,
     coulomb_kernel,
     exchange_energy,
-    load_device,
     two_body_integral,
     zeeman_splittings,
 )
@@ -24,7 +23,7 @@ from dqdsim.noise import (
     standard_normal_field,
 )
 from dqdsim.params import SpinParams
-from dqdsim.schrodinger import self_consistent_solve, solve_eigenstates
+from dqdsim.schrodinger import solve_eigenstates
 
 from conftest import quartic_double_well, synthetic_solution
 from oracles import dense_coulomb_kernel, dense_two_body_integral
@@ -41,6 +40,12 @@ def well_solution(flat_well):
 def field_map(flat_well):
     spec, grid, mat = flat_well
     return MagnetFieldMap.from_gradient(0.65, 5e-5, -1.0, spec.width_nm + 1.0)
+
+
+@pytest.fixture(scope="module")
+def flat_device(flat_well, field_map):
+    spec, grid, mat = flat_well
+    return Device(spec, mat, DeviceBiases(), grid, field_map, 60.0)
 
 
 class TestSampleNoise:
@@ -93,42 +98,43 @@ class TestSampleNoise:
 
 
 class TestPerturbedSpinParams:
-    def test_zero_noise_identical_params(self, flat_well, well_solution, field_map):
+    def test_zero_noise_identical_params(self, flat_well, flat_device,
+                                         well_solution, field_map):
         _, grid, mat = flat_well
         cfg = NoiseConfig(sigma_uev=0.0, seed=5, n_samples=1)
         noise = sample_noise(grid, cfg, 1)
-        p = perturbed_spin_params(well_solution, noise, field_map, grid, mat)
+        p = perturbed_spin_params(flat_device, well_solution, noise)
         e_zl, e_zr = zeeman_splittings(well_solution, field_map, grid)
-        j = exchange_energy(well_solution, grid, mat)
+        j = exchange_energy(well_solution, grid, mat, 60.0)
         assert p.e_zl_hz == pytest.approx(e_zl, rel=1e-12)
         assert p.e_zr_hz == pytest.approx(e_zr, rel=1e-12)
         assert p.j_hz == pytest.approx(j, rel=1e-9)
 
-    def test_ez_robust_j_sensitive(self, flat_well, well_solution, field_map):
+    def test_ez_robust_j_sensitive(self, flat_well, flat_device,
+                                   well_solution, field_map):
         _, grid, mat = flat_well
         cfg = NoiseConfig(sigma_uev=5.0, seed=11, n_samples=1)
         e_zl0, e_zr0 = zeeman_splittings(well_solution, field_map, grid)
-        j0 = exchange_energy(well_solution, grid, mat)
+        j0 = exchange_energy(well_solution, grid, mat, 60.0)
         rel_ez, rel_j = [], []
         for i in range(1, 9):
-            p = perturbed_spin_params(well_solution,
-                                      sample_noise(grid, cfg, i),
-                                      field_map, grid, mat)
+            p = perturbed_spin_params(flat_device, well_solution,
+                                      sample_noise(grid, cfg, i))
             rel_ez.append(abs(p.e_zl_hz - e_zl0) / e_zl0)
             rel_j.append(abs(p.j_hz - j0) / j0)
         # relative J fluctuation exceeds relative E_Z fluctuation by far
         assert np.mean(rel_j) > 1e3 * np.mean(rel_ez)
 
-    def test_linear_response_regime(self, flat_well, well_solution, field_map):
+    def test_linear_response_regime(self, flat_well, flat_device,
+                                    well_solution):
         # for sigma <= 0.1 ueV, std(J) tracks the first-order sensitivity
         _, grid, mat = flat_well
-        j0 = exchange_energy(well_solution, grid, mat)
+        j0 = exchange_energy(well_solution, grid, mat, 60.0)
 
         def j_std(sigma, n=14):
             cfg = NoiseConfig(sigma_uev=sigma, seed=3, n_samples=n)
-            vals = [perturbed_spin_params(well_solution,
-                                          sample_noise(grid, cfg, i),
-                                          field_map, grid, mat).j_hz
+            vals = [perturbed_spin_params(flat_device, well_solution,
+                                          sample_noise(grid, cfg, i)).j_hz
                     for i in range(1, n + 1)]
             return np.std(np.array(vals) - j0, ddof=1)
 
@@ -137,23 +143,26 @@ class TestPerturbedSpinParams:
         # common random numbers: the ratio isolates the scaling exponent
         assert s2 / s1 == pytest.approx(2.0, rel=0.2)
 
-    def test_shape_mismatch_rejected(self, flat_well, well_solution, field_map):
+    def test_shape_mismatch_rejected(self, flat_well, flat_device,
+                                     well_solution):
         _, grid, mat = flat_well
         bad = sample_noise(grid, NoiseConfig(1.0, 1, 1), 1)
         bad.values_ev = bad.values_ev[:-1]
         with pytest.raises(ConfigurationError):
-            perturbed_spin_params(well_solution, bad, field_map, grid, mat)
+            perturbed_spin_params(flat_device, well_solution, bad)
 
 
-def arpack_spin_params(solution, noise, field_map, grid, mat, coulomb=60.0):
+def arpack_spin_params(device, solution, noise):
     """Spin parameters of the perturbed potential from a cold
     `solve_eigenstates` solve."""
+    grid, mat = device.grid, device.mat
     u = solution.potential_ev + noise.values_ev
     spectrum = solve_eigenstates(u, grid, mat, solution.spectrum.n_states)
     sol = replace(solution, potential_ev=u, spectrum=spectrum)
-    e_zl, e_zr = zeeman_splittings(sol, field_map, grid)
+    e_zl, e_zr = zeeman_splittings(sol, device.field_map, grid)
     return SpinParams(e_zl_hz=e_zl, e_zr_hz=e_zr,
-                      j_hz=exchange_energy(sol, grid, mat, coulomb),
+                      j_hz=exchange_energy(sol, grid, mat,
+                                           device.coulomb_length_nm),
                       v_m_mv=solution.biases.v_m * 1e3)
 
 
@@ -167,30 +176,18 @@ class TestBlockIterationFallback:
         ("MAX_BLOCK_ITERATIONS", 1, "after 1 iterations"),
         ("SHIFT_BELOW_GROUND_EV", -1e-2, "not positive definite"),
     ])
-    def test_forced_fallback_equals_cold_solve(self, flat_well, well_solution,
-                                               field_map, monkeypatch, caplog,
-                                               setting, value, reason):
-        _, grid, mat = flat_well
+    def test_forced_fallback_equals_cold_solve(self, flat_device,
+                                               well_solution, monkeypatch,
+                                               caplog, setting, value, reason):
         monkeypatch.setattr(noise_mod, setting, value)
-        noise = sample_noise(grid, NoiseConfig(5.0, 4, 1), 1)
+        noise = sample_noise(flat_device.grid, NoiseConfig(5.0, 4, 1), 1)
         with caplog.at_level(logging.DEBUG, logger="dqdsim"):
-            p = perturbed_spin_params(well_solution, noise, field_map, grid, mat)
+            p = perturbed_spin_params(flat_device, well_solution, noise)
         records = fallbacks(caplog)
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
         assert reason in records[0].getMessage()
-        assert p == arpack_spin_params(well_solution, noise, field_map, grid, mat)
-
-
-@pytest.fixture(scope="module")
-def shipped_device():
-    spec, mat, biases, grid, fmap, coulomb = load_device(default_device_path())
-    sols = {}
-    for v_m in (0.400, 0.408):
-        b = DeviceBiases(v_b=biases.v_b, v_l=biases.v_l, v_m=v_m,
-                         v_r=biases.v_r)
-        sols[v_m] = self_consistent_solve(spec, mat, b, grid=grid)
-    return grid, mat, fmap, coulomb, sols
+        assert p == arpack_spin_params(flat_device, well_solution, noise)
 
 
 @pytest.mark.slow
@@ -199,15 +196,14 @@ class TestBlockIterationOracle:
     @pytest.mark.parametrize("sigma", [0.1, 5.0])
     def test_matches_arpack_on_shipped_device(self, shipped_device, caplog,
                                               v_m, sigma):
-        grid, mat, fmap, coulomb, sols = shipped_device
+        dev = shipped_device
+        sol = dev.solution_at(v_m * 1e3)
         cfg = NoiseConfig(sigma_uev=sigma, seed=17, n_samples=4)
         with caplog.at_level(logging.DEBUG, logger="dqdsim"):
             for i in range(1, cfg.n_samples + 1):
-                noise = sample_noise(grid, cfg, i)
-                p = perturbed_spin_params(sols[v_m], noise, fmap, grid, mat,
-                                          coulomb)
-                ref = arpack_spin_params(sols[v_m], noise, fmap, grid, mat,
-                                         coulomb)
+                noise = sample_noise(dev.grid, cfg, i)
+                p = perturbed_spin_params(dev, sol, noise)
+                ref = arpack_spin_params(dev, sol, noise)
                 assert abs(p.e_zl_hz - ref.e_zl_hz) <= 10.0
                 assert abs(p.e_zr_hz - ref.e_zr_hz) <= 10.0
                 assert abs(p.j_hz - ref.j_hz) <= 1e-6 * ref.j_hz
@@ -240,7 +236,7 @@ class TestCoulombIntegrals:
 class TestSampleFailures:
     @staticmethod
     def failing_at(indices, exc_cls=GeometryError):
-        def fake(solution, noise, *args):
+        def fake(device, solution, noise):
             if noise.sample_index in indices:
                 raise exc_cls(f"sample {noise.sample_index}")
             k = noise.sample_index
@@ -248,32 +244,30 @@ class TestSampleFailures:
                               v_m_mv=400.0)
         return fake
 
-    def run(self, flat_well, well_solution, field_map, n):
-        spec, grid, mat = flat_well
+    def run(self, flat_device, well_solution, n):
         cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=n)
-        return fluctuation_stats(spec, mat, DeviceBiases(), field_map, cfg,
-                                 grid=grid, solution=well_solution)
+        return fluctuation_stats(flat_device, well_solution, cfg)
 
     def test_fluctuation_stats_counts_any_sample_error(
-            self, flat_well, well_solution, field_map, monkeypatch):
+            self, flat_device, well_solution, monkeypatch):
         monkeypatch.setattr(noise_mod, "perturbed_spin_params",
                             self.failing_at({3}))
-        st = self.run(flat_well, well_solution, field_map, 100)
+        st = self.run(flat_device, well_solution, 100)
         assert st.n_failures == 1
         assert st.samples.shape == (99, 3)
         assert st.stats["J"]["min"] == 1e6 + 1
 
     def test_fluctuation_stats_aborts_past_threshold(
-            self, flat_well, well_solution, field_map, monkeypatch):
+            self, flat_device, well_solution, monkeypatch):
         monkeypatch.setattr(noise_mod, "perturbed_spin_params",
                             self.failing_at({3, 8}))
         with pytest.raises(NumericalError) as info:
-            self.run(flat_well, well_solution, field_map, 100)
+            self.run(flat_device, well_solution, 100)
         assert info.value.diagnostics["failures"] == {"GeometryError": 2}
 
     def test_configuration_error_is_not_a_sample_failure(
-            self, flat_well, well_solution, field_map, monkeypatch):
+            self, flat_device, well_solution, monkeypatch):
         monkeypatch.setattr(noise_mod, "perturbed_spin_params",
                             self.failing_at({5}, ConfigurationError))
         with pytest.raises(ConfigurationError):
-            self.run(flat_well, well_solution, field_map, 100)
+            self.run(flat_device, well_solution, 100)

@@ -10,7 +10,6 @@ from dqdsim.constants import HBAR2_OVER_2M0
 from dqdsim.device import (
     DeviceBiases,
     DeviceSpec,
-    Electrode,
     Layer,
     MaterialParams,
     build_grid,
@@ -29,7 +28,7 @@ from dqdsim.schrodinger import (
     well_rows,
 )
 
-from conftest import quartic_double_well, synthetic_solution
+from conftest import quartic_double_well, synthetic_solution, tiny_device
 
 from oracles import fermi_integral_quadrature
 
@@ -239,22 +238,9 @@ class TestQuantumCharge:
         assert np.abs(n - n[:, ::-1]).max() < 1e-6 * n.max()
 
 
-def _tiny_device():
-    layers = (Layer("Si", 2.0), Layer("SiGe", 20.0), Layer("Si", 8.0),
-              Layer("SiGe", 14.0))
-    spec = DeviceSpec(
-        layers=layers,
-        electrodes=(Electrode("B1", (10, 40)), Electrode("L", (55, 85)),
-                    Electrode("M", (100, 130)), Electrode("R", (145, 175)),
-                    Electrode("B2", (190, 220))),
-        width_nm=230.0, dx_nm=2.0, dy_nm=1.0,
-    )
-    return spec, MaterialParams(schottky_barrier_ev=0.42)
-
-
 class TestSelfConsistent:
     def test_depleted_device_matches_charge_free_poisson(self):
-        spec, mat = _tiny_device()
+        spec, mat = tiny_device()
         grid = build_grid(spec)
         biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3)
         sol = self_consistent_solve(spec, mat, biases, grid=grid, n_states=3)
@@ -263,7 +249,7 @@ class TestSelfConsistent:
         assert np.abs(sol.potential_ev - u_free).max() < 1e-9
 
     def test_residual_after_convergence(self):
-        spec, mat = _tiny_device()
+        spec, mat = tiny_device()
         grid = build_grid(spec)
         biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45)
         sol = self_consistent_solve(spec, mat, biases, grid=grid, n_states=4,
@@ -278,7 +264,7 @@ class TestSelfConsistent:
         assert np.abs(u_next - sol.potential_ev).max() <= 2e-6
 
     def test_damping_independence(self):
-        spec, mat = _tiny_device()
+        spec, mat = tiny_device()
         grid = build_grid(spec)
         biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45)
         sols = [self_consistent_solve(spec, mat, biases, grid=grid,
@@ -287,7 +273,7 @@ class TestSelfConsistent:
         assert np.abs(sols[0].potential_ev - sols[1].potential_ev).max() <= 2e-6
 
     def test_iteration_cap_reports_history(self):
-        spec, mat = _tiny_device()
+        spec, mat = tiny_device()
         # accumulation biases: the device carries charge, so one heavily
         # damped iteration cannot reach the 1 ueV tolerance
         biases = DeviceBiases(v_b=0.3, v_l=0.7, v_m=0.6, v_r=0.7)
@@ -297,7 +283,7 @@ class TestSelfConsistent:
         assert "update_history_ev" in exc.value.diagnostics
 
     def test_mixing_validation(self):
-        spec, mat = _tiny_device()
+        spec, mat = tiny_device()
         with pytest.raises(ConfigurationError):
             self_consistent_solve(spec, mat, DeviceBiases(), mixing=0.9)
 
@@ -328,7 +314,7 @@ def _stage(grid, mat, biases, u0, tol_ev, max_iter, stall_window):
 
 class TestStallRule:
     def setup_method(self):
-        self.spec, self.mat = _tiny_device()
+        self.spec, self.mat = tiny_device()
         self.grid = build_grid(self.spec)
         self.biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3)
 
@@ -379,7 +365,7 @@ class TestStallRule:
         assert len(history) == sum(st.iterations for st in stages)
 
     def test_solution_carries_stages_and_history(self):
-        spec, mat = _tiny_device()
+        spec, mat = tiny_device()
         biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45)
         sol = self_consistent_solve(spec, mat, biases, n_states=4)
         assert [st.temperature_k for st in sol.stages] == [40.0, 8.0, 1.5]
