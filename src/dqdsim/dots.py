@@ -402,8 +402,7 @@ def dot_occupations(solution: ConvergedSolution, grid: Grid, spec: DeviceSpec,
 
 def charge_stability(spec: DeviceSpec, mat: MaterialParams,
                      v_l_mv, v_r_mv, v_m_mv: float, v_b_mv: float,
-                     *, grid: Grid | None = None,
-                     **solve_kwargs) -> StabilityDiagram:
+                     *, grid: Grid | None = None) -> StabilityDiagram:
     """Occupation map over a (V_L, V_R) window at fixed V_M, V_B."""
     v_l_mv = np.asarray(v_l_mv, dtype=float)
     v_r_mv = np.asarray(v_r_mv, dtype=float)
@@ -419,8 +418,7 @@ def charge_stability(spec: DeviceSpec, mat: MaterialParams,
             biases = DeviceBiases(v_b=v_b_mv * 1e-3, v_l=vl * 1e-3,
                                   v_m=v_m_mv * 1e-3, v_r=vr * 1e-3)
             sol = self_consistent_solve(spec, mat, biases, grid=grid,
-                                        start_potential=row_start,
-                                        **solve_kwargs)
+                                        start_potential=row_start)
             row_start = sol.potential_ev
             if i == 0:
                 start = sol.potential_ev

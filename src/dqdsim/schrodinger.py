@@ -46,6 +46,11 @@ STALL_WINDOW = 50
 # A warm-started eigensolve shifts this far below the start's ground energy.
 WARM_SHIFT_BELOW_GROUND_EV = 1e-3
 
+# Anderson mixing: the number of residual differences it fits, and the
+# residual below which it extrapolates (above it the step is purely damped).
+ANDERSON_DEPTH = 5
+ANDERSON_START_EV = 1e-3
+
 
 @dataclass
 class Spectrum:
@@ -327,14 +332,21 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
                  t_k: float, u0: np.ndarray, n_states: int, mixing: float,
                  tol_ev: float, max_iter: int,
                  stall_window: int | None = None):
-    """One damped fixed-point stage at a fixed temperature.
+    """One damped, Anderson-accelerated fixed-point stage at a fixed
+    temperature.
 
-    The update norm is the undamped residual max|G(u) - u| with
+    The update norm is the undamped residual max|f| with f = G(u) - u and
     G(u) = poisson(charge(u)), so the stopping point does not depend on the
-    mixing factor. With `stall_window`, the stage is abandoned once its
-    residual has set no new minimum for that many iterations. Every
-    eigensolve after the stage's first is warm-started from the previous
-    iteration's spectrum.
+    mixing factor. While the residual is at or above `ANDERSON_START_EV`
+    the step is the damped u + beta f. Below it the step is Walker-Ni
+    Anderson mixing, u + beta f - (dU + beta dF) gamma, with gamma the
+    least-squares fit of f on the last `ANDERSON_DEPTH` residual
+    differences dF (dU the matching iterate differences). The history is
+    cleared whenever the residual exceeds 1.5 times its best, which also
+    halves beta, or rises back above `ANDERSON_START_EV`. With
+    `stall_window`, the stage is abandoned once its residual has set no new
+    minimum for that many iterations. Every eigensolve after the stage's
+    first is warm-started from the previous iteration's spectrum.
 
     Returns (u, charge, spectrum, resid, history, stage). When the stage
     does not converge, u is the last iterate and charge and spectrum are
@@ -345,19 +357,26 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
     beta = mixing
     best, best_it = np.inf, 0
     spectrum = None
+    depth = ANDERSON_DEPTH
+    d_u = np.empty((depth,) + u0.shape)     # ring buffers of differences
+    d_f = np.empty((depth,) + u0.shape)
+    n_diff, prev = 0, None                  # prev: last (u, f) below start
     for it in range(1, max_iter + 1):
         spectrum = solve_eigenstates(u, grid, mat, n_states, start=spectrum)
         charge = (bulk_charge(u, grid, mat, t_k)
                   + quantum_charge(spectrum, mat.fermi_level_ev, t_k, grid, mat))
-        u_new = solve_poisson(grid, mat, biases, charge)
-        resid = float(np.max(np.abs(u_new - u)))
+        f = solve_poisson(grid, mat, biases, charge) - u
+        resid = float(np.max(np.abs(f)))
         history.append(resid)
         if resid <= tol_ev:
             return (u, charge, spectrum, resid, history,
                     ScfStage(t_k, it, True, False))
-        # adaptive safeguard: shrink the step while the residual grows
-        if resid > 1.5 * best and beta > 0.01:
-            beta = max(beta * 0.5, 0.01)
+        # adaptive safeguard: while the residual grows, shrink the step and
+        # restart the Anderson history
+        if resid > 1.5 * best:
+            n_diff, prev = 0, None
+            if beta > 0.01:
+                beta = max(beta * 0.5, 0.01)
         if resid < best:
             best, best_it = resid, it
         elif stall_window is not None and it - best_it >= stall_window:
@@ -365,7 +384,25 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
                       "best residual %.3e eV at iteration %d",
                       t_k, it, best, best_it)
             return u, None, None, resid, history, ScfStage(t_k, it, False, True)
-        u = u + beta * (u_new - u)
+        if resid >= ANDERSON_START_EV or depth == 0:
+            n_diff, prev = 0, None
+            u = u + beta * f
+            continue
+        if prev is not None:
+            slot = n_diff % depth
+            np.subtract(u, prev[0], out=d_u[slot])
+            np.subtract(f, prev[1], out=d_f[slot])
+            n_diff += 1
+        prev = (u, f)
+        m = min(n_diff, depth)
+        step = u + beta * f
+        if m:
+            flat = d_f[:m].reshape(m, -1)
+            gamma = np.linalg.lstsq(flat @ flat.T, flat @ f.ravel(),
+                                    rcond=None)[0]
+            step -= np.tensordot(gamma, d_u[:m], axes=1)
+            step -= beta * np.tensordot(gamma, d_f[:m], axes=1)
+        u = step
     return u, None, None, resid, history, ScfStage(t_k, max_iter, False, False)
 
 
@@ -375,14 +412,17 @@ def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
                           tol_ev: float = 1e-6, max_iter: int = 600,
                           start_potential: np.ndarray | None = None
                           ) -> ConvergedSolution:
-    """Alternate Poisson and charge models with damped potential mixing.
+    """Alternate Poisson and charge models with damped, Anderson-accelerated
+    potential mixing.
 
-    A cold start descends through a short temperature continuation
-    (40 K -> 8 K -> T): occupations are steep at 1.5 K and the hot stages
-    provide a well-behaved warm start. A continuation stage is abandoned
-    when it hits `max_iter` or when its residual has set no new minimum for
-    `STALL_WINDOW` iterations; the next stage then starts from the last
-    converged potential. The final stage always runs at the device
+    A cold start descends through a one-step temperature continuation
+    (40 K -> T): occupations are steep at 1.5 K and the hot stage provides
+    a well-behaved warm start. The continuation stage is abandoned when it
+    hits `max_iter` or when its residual has set no new minimum for
+    `STALL_WINDOW` iterations; the final stage then starts from the
+    charge-free potential. Every stage mixes damped steps with Anderson
+    extrapolation once its residual is below `ANDERSON_START_EV` (1 meV);
+    see `_scf_fixed_t`. The final stage always runs at the device
     temperature with exact Fermi-Dirac occupation and the 1 ueV max-norm
     tolerance. It is never cut short: at `max_iter` (if that is >= 50) it
     is retried once with heavy damping, and NonConvergenceError (with the
@@ -408,10 +448,8 @@ def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
         u = start_potential
     else:
         u = solve_poisson(grid, mat, biases, np.zeros((grid.ny, grid.nx)))
-        for t_stage in (40.0, 8.0):
-            if t_stage <= t_dev:
-                continue
-            u_stage, *_, done = stage(t_stage, u, mixing, max(tol_ev, 2e-5),
+        if t_dev < 40.0:
+            u_stage, *_, done = stage(40.0, u, mixing, max(tol_ev, 2e-5),
                                       max_iter, STALL_WINDOW)
             if done.converged:
                 u = u_stage

@@ -18,6 +18,7 @@ from dqdsim.device import (
 )
 from dqdsim.errors import ConfigurationError, NonConvergenceError
 from dqdsim.schrodinger import (
+    ANDERSON_START_EV,
     STALL_WINDOW,
     WARM_SHIFT_BELOW_GROUND_EV,
     ScfStage,
@@ -106,7 +107,7 @@ class TestEigenstates:
 @pytest.fixture(scope="module")
 def shipped_400mv():
     """A cold 400 mV solve on the shipped device, recording the (potential,
-    start) of every stage's first eigensolve and of every 20th one."""
+    start) of every stage's first eigensolve and of every 5th one."""
     spec, mat, biases, _ = load_device_config(default_device_path())
     grid = build_grid(spec)
     b = DeviceBiases(v_b=biases.v_b, v_l=biases.v_l, v_m=0.400,
@@ -116,7 +117,7 @@ def shipped_400mv():
 
     def recording(u, grid_, mat_, n_states, method="auto", start=None):
         calls.append(1)
-        if start is None or len(calls) % 20 == 0:
+        if start is None or len(calls) % 5 == 0:
             kept.append((u, start))
         return solve(u, grid_, mat_, n_states, method, start)
 
@@ -288,21 +289,30 @@ class TestSelfConsistent:
             self_consistent_solve(spec, mat, DeviceBiases(), mixing=0.9)
 
 
-def _scripted_scf(monkeypatch, grid, mat, biases, shifts_ev):
+def _scripted_scf(monkeypatch, grid, mat, biases, shifts_ev, trace=None):
     """Script the SCF map: Poisson call k returns the charge-free potential
-    plus shifts_ev(k) on every cell, and the eigensolve always returns the
-    charge-free spectrum."""
+    plus shifts_ev(k, du) on every cell, with du the last eigensolve's
+    potential minus the charge-free one (zero before the first), and the
+    eigensolve always returns the charge-free spectrum. With `trace`, each
+    eigensolve's potential and the Poisson result that follows it are
+    appended to it as a pair."""
     u_free = solve_poisson(grid, mat, biases, np.zeros((grid.ny, grid.nx)))
     spectrum = solve_eigenstates(u_free, grid, mat, 3)
-    calls = []
+    iterates, calls = [u_free], []
+
+    def fake_eigenstates(u, *args, **kw):
+        iterates.append(u)
+        return spectrum
 
     def fake_poisson(grid_, mat_, biases_, charge):
         calls.append(1)
-        return u_free + shifts_ev(len(calls))
+        g = u_free + shifts_ev(len(calls), iterates[-1] - u_free)
+        if trace is not None:
+            trace.append((iterates[-1], g))
+        return g
 
     monkeypatch.setattr(schrodinger, "solve_poisson", fake_poisson)
-    monkeypatch.setattr(schrodinger, "solve_eigenstates",
-                        lambda *args, **kw: spectrum)
+    monkeypatch.setattr(schrodinger, "solve_eigenstates", fake_eigenstates)
     return u_free
 
 
@@ -323,7 +333,7 @@ class TestStallRule:
         # iterate settles on a 2-cycle whose residual never reaches its
         # second-iteration minimum again
         u_free = _scripted_scf(monkeypatch, self.grid, self.mat,
-                               self.biases, lambda k: 0.01 * (k % 2))
+                               self.biases, lambda k, du: 0.01 * (k % 2))
         with caplog.at_level(logging.DEBUG, logger="dqdsim"):
             u, charge, _, _, history, stage = _stage(
                 self.grid, self.mat, self.biases, u_free, 2e-5, 600,
@@ -335,32 +345,36 @@ class TestStallRule:
         assert "abandoned" in caplog.text
 
     def test_falling_residual_is_never_cut_short(self, monkeypatch):
-        # G(u) is fixed: with damping 0.1 the residual falls by 0.9 per
-        # iteration and needs more than STALL_WINDOW iterations to converge
+        # G(u) is fixed and the start 0.5 eV off: damped by 0.1, the
+        # residual falls by 0.9 per iteration and stays above
+        # ANDERSON_START_EV for more than STALL_WINDOW iterations; below
+        # it, Anderson mixing solves the constant map at once
         u_free = _scripted_scf(monkeypatch, self.grid, self.mat,
-                               self.biases, lambda k: 0.0)
+                               self.biases, lambda k, du: 0.0)
         u, charge, _, resid, history, stage = _stage(
-            self.grid, self.mat, self.biases, u_free + 0.01, 1e-5, 600,
+            self.grid, self.mat, self.biases, u_free + 0.5, 1e-5, 600,
             STALL_WINDOW)
         assert stage.converged and not stage.abandoned
-        assert stage.iterations == len(history) > STALL_WINDOW
+        n_damped = sum(r >= ANDERSON_START_EV for r in history)
+        assert n_damped > STALL_WINDOW
+        assert stage.iterations == len(history) <= n_damped + 3
         assert np.all(np.diff(history) < 0)
         assert resid <= 1e-5 and charge is not None
 
     def test_final_stage_on_plateau_runs_to_cap_and_retries(self,
                                                              monkeypatch):
         _scripted_scf(monkeypatch, self.grid, self.mat, self.biases,
-                      lambda k: 0.01 * (k % 2))
+                      lambda k, du: 0.01 * (k % 2))
         cap = STALL_WINDOW + 10
         with pytest.raises(NonConvergenceError) as exc:
             self_consistent_solve(self.spec, self.mat, self.biases,
                                   grid=self.grid, n_states=3, max_iter=cap)
         stages = exc.value.diagnostics["stages"]
         assert [(st.temperature_k, st.converged, st.abandoned)
-                for st in stages] == [(40.0, False, True), (8.0, False, True),
-                                      (1.5, False, False), (1.5, False, False)]
-        assert all(st.iterations < cap for st in stages[:2])
-        assert [st.iterations for st in stages[2:]] == [cap, 3 * cap]
+                for st in stages] == [(40.0, False, True), (1.5, False, False),
+                                      (1.5, False, False)]
+        assert stages[0].iterations < cap
+        assert [st.iterations for st in stages[1:]] == [cap, 3 * cap]
         history = exc.value.diagnostics["update_history_ev"]
         assert len(history) == sum(st.iterations for st in stages)
 
@@ -368,8 +382,101 @@ class TestStallRule:
         spec, mat = tiny_device()
         biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45)
         sol = self_consistent_solve(spec, mat, biases, n_states=4)
-        assert [st.temperature_k for st in sol.stages] == [40.0, 8.0, 1.5]
+        assert [st.temperature_k for st in sol.stages] == [40.0, 1.5]
         assert sol.stages[-1].converged
         assert sol.iterations == sum(st.iterations for st in sol.stages)
         assert len(sol.update_history_ev) == sol.iterations
         assert sol.update_history_ev[-1] == sol.final_update_norm_ev
+
+
+class TestAndersonMixing:
+    # the tiny device at accumulation biases: its dots carry charge, and
+    # the damped loop needs hundreds of iterations
+    BIASES = DeviceBiases(v_b=0.2, v_l=0.6, v_m=0.5, v_r=0.6)
+
+    def test_matches_damped_loop_in_fewer_iterations(self, monkeypatch):
+        spec, mat = tiny_device()
+        grid = build_grid(spec)
+        sol = self_consistent_solve(spec, mat, self.BIASES, grid=grid,
+                                    n_states=4)
+        monkeypatch.setattr(schrodinger, "ANDERSON_DEPTH", 0)
+        damped = self_consistent_solve(spec, mat, self.BIASES, grid=grid,
+                                       n_states=4)
+        assert sol.charge_cm3.max() > 0
+        assert np.abs(sol.potential_ev - damped.potential_ev).max() <= 2e-6
+        assert 2 * sol.iterations < damped.iterations
+
+    def test_step_above_start_is_the_damped_step(self, monkeypatch):
+        spec, mat = tiny_device()
+        grid = build_grid(spec)
+        trace = []
+        poisson, eigenstates = schrodinger.solve_poisson, solve_eigenstates
+
+        def recording_eigenstates(u, *args, **kw):
+            trace.append([u])
+            return eigenstates(u, *args, **kw)
+
+        def recording_poisson(*args):
+            trace[-1].append(poisson(*args))
+            return trace[-1][-1]
+
+        monkeypatch.setattr(schrodinger, "solve_eigenstates",
+                            recording_eigenstates)
+        monkeypatch.setattr(schrodinger, "solve_poisson", recording_poisson)
+        u0 = poisson(grid, mat, self.BIASES, np.zeros((grid.ny, grid.nx)))
+        *_, history, stage = schrodinger._scf_fixed_t(
+            grid, mat, self.BIASES, 40.0, u0, 4, 0.1, 2e-5, 600)
+        assert stage.converged
+        # the residual never jumps, so beta stays 0.1 throughout
+        assert all(r <= 1.5 * min(history[:k], default=np.inf)
+                   for k, r in enumerate(history))
+        above = [r >= ANDERSON_START_EV for r in history]
+        assert 5 <= sum(above) < len(history) - 5
+        damped = [np.array_equal(u_next, u + 0.1 * (g - u))
+                  for (u, g), (u_next, _) in zip(trace, trace[1:])]
+        assert all(d for d, a in zip(damped, above) if a)
+        assert not all(damped)
+
+    def test_residual_jump_clears_history(self, monkeypatch):
+        # a linear contraction toward u_free, factor 0.90-0.99 across x,
+        # shifted by up to 0.8 meV for the sixth call only; every residual
+        # stays below ANDERSON_START_EV, so only the safeguard clears
+        spec, mat = tiny_device()
+        grid = build_grid(spec)
+        biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3)
+        x = grid.x[None, :] / grid.x.max()
+        trace = []
+        u_free = _scripted_scf(
+            monkeypatch, grid, mat, biases,
+            lambda k, du: (0.9 + 0.09 * x) * du + 8e-4 * x * (k == 6),
+            trace)
+        *_, history, stage = _stage(grid, mat, biases, u_free + 5e-4,
+                                    1e-12, 8, None)
+        assert stage.iterations == 8 and max(history) < ANDERSON_START_EV
+        jump = 5
+        assert [k for k in range(1, 8) if history[k] > 1.5 * min(history[:k])
+                ] == [jump]
+        u = [it for it, _ in trace]
+        f = [g - it for it, g in trace]
+        # before the jump the step extrapolates; at the jump it is damped
+        # with the halved beta; after it, one difference is fitted
+        assert not np.array_equal(u[jump], u[jump - 1] + 0.1 * f[jump - 1])
+        assert np.array_equal(u[jump + 1], u[jump] + 0.05 * f[jump])
+        d_u, d_f = u[jump + 1] - u[jump], f[jump + 1] - f[jump]
+        gamma = np.sum(d_f * f[jump + 1]) / np.sum(d_f * d_f)
+        one_diff = u[jump + 1] + 0.05 * f[jump + 1] - gamma * (d_u + 0.05 * d_f)
+        assert np.abs(u[jump + 2] - one_diff).max() <= 1e-12
+
+    @pytest.mark.slow
+    def test_cold_408mv_solves_are_identical(self):
+        spec, mat, biases, _ = load_device_config(default_device_path())
+        grid = build_grid(spec)
+        b = DeviceBiases(v_b=biases.v_b, v_l=biases.v_l, v_m=0.408,
+                         v_r=biases.v_r, drain_bias_v=biases.drain_bias_v)
+        sols = [self_consistent_solve(spec, mat, b, grid=grid)
+                for _ in range(2)]
+        assert sols[0].stages == sols[1].stages
+        assert sols[0].iterations <= 110
+        assert np.array_equal(sols[0].potential_ev, sols[1].potential_ev)
+        assert np.array_equal(sols[0].spectrum.wavefunctions,
+                              sols[1].spectrum.wavefunctions)
