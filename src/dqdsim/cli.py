@@ -22,6 +22,11 @@ Config schema (INI):
 Device-backed experiments load the `[device]` file once as a `dots.Device`
 (`Experiment.device`); its `solution_at` and `spin_params` give every
 operating point and spin parameter the experiments use.
+
+Noise runs use the one Monte Carlo loop in `noise`. A device-mode
+transition-sweep shares each sample's noise table across its tau_TR; a
+failed sample is dropped for every gate it serves, and a row that dropped
+samples writes one stderr line of failure counts by class.
 """
 
 from __future__ import annotations
@@ -42,13 +47,8 @@ from . import __version__
 from .dots import charge_stability, load_device
 from .dynamics import CNOT_DOWN, cnot_matrix, cz_matrix, evolve, gate_fidelity, ry_matrix
 from .errors import ConfigurationError, DqdError, NumericalError
-from .noise import (
-    NoiseConfig,
-    SampleFailures,
-    fluctuation_stats,
-    perturbed_spin_params,
-    sample_noise,
-)
+from .noise import (NoiseConfig, NoisyTableFactory, fidelity_samples,
+                    fluctuation_stats)
 from .params import ParamsTable, SpinParams, paper_table
 from .protocols import (
     cnot_multi_schedule,
@@ -66,7 +66,6 @@ EXIT_PARTIAL = 4
 
 def _parse_range(txt: str) -> np.ndarray:
     """'start:stop:step' (inclusive of stop within half a step) or comma list."""
-    txt = txt.strip()
     if ":" in txt:
         a, b, s = (float(t) for t in txt.split(":"))
         n = int(math.floor((b - a) / s + 0.5)) + 1
@@ -98,12 +97,25 @@ class Experiment:
         self.cp = cp
         self.config_hash = hashlib.sha256(raw).hexdigest()[:16]
         exp = cp["experiment"] if cp.has_section("experiment") else {}
-        self.seed = int(seed if seed is not None else exp.get("seed", "1"))
+        self.seed = (int(seed) if seed is not None
+                     else self.value("experiment", "seed", "1", int))
         self.out = str(out if out is not None else exp.get("out", "result.csv"))
         self.integrator = str(integrator if integrator is not None
                               else exp.get("integrator", "rwa"))
         self.resume = bool(resume)
         self._device = None
+
+    def value(self, section: str, key: str, default=None, kind=float):
+        """`[section] key` parsed by `kind`; a missing or malformed value
+        is a ConfigurationError."""
+        txt = self.cp.get(section, key, fallback=default)
+        if txt is None:
+            raise ConfigurationError(f"[{section}] {key} is required")
+        try:
+            return kind(txt)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigurationError(
+                f"[{section}] {key} = {txt!r}: {exc}") from exc
 
     def resume_rows(self, experiment: str) -> dict:
         """Previously written rows of `experiment`, parsed as floats and
@@ -245,67 +257,18 @@ def build_protocol(name: str, table, v_weak: float, v_strong: float,
     raise ConfigurationError(f"unknown protocol {name!r}")
 
 
-class NoisyTableFactory:
-    """Per-sample perturbed parameter tables from the device pipeline.
-
-    `solutions` maps each V_M node (mV) to its converged solution on
-    `device`, a `dots.Device`. One quasi-static noise field per sample
-    perturbs the solution at every node; the spin parameters of each
-    perturbed solution form the sample's interpolation table.
-    """
-
-    def __init__(self, device, solutions: dict):
-        self.device = device
-        self.solutions = solutions
-        self.v_m_nodes = sorted(solutions)
-
-    def _table(self, params) -> ParamsTable:
-        return ParamsTable(self.v_m_nodes, [p.e_zl_hz for p in params],
-                           [p.e_zr_hz for p in params],
-                           [p.j_hz for p in params])
-
-    def clean_table(self) -> ParamsTable:
-        return self._table([self.device.spin_params(self.solutions[v])
-                            for v in self.v_m_nodes])
-
-    def table_for(self, cfg: NoiseConfig, sample_index: int) -> ParamsTable:
-        noise = sample_noise(self.device.grid, cfg, sample_index)
-        return self._table([perturbed_spin_params(self.device,
-                                                  self.solutions[v], noise)
-                            for v in self.v_m_nodes])
-
-
-def _fidelity_samples(schedule, ideal, factory, cfg: NoiseConfig,
-                      integrator: str):
-    """(mean, std, n) of the gate fidelity over the noise samples of `cfg`
-    (common random numbers); failed samples follow `SampleFailures`."""
-    failures = SampleFailures(cfg.n_samples)
-    vals = []
-    for i in range(1, cfg.n_samples + 1):
-        try:
-            res = evolve(schedule, factory.table_for(cfg, i),
-                         integrator=integrator)
-            vals.append(gate_fidelity(res.u, ideal))
-        except DqdError as exc:
-            failures.add(exc)
-    arr = np.asarray(vals)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), std, arr.size
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
 
 def run_stability(exp: Experiment) -> int:
-    sec = exp.cp["stability"]
+    v_l = exp.value("stability", "v_l_mv", kind=_parse_range)
+    v_r = exp.value("stability", "v_r_mv", kind=_parse_range)
+    v_m = exp.value("stability", "v_m_mv", "400")
+    v_b = exp.value("stability", "v_b_mv", "200")
     dev = exp.device()
-    diagram = charge_stability(
-        dev.spec, dev.mat,
-        _parse_range(sec["v_l_mv"]), _parse_range(sec["v_r_mv"]),
-        float(sec.get("v_m_mv", "400")), float(sec.get("v_b_mv", "200")),
-        grid=dev.grid,
-    )
+    diagram = charge_stability(dev.spec, dev.mat, v_l, v_r, v_m, v_b,
+                               grid=dev.grid)
     rows = []
     for j, vr in enumerate(diagram.v_r_mv):
         for i, vl in enumerate(diagram.v_l_mv):
@@ -317,8 +280,7 @@ def run_stability(exp: Experiment) -> int:
 
 
 def run_j_sweep(exp: Experiment) -> int:
-    sec = exp.cp["j-sweep"] if exp.cp.has_section("j-sweep") else {}
-    v_ms = _parse_range(sec.get("v_m_mv", "400:412:2"))
+    v_ms = exp.value("j-sweep", "v_m_mv", "400:412:2", _parse_range)
     rows = []
     for vm in v_ms:
         p = exp.device_spin_params(float(vm))
@@ -329,14 +291,15 @@ def run_j_sweep(exp: Experiment) -> int:
 
 
 def run_gate(exp: Experiment) -> int:
-    sec = exp.cp["gate"]
+    protocol = exp.value("gate", "protocol", kind=str)
+    v_w = exp.value("gate", "v_m_weak_mv", "400")
+    v_s = exp.value("gate", "v_m_strong_mv", "408")
+    tau_tr = exp.value("gate", "tau_tr_ns", "5")
+    sample_ns = exp.value("gate", "sample_ns", "0.25")
     table = exp.params_table()
-    v_w = float(sec.get("v_m_weak_mv", "400"))
-    v_s = float(sec.get("v_m_strong_mv", "408"))
-    schedule, ideal = build_protocol(sec["protocol"], table, v_w, v_s,
-                                     float(sec.get("tau_tr_ns", "5")))
+    schedule, ideal = build_protocol(protocol, table, v_w, v_s, tau_tr)
     res = evolve(schedule, table, integrator=exp.integrator,
-                 sample_every_ns=float(sec.get("sample_ns", "0.25")))
+                 sample_every_ns=sample_ns)
     fid = gate_fidelity(res.u, ideal)
     rows = []
     for t, amps in zip(res.trajectory_t_ns, res.trajectory_amps):
@@ -348,97 +311,97 @@ def run_gate(exp: Experiment) -> int:
     cols = (["t_ns", "p_uu", "p_ud", "p_du", "p_dd"]
             + [f"{p}_{s}" for s in ("uu", "ud", "du", "dd") for p in ("re", "im")])
     meta = _meta(exp, "gate")
-    meta["protocol"] = sec["protocol"]
+    meta["protocol"] = protocol
     meta["fidelity_percent"] = f"{fid:.6f}"
     meta["total_time_ns"] = f"{schedule.total_time_ns:.4f}"
     write_outputs(exp.out, cols, rows, meta)
     return EXIT_OK
 
 
-def run_noise_sweep(exp: Experiment) -> int:
-    sec = exp.cp["noise-sweep"]
-    sigmas = _parse_range(sec["sigma_uev"])
-    n_samples = int(sec.get("n_samples", "1000"))
-    v_w = float(sec.get("v_m_weak_mv", "400"))
-    v_s = float(sec.get("v_m_strong_mv", "408"))
-    tau_tr = float(sec.get("tau_tr_ns", "5"))
-    dev = exp.device()
-    factory = NoisyTableFactory(
-        dev, {v: dev.solution_at(v) for v in (v_w, v_s)})
-    table = factory.clean_table()
-    schedule, ideal = build_protocol(sec["protocol"], table, v_w, v_s, tau_tr)
-    done = exp.resume_rows("noise-sweep")
-    rows = []
-    for sg in sigmas:
-        if float(sg) in done:
-            rows.append(done[float(sg)])
+def _report_failures(name: str, value: float, n_samples: int, failures):
+    """One stderr line for a row whose noise samples were partly dropped."""
+    if failures:
+        counts = ", ".join(f"{k}={v}" for k, v in sorted(failures.items()))
+        print(f"{name}={_fmt(value)}: {sum(failures.values())}/{n_samples} "
+              f"samples failed ({counts})", file=sys.stderr)
+
+
+def _fidelity_sweep(exp: Experiment, name: str, column: str, keys: list,
+                    gate_for, cfg_for, table, factory, meta: dict) -> int:
+    """One fidelity row per new key: `gate_for(key)` on the clean `table`
+    if `cfg_for(key)` is None, else over the samples of that config, which
+    every key with the same config shares."""
+    rows = exp.resume_rows(name)
+    groups = {}
+    for key in keys:
+        if key not in rows:
+            groups.setdefault(cfg_for(key), {})[key] = gate_for(key)
+    for cfg, gates in groups.items():
+        if cfg is None:
+            for key, (schedule, ideal) in gates.items():
+                res = evolve(schedule, table, integrator=exp.integrator)
+                rows[key] = (key, gate_fidelity(res.u, ideal), 0.0, 1)
             continue
-        if sg == 0.0:
-            res = evolve(schedule, table, integrator=exp.integrator)
-            rows.append((float(sg), gate_fidelity(res.u, ideal), 0.0, 1))
-            continue
-        cfg = NoiseConfig(sigma_uev=float(sg), seed=exp.seed,
-                          n_samples=n_samples)
-        rows.append((float(sg), *_fidelity_samples(
-            schedule, ideal, factory, cfg, exp.integrator)))
-    meta = _meta(exp, "noise-sweep")
-    meta["protocol"] = sec["protocol"]
-    write_outputs(exp.out, ["sigma_uev", "fidelity_mean_percent",
-                            "fidelity_std_percent", "n"], rows, meta)
+        stats, failures = fidelity_samples(factory, cfg, list(gates.values()),
+                                           exp.integrator)
+        for key, st in zip(gates, stats):
+            _report_failures(column, key, cfg.n_samples, failures)
+            rows[key] = (key, *st)
+    write_outputs(exp.out, [column, "fidelity_mean_percent",
+                            "fidelity_std_percent", "n"],
+                  [rows[key] for key in keys], {**_meta(exp, name), **meta})
     return EXIT_OK
+
+
+def run_noise_sweep(exp: Experiment) -> int:
+    protocol = exp.value("noise-sweep", "protocol", kind=str)
+    sigmas = exp.value("noise-sweep", "sigma_uev", kind=_parse_range)
+    n_samples = exp.value("noise-sweep", "n_samples", "1000", int)
+    v_w = exp.value("noise-sweep", "v_m_weak_mv", "400")
+    v_s = exp.value("noise-sweep", "v_m_strong_mv", "408")
+    tau_tr = exp.value("noise-sweep", "tau_tr_ns", "5")
+    factory = NoisyTableFactory(exp.device(), (v_w, v_s))
+    table = factory.clean_table()
+    gate = build_protocol(protocol, table, v_w, v_s, tau_tr)
+    return _fidelity_sweep(
+        exp, "noise-sweep", "sigma_uev", sigmas.tolist(), lambda sg: gate,
+        lambda sg: NoiseConfig(sg, exp.seed, n_samples) if sg else None,
+        table, factory, {"protocol": protocol})
 
 
 def run_transition_sweep(exp: Experiment) -> int:
-    sec = exp.cp["transition-sweep"]
-    taus = _parse_range(sec["tau_tr_ns"])
-    v_w = float(sec.get("v_m_weak_mv", "400"))
-    v_s = float(sec.get("v_m_strong_mv", "412"))
-    sigma = float(sec.get("sigma_uev", "1e-3"))
-    n_samples = int(sec.get("n_samples", "20"))
-    device_mode = exp.cp.has_section("device")
-    rows = []
-    if device_mode:
-        dev = exp.device()
-        factory = NoisyTableFactory(
-            dev, {v: dev.solution_at(v) for v in (v_w, v_s)})
+    taus = exp.value("transition-sweep", "tau_tr_ns", kind=_parse_range)
+    v_w = exp.value("transition-sweep", "v_m_weak_mv", "400")
+    v_s = exp.value("transition-sweep", "v_m_strong_mv", "412")
+    sigma = exp.value("transition-sweep", "sigma_uev", "1e-3")
+    n_samples = exp.value("transition-sweep", "n_samples", "20", int)
+    factory = cfg = None
+    if exp.cp.has_section("device"):
+        factory = NoisyTableFactory(exp.device(), (v_w, v_s))
         table = factory.clean_table()
+        if sigma != 0.0:
+            cfg = NoiseConfig(sigma, exp.seed, n_samples)
     else:
-        factory = None
         table = exp.params_table()
-    done = exp.resume_rows("transition-sweep")
-    for tau in taus:
-        if float(tau) in done:
-            rows.append(done[float(tau)])
-            continue
-        schedule, ideal = build_protocol("cnot_multi", table, v_w, v_s,
-                                         float(tau))
-        if factory is None or sigma == 0.0:
-            res = evolve(schedule, table, integrator=exp.integrator)
-            rows.append((float(tau), gate_fidelity(res.u, ideal), 0.0, 1))
-        else:
-            cfg = NoiseConfig(sigma_uev=sigma, seed=exp.seed,
-                              n_samples=n_samples)
-            rows.append((float(tau), *_fidelity_samples(
-                schedule, ideal, factory, cfg, exp.integrator)))
-    meta = _meta(exp, "transition-sweep")
-    meta["sigma_uev"] = sigma
-    write_outputs(exp.out, ["tau_tr_ns", "fidelity_mean_percent",
-                            "fidelity_std_percent", "n"], rows, meta)
-    return EXIT_OK
+    return _fidelity_sweep(
+        exp, "transition-sweep", "tau_tr_ns", taus.tolist(),
+        lambda tau: build_protocol("cnot_multi", table, v_w, v_s, tau),
+        lambda tau: cfg, table, factory, {"sigma_uev": sigma})
 
 
 def run_fluct_stats(exp: Experiment) -> int:
-    sec = exp.cp["fluct-stats"]
-    sigmas = _parse_range(sec["sigma_uev"])
-    n_samples = int(sec.get("n_samples", "1000"))
-    v_m = float(sec.get("v_m_mv", "400"))
+    sigmas = exp.value("fluct-stats", "sigma_uev", kind=_parse_range)
+    n_samples = exp.value("fluct-stats", "n_samples", "1000", int)
+    v_m = exp.value("fluct-stats", "v_m_mv", "400")
     dev = exp.device()
     sol = dev.solution_at(v_m)
     rows = []
     for sg in sigmas:
         cfg = NoiseConfig(sigma_uev=float(sg), seed=exp.seed,
                           n_samples=n_samples)
-        rows.extend(fluctuation_stats(dev, sol, cfg).to_csv_rows())
+        st = fluctuation_stats(dev, sol, cfg)
+        _report_failures("sigma_uev", float(sg), n_samples, st.failures)
+        rows.extend(st.to_csv_rows())
     meta = _meta(exp, "fluct-stats")
     meta["v_m_mv"] = v_m
     write_outputs(exp.out, ["sigma_uev", "quantity", "mean_hz", "std_hz", "n"],

@@ -32,5 +32,4 @@ MU_B_OVER_H = MU_B / H_PLANCK                    # Hz/T
 ZEEMAN_HZ_PER_T = G_FACTOR_SI * MU_B_OVER_H      # ~27.992 GHz/T
 
 EV_TO_HZ = Q_E / H_PLANCK      # 1 eV in Hz
-HZ_TO_EV = 1.0 / EV_TO_HZ
 UEV_TO_HZ = 1e-6 * EV_TO_HZ

@@ -51,7 +51,6 @@ HEIS = 0.25 * (np.kron(SX, SX) + np.kron(SY, SY) + np.kron(SZ, SZ)) - 0.25 * np.
 
 SZ_TOT_DIAG = np.array([1.0, 0.0, 0.0, -1.0])  # (sz_L + sz_R)/2 eigenvalues
 
-BASIS_LABELS = ("uu", "ud", "du", "dd")
 STATE_DD = 3
 
 UNITARITY_TOL = 1e-8

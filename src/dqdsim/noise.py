@@ -1,4 +1,4 @@
-"""Quasi-static charge-noise sampling and parameter-fluctuation statistics.
+"""Quasi-static charge noise: sampling, parameter spreads, gate fidelities.
 
 A noise realization is one i.i.d. zero-mean Gaussian energy offset per grid
 cell, drawn from a counter-based generator keyed by (seed, sample_index) so
@@ -11,10 +11,10 @@ Each sample re-solves the single-particle eigenproblem on the frozen
 converged potential plus the noise field (no self-consistent re-loop: the
 noise scale is micro-eV against a many-meV landscape, and re-running the
 loop for every sample would dominate the Monte Carlo cost), then maps the
-perturbed solution to its spin parameters with `Device.spin_params`. Both
-entry points take the device and a converged solution on it
-(`Device.solution_at`): `perturbed_spin_params` for one noise field,
-`fluctuation_stats` for a whole run.
+perturbed solution to its spin parameters with `Device.spin_params`.
+`perturbed_spin_params` does this for one noise field on a converged
+solution (`Device.solution_at`); `NoisyTableFactory` does it at every V_M
+node of a gate and returns the sample's parameter table.
 
 The per-sample eigensolve is a block inverse iteration warm-started from
 the clean solution's states (subspace iteration with a Rayleigh-Ritz step,
@@ -28,10 +28,11 @@ the bound is not met within `MAX_BLOCK_ITERATIONS`, the sample falls back
 to the cold shift-invert solve `solve_eigenstates` and logs the reason at
 DEBUG on the `dqdsim` logger.
 
-Per-sample failures follow one rule everywhere (`SampleFailures`): every
-per-sample `DqdError` except a `ConfigurationError` is counted by class and
-skipped, and the run aborts once more than max(1, `MAX_FAILURE_FRACTION`
-* n) of its n samples have failed.
+Every Monte Carlo run is one loop, `_monte_carlo`, entered through
+`fluctuation_stats` or `fidelity_samples`: each sample is drawn and solved
+once and every quantity or gate of the run is evaluated on it. A sample
+that fails (`SampleFailures`) is counted once and dropped for every gate
+it serves.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ from scipy.linalg import LinAlgError, cho_solve_banded
 
 from .device import Grid, MaterialParams
 from .dots import Device
+from .dynamics import evolve, gate_fidelity
 from .errors import ConfigurationError, DqdError, NumericalError
-from .params import SpinParams
+from .params import ParamsTable, SpinParams
 from .schrodinger import (
     ConvergedSolution,
     Spectrum,
@@ -70,7 +72,7 @@ RESIDUAL_TOL_EV = 1e-12
 MAX_BLOCK_ITERATIONS = 10
 
 # Most per-sample failures a Monte Carlo run tolerates, as a fraction of its
-# samples; one failure is always tolerated.
+# samples; one failure is always tolerated unless no sample would be left.
 MAX_FAILURE_FRACTION = 0.01
 
 
@@ -90,9 +92,7 @@ class NoiseConfig:
 @dataclass
 class NoiseField:
     values_ev: np.ndarray
-    seed: int
     sample_index: int
-    sigma_uev: float
 
 
 def standard_normal_field(grid: Grid, seed: int, sample_index: int) -> np.ndarray:
@@ -108,10 +108,8 @@ def sample_noise(grid: Grid, cfg: NoiseConfig, sample_index: int) -> NoiseField:
         vals = np.zeros((grid.ny, grid.nx))
     else:
         vals = (cfg.sigma_uev * UEV_EV) * standard_normal_field(
-            grid, cfg.seed, sample_index
-        )
-    return NoiseField(values_ev=vals, seed=cfg.seed,
-                      sample_index=sample_index, sigma_uev=cfg.sigma_uev)
+            grid, cfg.seed, sample_index)
+    return NoiseField(values_ev=vals, sample_index=sample_index)
 
 
 def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
@@ -180,8 +178,8 @@ class SampleFailures:
 
     `add` counts a per-sample `DqdError`. A `ConfigurationError` is re-raised
     at once: no other sample would fare better. Once more than
-    max(1, MAX_FAILURE_FRACTION * n_samples) samples have failed, `add`
-    raises NumericalError with the counts in its diagnostics.
+    max(1, MAX_FAILURE_FRACTION * n_samples) samples, or all of them, have
+    failed, `add` raises NumericalError with the counts in its diagnostics.
     """
 
     def __init__(self, n_samples: int):
@@ -196,11 +194,72 @@ class SampleFailures:
         if isinstance(exc, ConfigurationError):
             raise exc
         self.by_class[type(exc).__name__] += 1
-        if self.count > max(1.0, MAX_FAILURE_FRACTION * self.n_samples):
+        if self.count > min(max(1.0, MAX_FAILURE_FRACTION * self.n_samples),
+                            self.n_samples - 1):
             raise NumericalError(
                 f"{self.count}/{self.n_samples} noise samples failed",
                 diagnostics={"failures": dict(self.by_class)},
             ) from exc
+
+
+def _monte_carlo(cfg: NoiseConfig, draw, evaluate):
+    """The rows `evaluate(draw(i))`, i = 1..n, as an (n_ok, k) array, and the
+    failure counts by class. A `DqdError` from either call drops sample i
+    for every column under `SampleFailures`, which keeps one row or raises."""
+    failures = SampleFailures(cfg.n_samples)
+    rows = []
+    for i in range(1, cfg.n_samples + 1):
+        try:
+            rows.append(evaluate(draw(i)))
+        except DqdError as exc:
+            failures.add(exc)
+    return np.asarray(rows, dtype=float), dict(failures.by_class)
+
+
+def _std(col: np.ndarray) -> float:
+    return float(col.std(ddof=1)) if col.size > 1 else 0.0
+
+
+class NoisyTableFactory:
+    """Per-sample perturbed parameter tables from the device pipeline.
+
+    At each V_M node (mV) of `v_m_nodes`, one quasi-static noise field per
+    sample perturbs the converged solution on `device` (a `dots.Device`);
+    the spin parameters of the perturbed solutions form the sample's
+    interpolation table.
+    """
+
+    def __init__(self, device: Device, v_m_nodes):
+        self.device = device
+        self.v_m_nodes = sorted(v_m_nodes)
+        self.solutions = {v: device.solution_at(v) for v in self.v_m_nodes}
+
+    def _table(self, params) -> ParamsTable:
+        cols = zip(*((p.e_zl_hz, p.e_zr_hz, p.j_hz) for p in params))
+        return ParamsTable(self.v_m_nodes, *cols)
+
+    def clean_table(self) -> ParamsTable:
+        return self._table([self.device.spin_params(self.solutions[v])
+                            for v in self.v_m_nodes])
+
+    def table_for(self, cfg: NoiseConfig, sample_index: int) -> ParamsTable:
+        noise = sample_noise(self.device.grid, cfg, sample_index)
+        return self._table([perturbed_spin_params(self.device,
+                                                  self.solutions[v], noise)
+                            for v in self.v_m_nodes])
+
+
+def fidelity_samples(factory: NoisyTableFactory, cfg: NoiseConfig, gates,
+                     integrator: str):
+    """One (mean, std, n) of the fidelity (percent) per (schedule, ideal)
+    of `gates`, all evolved on each sample's `factory.table_for` table, and
+    the failure counts by class."""
+    arr, failures = _monte_carlo(
+        cfg, lambda i: factory.table_for(cfg, i),
+        lambda table: [gate_fidelity(evolve(s, table, integrator=integrator).u,
+                                     ideal) for s, ideal in gates])
+    stats = [(float(col.mean()), _std(col), col.size) for col in arr.T]
+    return stats, failures
 
 
 @dataclass
@@ -208,32 +267,14 @@ class FluctStats:
     sigma_uev: float
     v_m_mv: float
     n_samples: int
-    n_failures: int
+    failures: dict         # exception class name -> count
     stats: dict            # quantity -> {mean, std, min, max} in Hz
     samples: np.ndarray    # (n_ok, 3) columns E_ZL, E_ZR, J in Hz
 
     def to_csv_rows(self):
-        rows = []
-        for q in ("E_ZL", "E_ZR", "J"):
-            s = self.stats[q]
-            rows.append((self.sigma_uev, q, s["mean"], s["std"],
-                         self.n_samples - self.n_failures))
-        return rows
-
-
-def _aggregate(sigma_uev, v_m_mv, n_samples, n_failures, rows) -> FluctStats:
-    arr = np.asarray(rows, dtype=float)
-    stats = {}
-    for j, q in enumerate(("E_ZL", "E_ZR", "J")):
-        col = arr[:, j]
-        stats[q] = {
-            "mean": float(col.mean()),
-            "std": float(col.std(ddof=1)) if col.size > 1 else 0.0,
-            "min": float(col.min()),
-            "max": float(col.max()),
-        }
-    return FluctStats(sigma_uev=sigma_uev, v_m_mv=v_m_mv, n_samples=n_samples,
-                      n_failures=n_failures, stats=stats, samples=arr)
+        return [(self.sigma_uev, q, self.stats[q]["mean"],
+                 self.stats[q]["std"], len(self.samples))
+                for q in ("E_ZL", "E_ZR", "J")]
 
 
 def fluctuation_stats(device: Device, solution: ConvergedSolution,
@@ -246,15 +287,12 @@ def fluctuation_stats(device: Device, solution: ConvergedSolution,
     """
     if cfg.n_samples < 2:
         raise ConfigurationError("fluctuation statistics need n_samples >= 2")
-    rows = []
-    failures = SampleFailures(cfg.n_samples)
-    for i in range(1, cfg.n_samples + 1):
-        noise = sample_noise(device.grid, cfg, i)
-        try:
-            p = perturbed_spin_params(device, solution, noise)
-        except DqdError as exc:
-            failures.add(exc)
-            continue
-        rows.append((p.e_zl_hz, p.e_zr_hz, p.j_hz))
-    return _aggregate(cfg.sigma_uev, solution.biases.v_m * 1e3,
-                      cfg.n_samples, failures.count, rows)
+    arr, failures = _monte_carlo(
+        cfg, lambda i: perturbed_spin_params(device, solution,
+                                             sample_noise(device.grid, cfg, i)),
+        lambda p: (p.e_zl_hz, p.e_zr_hz, p.j_hz))
+    stats = {q: {"mean": float(col.mean()), "std": _std(col),
+                 "min": float(col.min()), "max": float(col.max())}
+             for q, col in zip(("E_ZL", "E_ZR", "J"), arr.T)}
+    return FluctStats(cfg.sigma_uev, solution.biases.v_m * 1e3, cfg.n_samples,
+                      failures, stats, arr)

@@ -10,11 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from dqdsim.cli import NoisyTableFactory, _fidelity_samples
 from dqdsim.constants import UEV_TO_HZ
 from dqdsim.dots import charge_stability
 from dqdsim.dynamics import CNOT_DOWN, cnot_matrix, evolve, gate_fidelity, ry_matrix
-from dqdsim.noise import NoiseConfig, fluctuation_stats
+from dqdsim.noise import (
+    NoiseConfig,
+    NoisyTableFactory,
+    fidelity_samples,
+    fluctuation_stats,
+)
 from dqdsim.params import SpinParams, paper_table
 from dqdsim.protocols import (
     cnot_multi_schedule,
@@ -135,25 +139,25 @@ class TestCriterion5:
                f"regimes={sorted(regimes)} Pinit={at_pinit}")
 
 
-def _noise_fidelity_curve(device, protocol, sigmas, n_samples, seed,
+def _noise_fidelity_curve(device, protocols, sigmas, n_samples, seed,
                           v_strong=408.0, tau_tr=5.0):
-    factory = NoisyTableFactory(
-        device, {v: device.solution_at(v) for v in (400.0, v_strong)})
+    """(means, stds) over `sigmas` for each protocol; every protocol is
+    evaluated on the same noise tables, built once per sample."""
+    factory = NoisyTableFactory(device, (400.0, v_strong))
     table = factory.clean_table()
-    if protocol == "cnot_single":
-        sched = cnot_single_schedule(table(v_strong))
-        ideal = cnot_matrix("R")
-    else:
-        sched = cnot_multi_schedule(table(400.0), table(v_strong), tau_tr)
-        ideal = CNOT_DOWN
+    gates = [(cnot_single_schedule(table(v_strong)), cnot_matrix("R"))
+             if protocol == "cnot_single" else
+             (cnot_multi_schedule(table(400.0), table(v_strong), tau_tr),
+              CNOT_DOWN)
+             for protocol in protocols]
     means, stds = [], []
     for sg in sigmas:
         cfg = NoiseConfig(sigma_uev=sg, seed=seed, n_samples=n_samples)
-        mean, std, n = _fidelity_samples(sched, ideal, factory, cfg, "rwa")
-        assert n == n_samples
-        means.append(mean)
-        stds.append(std)
-    return np.array(means), np.array(stds)
+        stats, _ = fidelity_samples(factory, cfg, gates, "rwa")
+        assert [n for _, _, n in stats] == [n_samples] * len(gates)
+        means.append([mean for mean, _, _ in stats])
+        stds.append([std for _, std, _ in stats])
+    return list(zip(np.array(means).T, np.array(stds).T))
 
 
 @pytest.mark.slow
@@ -180,10 +184,9 @@ class TestCriterion6:
                ok, "; ".join(details))
 
     def test_protocol_ordering_and_monotonicity(self, shipped_device):
-        single, _ = _noise_fidelity_curve(shipped_device, "cnot_single",
-                                          self.SIGMAS, self.N_SAMPLES, seed=11)
-        multi, _ = _noise_fidelity_curve(shipped_device, "cnot_multi",
-                                         self.SIGMAS, self.N_SAMPLES, seed=11)
+        (single, _), (multi, _) = _noise_fidelity_curve(
+            shipped_device, ("cnot_single", "cnot_multi"), self.SIGMAS,
+            self.N_SAMPLES, seed=11)
         gap = multi[-1] - single[-1]
         mono_s = all(a >= b - 0.05 for a, b in zip(single, single[1:]))
         mono_m = all(a >= b - 0.05 for a, b in zip(multi, multi[1:]))
@@ -198,10 +201,13 @@ class TestCriterion7:
     def test_time_integral_invariance(self, shipped_device):
         sigmas = (1e-3, 1.0, 5.0)
         n = 120
-        f408, s408 = _noise_fidelity_curve(shipped_device, "cnot_multi",
-                                           sigmas, n, seed=23, v_strong=408.0)
-        f410, s410 = _noise_fidelity_curve(shipped_device, "cnot_multi",
-                                           sigmas, n, seed=23, v_strong=410.0)
+        # two calls: the 408 and 410 mV node sets interpolate differently
+        [(f408, s408)] = _noise_fidelity_curve(
+            shipped_device, ("cnot_multi",), sigmas, n, seed=23,
+            v_strong=408.0)
+        [(f410, s410)] = _noise_fidelity_curve(
+            shipped_device, ("cnot_multi",), sigmas, n, seed=23,
+            v_strong=410.0)
         err = np.sqrt(s408**2 + s410**2) / math.sqrt(n) + 1e-6
         ok = bool(np.all(np.abs(f408 - f410) <= 3.0 * err))
         report("criterion 7 (408 vs 410 curves agree within MC error)", ok,

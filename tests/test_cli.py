@@ -1,9 +1,7 @@
 import hashlib
 import json
-import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from dqdsim import cli
@@ -11,17 +9,12 @@ from dqdsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     Experiment,
-    NoisyTableFactory,
-    _fidelity_samples,
     main,
     write_outputs,
 )
 from dqdsim.dots import exchange_energy, zeeman_splittings
-from dqdsim.dynamics import ry_matrix
-from dqdsim.errors import ConfigurationError, GeometryError, NumericalError
-from dqdsim.noise import NoiseConfig
-from dqdsim.params import paper_table
-from dqdsim.protocols import schedule_ry
+from dqdsim.errors import ConfigurationError
+from dqdsim.noise import NoisyTableFactory
 
 from conftest import tiny_model
 
@@ -128,6 +121,22 @@ protocol = swap_everything
         cfg = tmp_path / "exp.cfg"
         cfg.write_bytes(body)
         assert main(["gate", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("experiment, body", [
+        ("transition-sweep", "[transition-sweep]\ntau_tr_ns = 1:5:0\n"),
+        ("transition-sweep", "[transition-sweep]\ntau_tr_ns = abc\n"),
+        ("gate", "[experiment]\nseed = 3\n"),
+        ("gate", "[experiment]\nseed = x\n[gate]\nprotocol = cz\n"),
+    ], ids=["zero-step-range", "non-numeric-range", "no-gate-section",
+            "non-numeric-seed"])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys,
+                                             experiment, body):
+        cfg = write_cfg(tmp_path / "exp.cfg",
+                        f"[params]\ntable = {DIRECT_TABLE}\n{body}")
+        assert main([experiment, "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("device", [
         "garbage\n",
@@ -270,7 +279,9 @@ class TestNoisyTableFactory:
     def test_clean_table_from_the_solutions(self):
         dev = tiny_model()
         sols = {v: dev.solution_at(v) for v in (350.0, 340.0)}
-        table = NoisyTableFactory(dev, sols).clean_table()
+        factory = NoisyTableFactory(dev, (350.0, 340.0))
+        assert all(factory.solutions[v] is sol for v, sol in sols.items())
+        table = factory.clean_table()
         for v, sol in sols.items():
             e_zl, e_zr = zeeman_splittings(sol, dev.field_map, dev.grid)
             j = exchange_energy(sol, dev.grid, dev.mat, 420.0)
@@ -280,35 +291,3 @@ class TestNoisyTableFactory:
             q = table(v)
             assert (q.e_zl_hz, q.e_zr_hz, q.j_hz) == pytest.approx(
                 (e_zl, e_zr, j), rel=1e-12)
-
-
-class TestFidelitySampleFailures:
-    class Factory:
-        def __init__(self, failing, exc_cls=GeometryError):
-            self.failing, self.exc_cls = failing, exc_cls
-            self.table = paper_table()
-
-        def table_for(self, cfg, i):
-            if i in self.failing:
-                raise self.exc_cls(f"sample {i}")
-            return self.table
-
-    def run(self, factory, n=100):
-        schedule = schedule_ry("L", math.pi, paper_table()(400.0))
-        cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=n)
-        return _fidelity_samples(schedule, ry_matrix("L", math.pi), factory,
-                                 cfg, "rwa")
-
-    def test_counts_any_sample_error(self):
-        mean, std, n = self.run(self.Factory({7}))
-        assert n == 99
-        assert mean >= 99.9
-
-    def test_aborts_past_threshold(self):
-        with pytest.raises(NumericalError) as info:
-            self.run(self.Factory({7, 11}))
-        assert info.value.diagnostics["failures"] == {"GeometryError": 2}
-
-    def test_configuration_error_is_not_a_sample_failure(self):
-        with pytest.raises(ConfigurationError):
-            self.run(self.Factory({7}, ConfigurationError))

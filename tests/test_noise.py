@@ -1,4 +1,5 @@
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,15 +15,18 @@ from dqdsim.dots import (
     two_body_integral,
     zeeman_splittings,
 )
+from dqdsim.dynamics import cnot_matrix, ry_matrix
 from dqdsim.errors import ConfigurationError, GeometryError, NumericalError
 from dqdsim.noise import (
     NoiseConfig,
+    fidelity_samples,
     fluctuation_stats,
     perturbed_spin_params,
     sample_noise,
     standard_normal_field,
 )
-from dqdsim.params import SpinParams
+from dqdsim.params import ParamsTable, SpinParams, paper_table
+from dqdsim.protocols import cnot_single_schedule, schedule_ry
 from dqdsim.schrodinger import solve_eigenstates
 
 from conftest import quartic_double_well, synthetic_solution
@@ -233,41 +237,136 @@ class TestCoulombIntegrals:
                 assert abs(got - want) <= 1e-12 * abs(want)
 
 
-class TestSampleFailures:
+def failing_at(indices, exc_cls=GeometryError):
+    """A `perturbed_spin_params` stand-in that raises at `indices`."""
+    def fake(device, solution, noise):
+        if noise.sample_index in indices:
+            raise exc_cls(f"sample {noise.sample_index}")
+        k = noise.sample_index
+        return SpinParams(e_zl_hz=1e9 + k, e_zr_hz=2e9 + k, j_hz=1e6 + k,
+                          v_m_mv=400.0)
+    return fake
+
+
+class FakeFactory:
+    """A `NoisyTableFactory` stand-in: sample i's table is `paper_table`
+    with J scaled by 1 + i/100; `table_for` raises at `failing`, and the
+    table raises at V_M > 404 mV for samples in `failing_strong`."""
+
+    def __init__(self, failing=(), exc_cls=GeometryError, failing_strong=()):
+        self.failing, self.exc_cls = failing, exc_cls
+        self.failing_strong = failing_strong
+        self.calls = 0
+
+    def table_for(self, cfg, i):
+        self.calls += 1
+        if i in self.failing:
+            raise self.exc_cls(f"sample {i}")
+        t = paper_table()
+        table = ParamsTable(t.v_m_mv, t.e_zl_hz, t.e_zr_hz,
+                            t.j_hz * (1.0 + i / 100.0))
+        if i not in self.failing_strong:
+            return table
+
+        def strong_fails(v_m_mv):
+            if v_m_mv > 404.0:
+                raise GeometryError(f"sample {i} at {v_m_mv} mV")
+            return table(v_m_mv)
+        return strong_fails
+
+
+RY_L = (schedule_ry("L", math.pi, paper_table()(400.0)),
+        ry_matrix("L", math.pi))
+CNOT = (cnot_single_schedule(paper_table()(408.0)), cnot_matrix("R"))
+
+
+class FluctEntry:
+    """`fluctuation_stats` on stand-in spin parameters."""
+
+    def __init__(self, device, solution, monkeypatch):
+        self.device, self.solution = device, solution
+        self.monkeypatch = monkeypatch
+
+    def run(self, failing, exc_cls=GeometryError, n=100):
+        """(n_ok, failures by class, result) of one run."""
+        self.monkeypatch.setattr(noise_mod, "perturbed_spin_params",
+                                 failing_at(failing, exc_cls))
+        st = fluctuation_stats(self.device, self.solution,
+                               NoiseConfig(sigma_uev=1.0, seed=1, n_samples=n))
+        return len(st.samples), st.failures, st
+
     @staticmethod
-    def failing_at(indices, exc_cls=GeometryError):
-        def fake(device, solution, noise):
-            if noise.sample_index in indices:
-                raise exc_cls(f"sample {noise.sample_index}")
-            k = noise.sample_index
-            return SpinParams(e_zl_hz=1e9 + k, e_zr_hz=2e9 + k, j_hz=1e6 + k,
-                              v_m_mv=400.0)
-        return fake
-
-    def run(self, flat_device, well_solution, n):
-        cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=n)
-        return fluctuation_stats(flat_device, well_solution, cfg)
-
-    def test_fluctuation_stats_counts_any_sample_error(
-            self, flat_device, well_solution, monkeypatch):
-        monkeypatch.setattr(noise_mod, "perturbed_spin_params",
-                            self.failing_at({3}))
-        st = self.run(flat_device, well_solution, 100)
-        assert st.n_failures == 1
+    def check_survivors(st):
+        """After sample 3 of 100 failed."""
         assert st.samples.shape == (99, 3)
         assert st.stats["J"]["min"] == 1e6 + 1
 
-    def test_fluctuation_stats_aborts_past_threshold(
-            self, flat_device, well_solution, monkeypatch):
-        monkeypatch.setattr(noise_mod, "perturbed_spin_params",
-                            self.failing_at({3, 8}))
+
+class FidelityEntry:
+    """`fidelity_samples` of RY(pi) on a stand-in factory."""
+
+    def run(self, failing, exc_cls=GeometryError, n=100):
+        cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=n)
+        (stats,), failures = fidelity_samples(FakeFactory(failing, exc_cls),
+                                              cfg, [RY_L], "rwa")
+        return stats[2], failures, stats
+
+    @staticmethod
+    def check_survivors(stats):
+        mean, std, n = stats
+        assert n == 99
+        assert mean >= 99.9
+
+
+class TestSampleFailures:
+    """The one per-sample failure rule, through both entry points of the
+    one Monte Carlo loop."""
+
+    @pytest.fixture(params=["fluctuation_stats", "fidelity_samples"])
+    def entry(self, request, flat_device, well_solution, monkeypatch):
+        if request.param == "fluctuation_stats":
+            return FluctEntry(flat_device, well_solution, monkeypatch)
+        return FidelityEntry()
+
+    def test_counts_any_sample_error(self, entry):
+        n_ok, failures, result = entry.run({3})
+        assert n_ok == 99
+        assert failures == {"GeometryError": 1}
+        entry.check_survivors(result)
+
+    def test_aborts_past_threshold(self, entry):
         with pytest.raises(NumericalError) as info:
-            self.run(flat_device, well_solution, 100)
+            entry.run({3, 8})
         assert info.value.diagnostics["failures"] == {"GeometryError": 2}
 
-    def test_configuration_error_is_not_a_sample_failure(
-            self, flat_device, well_solution, monkeypatch):
-        monkeypatch.setattr(noise_mod, "perturbed_spin_params",
-                            self.failing_at({5}, ConfigurationError))
+    def test_configuration_error_is_not_a_sample_failure(self, entry):
         with pytest.raises(ConfigurationError):
-            self.run(flat_device, well_solution, 100)
+            entry.run({5}, ConfigurationError)
+
+    def test_no_surviving_sample_is_a_numerical_error(self):
+        # one failure is always tolerated, so n = 1 can lose every sample
+        cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=1)
+        with pytest.raises(NumericalError) as info:
+            fidelity_samples(FakeFactory({1}), cfg, [RY_L], "rwa")
+        assert info.value.diagnostics["failures"] == {"GeometryError": 1}
+
+    def test_two_gates_equal_two_one_gate_calls(self):
+        cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=5)
+        factory = FakeFactory({2})
+        both, failures = fidelity_samples(factory, cfg, [RY_L, CNOT], "rwa")
+        assert factory.calls == 5
+        alone = [fidelity_samples(FakeFactory({2}), cfg, [gate], "rwa")
+                 for gate in (RY_L, CNOT)]
+        assert both == [stats for (stats,), _ in alone]
+        assert all(f == failures == {"GeometryError": 1} for _, f in alone)
+        assert both[1][1] > 0.0        # the samples' tables differ
+
+    def test_second_gate_failure_drops_the_sample_for_both(self):
+        cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=5)
+        (ry, cnot), failures = fidelity_samples(
+            FakeFactory(failing_strong={4}), cfg, [RY_L, CNOT], "rwa")
+        assert failures == {"GeometryError": 1}
+        assert ry[2] == cnot[2] == 4
+        (ry_without_4,), _ = fidelity_samples(FakeFactory({4}), cfg, [RY_L],
+                                              "rwa")
+        assert ry == ry_without_4
