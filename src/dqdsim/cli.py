@@ -16,7 +16,8 @@ Config schema (INI):
   [noise-sweep] protocol, sigma_uev (comma list), n_samples, v_m_weak_mv,
                 v_m_strong_mv, tau_tr_ns
   [transition-sweep] tau_tr_ns (comma list), v_m_strong_mv, sigma_uev,
-                n_samples
+                n_samples (sigma_uev must be 0, its default, without
+                a [device])
   [fluct-stats] sigma_uev (comma list), n_samples, v_m_mv
 
 Device-backed experiments load the `[device]` file once as a `dots.Device`
@@ -156,8 +157,16 @@ class Experiment:
     # -- direct-mode parameter table ---------------------------------------
     def params_table(self) -> ParamsTable:
         if self.cp.has_section("params") and self.cp["params"].get("table"):
-            rows = [r.split() for r in self.cp["params"]["table"].split(";") if r.strip()]
-            arr = np.array([[float(v) for v in r] for r in rows])
+            txt = self.cp["params"]["table"]
+            try:
+                arr = np.array([[float(v) for v in r.split()]
+                                for r in txt.split(";") if r.strip()])
+            except ValueError as exc:
+                raise ConfigurationError(f"[params] table: {exc}") from exc
+            if arr.ndim != 2 or arr.shape[1] != 4:
+                raise ConfigurationError(
+                    "[params] table rows must be 4 numbers: "
+                    "v_m_mv e_zl_hz e_zr_hz j_hz")
             return ParamsTable(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
         return paper_table()
 
@@ -373,15 +382,21 @@ def run_transition_sweep(exp: Experiment) -> int:
     taus = exp.value("transition-sweep", "tau_tr_ns", kind=_parse_range)
     v_w = exp.value("transition-sweep", "v_m_weak_mv", "400")
     v_s = exp.value("transition-sweep", "v_m_strong_mv", "412")
-    sigma = exp.value("transition-sweep", "sigma_uev", "1e-3")
     n_samples = exp.value("transition-sweep", "n_samples", "20", int)
     factory = cfg = None
     if exp.cp.has_section("device"):
+        sigma = exp.value("transition-sweep", "sigma_uev", "1e-3")
         factory = NoisyTableFactory(exp.device(), (v_w, v_s))
         table = factory.clean_table()
         if sigma != 0.0:
             cfg = NoiseConfig(sigma, exp.seed, n_samples)
     else:
+        # direct mode has no noise model: its rows are noiseless
+        sigma = exp.value("transition-sweep", "sigma_uev", "0")
+        if sigma != 0.0:
+            raise ConfigurationError(
+                f"[transition-sweep] sigma_uev = {sigma:g} needs a [device]; "
+                "direct mode has no noise model")
         table = exp.params_table()
     return _fidelity_sweep(
         exp, "transition-sweep", "tau_tr_ns", taus.tolist(),

@@ -12,10 +12,18 @@ Drive part:    B_o cos(2 pi w_D t + theta) * sy on each driven qubit, i.e.
 Two integrators:
   LabFrame      exact per-step 4x4 exponentials of the full H(t) on a
                 fourth-order commutator-free (two-exponential) scheme;
-                reference oracle, step-capped at 1/(200 max E_Z).
+                reference oracle. A drive is stepped on a grid of m steps
+                per drive period T = 1/w_D, within 1/(200 max(E_Z, w_D)),
+                so every period has the same steps: its N whole periods
+                are the one-period product P to the N-th power, and only
+                the rest of the segment is stepped out. A bias ramp carries
+                no drive and commutes with total S_z, so it is the
+                rotating-frame ramp times the frame's phase, exactly.
   RotatingFrame frame co-rotating with the drive for both spins; the RWA
                 Hamiltonian is piecewise constant except on bias ramps, so
                 drive and hold segments cost one exponential each.
+So in the lab frame a drive costs O(one drive period) of step exponentials
+and a ramp its rotating-frame steps, not O(duration x E_Z).
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ScheduleError
-from .kernels import propagate_affine
+from .kernels import propagate_affine, step_exponentials
 from .params import SpinParams
 
 SQRT3 = math.sqrt(3.0)
@@ -169,6 +177,9 @@ class UnitaryResult:
     frame_freq_hz: float
     total_time_ns: float
     dt_ns: float                     # largest step used in stepped stretches
+    # exponential factors of the ordered product `u` stands for: one per
+    # constant segment, two per CF4 step (a drive's whole periods each
+    # count their 2m, though P^N computes them once)
     n_exponentials: int
     unitarity_defect: float
     trajectory_t_ns: np.ndarray | None = None
@@ -196,21 +207,25 @@ def _cf4_coefs(gamma_fn, t0_s: float, dt_s: float, n_steps: int) -> np.ndarray:
     return c
 
 
-def _expm_h(h: np.ndarray, t_s: float) -> np.ndarray:
+def _expm_h(h: np.ndarray, t_s) -> np.ndarray:
+    """exp(-i 2 pi t h) for a time t, or their stack for an array of times."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-2j * np.pi * t_s * w)[None, :]) @ v.conj().T
+    phase = np.exp(-2j * np.pi * np.asarray(t_s)[..., None] * w)
+    return (v * phase[..., None, :]) @ v.conj().T
 
 
 @dataclass(frozen=True)
 class _Affine:
     """Generator h_base + gamma(t) h_coef of a stepped segment, with steps
-    capped at 1/(dt_factor f_cap). Drives are cut into chunks at the
-    sampling stride (`at_stride`); a ramp is always one batch."""
+    capped at 1/(dt_factor f_cap). A lab-frame drive repeats every
+    `period_s`; a ramp compiled in the frame rotating at `frame_hz` is
+    returned to the lab by that frame's phase (zero: no phase)."""
     h_base: np.ndarray
     h_coef: np.ndarray
     gamma: Callable[[np.ndarray], np.ndarray]   # t [s] -> coefficient
     f_cap: float
-    at_stride: bool
+    period_s: float | None = None
+    frame_hz: float = 0.0
 
 
 def _compile_segment(seg, t0_s: float, params_source, integrator: str,
@@ -221,23 +236,22 @@ def _compile_segment(seg, t0_s: float, params_source, integrator: str,
     if seg.ramp_from_mv is not None:
         # linear V_M ramp; J follows the calibrated curve (log-linear in
         # V_M, hence near-exponential in time); E_Z held at the start
-        # point, whose drift over the step is a few MHz at most
+        # point, whose drift over the step is a few MHz at most. The ramp
+        # carries no drive and commutes with total S_z, so in the lab frame
+        # it is exactly the rotating-frame ramp times the frame's phase.
         p0 = params_source(seg.ramp_from_mv)
-        shift = frame_freq if integrator == "rwa" else 0.0
-        h_base = (0.5 * (p0.e_zl_hz - shift) * SZ_L
-                  + 0.5 * (p0.e_zr_hz - shift) * SZ_R)
+        h_base = (0.5 * (p0.e_zl_hz - frame_freq) * SZ_L
+                  + 0.5 * (p0.e_zr_hz - frame_freq) * SZ_R)
         v0, v1, dur_s = seg.ramp_from_mv, seg.v_m_mv, seg.duration_ps * PS
 
         def gamma(ts):
             frac = np.clip((ts - t0_s) / dur_s, 0.0, 1.0)
             return params_source.j_of_vm(v0 + (v1 - v0) * frac)
 
-        if integrator == "rwa":
-            f_cap = max(p_hold.j_hz, p0.j_hz,
-                        abs(p0.e_zl_hz - frame_freq), abs(p0.e_zr_hz - frame_freq))
-        else:
-            f_cap = max(p0.e_zl_hz, p0.e_zr_hz)
-        return _Affine(h_base, HEIS, gamma, f_cap, at_stride=False)
+        f_cap = max(p_hold.j_hz, p0.j_hz,
+                    abs(p0.e_zl_hz - frame_freq), abs(p0.e_zr_hz - frame_freq))
+        return _Affine(h_base, HEIS, gamma, f_cap,
+                       frame_hz=frame_freq if integrator == "lab" else 0.0)
     if integrator == "rwa":
         return rwa_hamiltonian(p_hold, seg.drive, frame_freq)
     d = seg.drive
@@ -249,7 +263,89 @@ def _compile_segment(seg, t0_s: float, params_source, integrator: str,
 
     return _Affine(static_hamiltonian(p_hold), drive_operator(d.target),
                    gamma_drive, max(p_hold.e_zl_hz, p_hold.e_zr_hz, d.freq_hz),
-                   at_stride=True)
+                   period_s=1.0 / abs(d.freq_hz) if d.freq_hz else None)
+
+
+def _prefix_products(gen: _Affine, coefs: np.ndarray, dt_s: float,
+                     ends) -> dict:
+    """{k: product of the first k CF4 steps of `coefs`} for k in `ends`,
+    from one stack of step exponentials scanned in log-depth."""
+    out = {0: np.eye(4, dtype=complex)}
+    last = max(ends, default=0)
+    if last:
+        scan = step_exponentials(gen.h_base, gen.h_coef, coefs[:2 * last],
+                                 0.5 * dt_s)
+        shift = 1
+        while shift < scan.shape[0]:
+            scan[shift:] = scan[shift:] @ scan[:-shift]
+            shift *= 2
+        out.update((k, scan[2 * k - 1]) for k in ends if k)
+    return out
+
+
+def _stepped(gen: _Affine, t0_s: float, dur_s: float, dt_factor: float,
+             marks_s: np.ndarray):
+    """Propagate a stepped segment that starts at `t0_s`.
+
+    Returns its propagator, its number of CF4 exponential factors, its
+    largest step, and a row (time, map) for each stride mark in `marks_s`
+    (seconds from the segment start): the first step end at or after the
+    mark, if it lies before the segment's end, and the map from the
+    segment's initial state to the state there.
+
+    A periodic drive takes m equal steps per period, the fewest within the
+    cap, so every period has the same coefficients: its N whole periods are
+    the period product P raised to the N-th power (binary powering), and the
+    rest of the segment takes the fewest equal steps no longer than the
+    period's. Any other segment is that rest alone, within the cap.
+    """
+    period = gen.period_s or 0.0
+    m = n_per = 0
+    dt_s = 1.0 / (dt_factor * gen.f_cap)
+    if gen.period_s is None:
+        n_rest = max(int(math.ceil(dur_s / dt_s)), 1)
+    else:
+        m = int(math.ceil(dt_factor * gen.f_cap * period))
+        dt_s = period / m
+        n_per = int(dur_s // period)
+        n_rest = int(math.ceil(max(dur_s - n_per * period, 0.0) / dt_s))
+    dt_rest = (dur_s - n_per * period) / n_rest if n_rest else 0.0
+    coefs_rest = _cf4_coefs(gen.gamma, t0_s + n_per * period, dt_rest, n_rest)
+    u = propagate_affine(gen.h_base, gen.h_coef, coefs_rest, 0.5 * dt_rest)
+    coefs_p = None
+    if n_per:
+        coefs_p = _cf4_coefs(gen.gamma, t0_s, dt_s, m)
+        p = propagate_affine(gen.h_base, gen.h_coef, coefs_p, 0.5 * dt_s)
+        u = u @ np.linalg.matrix_power(p, n_per)
+    if gen.frame_hz:
+        u = rot_to_lab(u, dur_s, gen.frame_hz)
+
+    rows = []
+    if marks_s.size:
+        # global index of the first step end at or after each mark, split
+        # into whole periods n, steps j into the next period, and steps i
+        # into the rest
+        n_p = n_per * m
+        steps = np.empty(marks_s.size, dtype=int)
+        in_p = marks_s <= n_per * period
+        steps[in_p] = np.minimum(np.ceil(marks_s[in_p] / dt_s), n_p)
+        steps[~in_p] = n_p + np.clip(np.ceil(
+            (marks_s[~in_p] - n_per * period) / dt_rest), 1, n_rest)
+        steps = np.unique(steps[steps < n_p + n_rest])
+        n_of, j_of = np.divmod(np.minimum(steps, n_p), max(m, 1))
+        i_of = np.maximum(steps - n_p, 0)
+        pre_p = _prefix_products(gen, coefs_p, dt_s, j_of.tolist())
+        pre_r = _prefix_products(gen, coefs_rest, dt_rest, i_of.tolist())
+        powers = [pre_p[0]]
+        for _ in range(int(n_of.max(initial=0))):
+            powers.append(p @ powers[-1])
+        for n, j, i in zip(n_of, j_of, i_of):
+            t_s = n * period + j * dt_s + i * dt_rest
+            mat = pre_r[i] @ pre_p[j] @ powers[n]
+            rows.append((t_s, rot_to_lab(mat, t_s, gen.frame_hz)
+                         if gen.frame_hz else mat))
+    dt_max = dt_s if n_per else dt_rest
+    return u, 2 * (n_per * m + n_rest), dt_max, rows
 
 
 def evolve(schedule, params_source, integrator: str = "rwa",
@@ -265,11 +361,19 @@ def evolve(schedule, params_source, integrator: str = "rwa",
         ParamsTable provides, for J along the ramp.
     integrator : "rwa" (production) or "lab" (reference oracle)
     sample_every_ns : if set, record the state trajectory from
-        `initial_state` at this stride and at the end of the schedule.
+        `initial_state` at this stride from each segment's start, at
+        segment ends, and at the end of the schedule. Rows inside a stepped
+        segment fall on the first step end at or after each stride mark.
+        Rows do not enter the propagator: sampled and unsampled `u` are
+        equal.
 
-    Rotating-frame steps are capped at 1/(dt_factor max(J, B_o, detunings)),
-    lab-frame steps at 1/(dt_factor max(E_ZL, E_ZR)); segments with constant
-    H cost a single exact exponential (one per stride when sampling).
+    Ramp steps (both frames) are capped at 1/(dt_factor max(J, detunings
+    from the frame)), lab-frame drive steps at 1/(dt_factor max(E_ZL, E_ZR,
+    w_D)) on a grid commensurate with the drive period; segments with
+    constant H cost a single exact exponential. `n_exponentials` counts the
+    exponential factors of the ordered product that `u` stands for (a
+    periodic drive's N whole periods count N times), whatever way it was
+    multiplied out.
     """
     if integrator not in ("rwa", "lab"):
         raise ConfigurationError(f"unknown integrator {integrator!r}")
@@ -309,6 +413,7 @@ def evolve(schedule, params_source, integrator: str = "rwa",
     psi = None
     traj_t: list[float] = []
     traj_a: list[np.ndarray] = []
+    marks_ps = np.empty(0, dtype=int)
     if sampling:
         psi = np.zeros(4, dtype=complex)
         psi[initial_state] = 1.0
@@ -317,17 +422,13 @@ def evolve(schedule, params_source, integrator: str = "rwa",
         stride_ps = max(int(round(sample_every_ns * 1000.0)), 1)
         next_sample_ps = stride_ps
 
-    def apply(mat: np.ndarray, t_after_ps: int):
-        nonlocal u, t_ps, psi, next_sample_ps
-        u = mat @ u
-        t_ps = t_after_ps
-        if sampling:
-            psi = mat @ psi
-            if t_ps >= next_sample_ps:
-                traj_t.append(t_ps * 1e-3)
-                traj_a.append(psi.copy())
-                while next_sample_ps <= t_ps:
-                    next_sample_ps += stride_ps
+    def record(time_ps: int, state: np.ndarray):
+        nonlocal next_sample_ps
+        if time_ps >= next_sample_ps:
+            traj_t.append(time_ps * 1e-3)
+            traj_a.append(state)
+            while next_sample_ps <= time_ps:
+                next_sample_ps += stride_ps
 
     def apply_events_at(time_ps: int):
         nonlocal ev_idx, u, psi
@@ -341,36 +442,27 @@ def evolve(schedule, params_source, integrator: str = "rwa",
 
     for seg, gen in zip(segments, generators):
         apply_events_at(t_ps)
-        seg_end_ps = t_ps + seg.duration_ps
+        if sampling:
+            marks_ps = np.arange(stride_ps, seg.duration_ps, stride_ps)
         if isinstance(gen, _Affine):
-            dur_s = seg.duration_ps * PS
-            dt_s = 1.0 / (dt_factor * gen.f_cap)
-            n_steps = max(int(math.ceil(dur_s / dt_s)), 1)
-            dt_s = dur_s / n_steps
+            mat, n, dt_s, rows = _stepped(gen, t_ps * PS, seg.duration_ps * PS,
+                                          dt_factor, marks_ps * PS)
             dt_max_s = max(dt_max_s, dt_s)
-            coefs = _cf4_coefs(gen.gamma, t_ps * PS, dt_s, n_steps)
-            n_exp += coefs.size
-            ends = [n_steps]
-            if sampling and gen.at_stride:
-                # chunks end at the first step at or after each stride from
-                # the segment start, where constant segments end their pieces
-                marks_s = np.arange(stride_ps, seg.duration_ps, stride_ps) * PS
-                ends = np.unique(np.append(np.ceil(marks_s / dt_s).astype(int),
-                                           n_steps))
-            seg_start_ps, done = t_ps, 0
-            for end in ends:
-                # the clock is the rounded cumulative time, so chunk
-                # rounding does not accumulate
-                apply(propagate_affine(gen.h_base, gen.h_coef,
-                                       coefs[2 * done:2 * end], 0.5 * dt_s),
-                      seg_start_ps + int(round(end * dt_s / PS)))
-                done = end
         else:
-            piece_ps = stride_ps if sampling else seg.duration_ps
-            while t_ps < seg_end_ps:
-                step = min(piece_ps, seg_end_ps - t_ps)
-                apply(_expm_h(gen, step * PS), t_ps + step)
-                n_exp += 1
+            mat, n = _expm_h(gen, seg.duration_ps * PS), 1
+            rows = (zip(marks_ps * PS, _expm_h(gen, marks_ps * PS))
+                    if sampling else ())
+        n_exp += n
+        if sampling:
+            for row_s, m in rows:
+                # the clock is the row's time within the segment, rounded,
+                # so rounding does not accumulate
+                record(t_ps + int(round(row_s / PS)), m @ psi)
+            psi = mat @ psi
+        u = mat @ u
+        t_ps += seg.duration_ps
+        if sampling:
+            record(t_ps, psi)
 
     if sampling and traj_t[-1] < t_ps * 1e-3:
         # the gate time is not a multiple of the stride: end on the final state

@@ -3,7 +3,9 @@
 Computes U = E_{n-1} ... E_1 E_0,  E_k = expm(-i 2 pi dt (H_base + c_k H_coef)),
 via batched Hermitian eigendecomposition and a pairwise (tree) product,
 over chunks of `CHUNK_STEPS` steps whose products are folded in order. The
-lab-frame integrator multiplies O(10^5..10^6) such exponentials per gate.
+lab-frame integrator computes O(10^3) such exponentials per gate: one drive
+period, the rest of each drive segment, and each bias ramp at the rotating
+frame's step.
 """
 
 from __future__ import annotations

@@ -94,6 +94,35 @@ sigma_uev = 0
         assert taus == [1.0, 3.0, 5.0]
         assert all(0.0 <= f <= 100.0 for f in fids)
 
+    def test_direct_mode_header_states_no_noise(self, tmp_path):
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""
+[params]
+table = {DIRECT_TABLE}
+[transition-sweep]
+tau_tr_ns = 1
+""")
+        out = tmp_path / "tr.csv"
+        assert main(["transition-sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert "# sigma_uev = 0.0" in lines
+        row = lines[lines.index("tau_tr_ns,fidelity_mean_percent,"
+                                "fidelity_std_percent,n") + 1].split(",")
+        assert (float(row[2]), int(row[3])) == (0.0, 1)
+
+    def test_direct_mode_rejects_a_noise_level(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""
+[params]
+table = {DIRECT_TABLE}
+[transition-sweep]
+tau_tr_ns = 1
+sigma_uev = 0.1
+""")
+        out = tmp_path / "tr.csv"
+        assert main(["transition-sweep", "--config", cfg,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
+
 
 class TestErrors:
     def test_missing_config_is_config_error(self, tmp_path):
@@ -137,6 +166,21 @@ protocol = swap_everything
                      "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("table", [
+        "400 abc 1 2",
+        "400 18.309e9 18.453e9 75.6e3; 408 18.312e9 18.448e9",
+        "400 18.309e9 18.453e9",
+        "400 18.309e9 18.453e9 75.6e3 1",
+    ], ids=["non-numeric", "ragged", "three-columns", "five-columns"])
+    def test_malformed_params_table_is_config_error(self, tmp_path, capsys,
+                                                    table):
+        cfg = write_cfg(tmp_path / "exp.cfg",
+                        f"[params]\ntable = {table}\n"
+                        "[gate]\nprotocol = ry_pi_left\n")
+        assert main(["gate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     @pytest.mark.parametrize("device", [
         "garbage\n",

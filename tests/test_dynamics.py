@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+from dqdsim import kernels
 from dqdsim.dynamics import (
+    CF4_ALPHAS,
+    CF4_NODES,
     CNOT_DOWN,
     DrivePulse,
     HEIS,
@@ -16,6 +19,7 @@ from dqdsim.dynamics import (
     cnot_matrix,
     conditional_resonances,
     cz_matrix,
+    drive_operator,
     evolve,
     gate_fidelity,
     rot_to_lab,
@@ -24,6 +28,7 @@ from dqdsim.dynamics import (
     rz_matrix,
     static_hamiltonian,
 )
+from dqdsim.kernels import propagate_affine
 from dqdsim.errors import ConfigurationError, ScheduleError
 from dqdsim.params import ParamsTable, SpinParams, paper_table
 from dqdsim.protocols import (
@@ -236,6 +241,148 @@ class TestEvolve:
         # populations row by row
         p = {k: np.abs(r.trajectory_amps) ** 2 for k, r in res.items()}
         assert np.abs(p["lab"] - p["rwa"]).max() <= 2e-4
+
+
+def cf4_product(h_base, h_coef, gamma, t0_s, dt_s, n_steps):
+    """Ordered product of n_steps fourth-order commutator-free steps of
+    h_base + gamma(t) h_coef from t0_s, one kernel batch per 2**15 steps."""
+    a1, a2 = CF4_ALPHAS
+    u = np.eye(4, dtype=complex)
+    for k0 in range(0, n_steps, 2**15):
+        k = np.arange(k0, min(k0 + 2**15, n_steps))
+        g1 = gamma(t0_s + (k + CF4_NODES[0]) * dt_s)
+        g2 = gamma(t0_s + (k + CF4_NODES[1]) * dt_s)
+        coefs = np.empty(2 * k.size)
+        coefs[0::2] = 2.0 * (a1 * g1 + a2 * g2)
+        coefs[1::2] = 2.0 * (a2 * g1 + a1 * g2)
+        u = propagate_affine(h_base, h_coef, coefs, 0.5 * dt_s, u0=u)
+    return u
+
+
+def drive_segment_brute_force(seg, t0_s, p, dt_factor=200.0):
+    """Lab-frame propagator of a drive segment starting at t0_s, stepped
+    step by step on the period-commensurate grid: m steps per period, the
+    fewest within 1/(dt_factor max(E_ZL, E_ZR, w_D)), then the rest of the
+    segment in the fewest equal steps no longer than those. Returns the
+    propagator and the number of steps."""
+    d = seg.drive
+    period = 1.0 / d.freq_hz
+    m = math.ceil(dt_factor * max(p.e_zl_hz, p.e_zr_hz, d.freq_hz) * period)
+    dur = seg.duration_ps * 1e-12
+    n_per = math.floor(dur / period)
+    rest = dur - n_per * period
+    n_rest = math.ceil(rest / (period / m))
+    h0, hd = static_hamiltonian(p), drive_operator(d.target)
+
+    def gamma(ts):
+        return d.rabi_hz * np.cos(2 * math.pi * d.freq_hz * ts + d.phase_rad)
+
+    u = cf4_product(h0, hd, gamma, t0_s, period / m, n_per * m)
+    if n_rest:
+        u = cf4_product(h0, hd, gamma, t0_s + n_per * period, rest / n_rest,
+                        n_rest) @ u
+    return u, n_per * m + n_rest
+
+
+class TestLabIntegrator:
+    """The lab frame steps a drive on a grid commensurate with its period,
+    so whole periods are one period product raised to a power, and takes
+    ramps from the rotating frame, times the frame's phase."""
+
+    @pytest.mark.parametrize("case", ["ry_pi_left", "cnot_single",
+                                      "cnot_multi_second_ry", "sub_period"])
+    def test_periodic_drive_equals_step_by_step_product(self, table, case):
+        p = table(400.0)
+        ry = schedule_ry("L", math.pi, p).segments[0]
+        lead = ()                        # hold segments before the drive
+        if case == "ry_pi_left":
+            seg = ry
+        elif case == "cnot_single":
+            p = table(408.0)
+            seg = cnot_single_schedule(p).segments[0]
+            assert seg.drive.target == "both"
+        elif case == "cnot_multi_second_ry":
+            # a hold as long as what precedes the second RY in cnot_multi
+            # starts the drive at the same time, mid-period
+            *before, seg = cnot_multi_schedule(p, table(408.0), 5.0).segments
+            lead = (Segment(sum(s.duration_ps for s in before), 400.0),)
+        else:
+            seg = Segment(30, 400.0, ry.drive)
+            assert seg.duration_ps * 1e-12 < 1.0 / seg.drive.freq_hz
+        frame = seg.drive.freq_hz
+        res = evolve(PulseSchedule(lead + (seg,), (), frame), src_const(p),
+                     integrator="lab")
+        t0_s = sum(s.duration_ps for s in lead) * 1e-12
+        want, n_steps = drive_segment_brute_force(seg, t0_s, p)
+        if lead:
+            want = want @ evolve(PulseSchedule(lead, (), frame), src_const(p),
+                                 integrator="lab").u
+        assert np.abs(res.u - want).max() <= 1e-10
+        assert res.n_exponentials == 2 * n_steps + len(lead)
+
+    def test_lab_ramp_is_the_rotating_ramp_times_its_frame_phase(self, table):
+        sched = cnot_multi_schedule(table(400.0), table(412.0), 1.0)
+        ramp = PulseSchedule((sched.segments[1],), (), sched.frame_freq_hz)
+        assert ramp.segments[0].ramp_from_mv is not None
+        lab = evolve(ramp, table, integrator="lab")
+        rwa = evolve(ramp, table, integrator="rwa")
+        assert np.abs(lab.u - rwa.to_lab()).max() <= 1e-14
+        assert lab.n_exponentials == rwa.n_exponentials
+        # the same steps of the lab-frame Hamiltonian, frame phase included
+        p0 = table(400.0)
+        h_lab = 0.5 * p0.e_zl_hz * SZ_L + 0.5 * p0.e_zr_hz * SZ_R
+        dur_s = ramp.total_time_ps * 1e-12
+        n_steps = lab.n_exponentials // 2
+
+        def gamma(ts):
+            return table.j_of_vm(400.0 + 12.0 * np.clip(ts / dur_s, 0.0, 1.0))
+
+        want = cf4_product(h_lab, HEIS, gamma, 0.0, dur_s / n_steps, n_steps)
+        assert np.abs(lab.u - want).max() <= 1e-12
+
+    def test_lab_drive_cost_is_one_period(self, table, monkeypatch):
+        rows = []
+        step_exponentials = kernels.step_exponentials
+
+        def counting(h_base, h_coef, coefs, dt_s):
+            rows.append(len(coefs))
+            return step_exponentials(h_base, h_coef, coefs, dt_s)
+
+        monkeypatch.setattr(kernels, "step_exponentials", counting)
+        sched = schedule_ry("L", math.pi, table(400.0))
+        res = evolve(sched, table, integrator="lab")
+        assert res.n_exponentials > 700_000
+        assert 0 < sum(rows) < 2_000
+
+    @pytest.mark.parametrize("integrator", ["rwa", "lab"])
+    def test_ramp_rows_follow_the_stride(self, table, integrator):
+        stride_ps = 250
+        sched = cnot_multi_schedule(table(400.0), table(408.0), tau_tr_ns=5.0)
+        res = evolve(sched, table, integrator=integrator,
+                     sample_every_ns=stride_ps * 1e-3)
+        unsampled = evolve(sched, table, integrator=integrator)
+        assert np.array_equal(res.u, unsampled.u)
+        rows_ps = np.round(res.trajectory_t_ns * 1e3).astype(int)
+        starts = np.cumsum([0] + [s.duration_ps for s in sched.segments])
+        n_ramps = 0
+        for seg, start, end in zip(sched.segments, starts, starts[1:]):
+            if seg.ramp_from_mv is None:
+                continue
+            n_ramps += 1
+            # the ramp's own step: its n_exponentials over the lone ramp
+            lone = evolve(PulseSchedule((seg,), (), sched.frame_freq_hz),
+                          table, integrator=integrator)
+            step_ps = seg.duration_ps / (lone.n_exponentials // 2)
+            inside = rows_ps[(rows_ps > start) & (rows_ps < end)]
+            marks = np.arange(start + stride_ps, end, stride_ps)
+            assert inside.size >= marks.size - 1 > 10
+            for mark in marks:
+                after = inside[inside >= mark]
+                if mark + step_ps < end:
+                    assert after.size and after[0] <= mark + step_ps + 1
+            for row in inside:
+                assert np.any((row >= marks) & (row <= marks + step_ps + 1))
+        assert n_ramps == 2
 
 
 class TestGateFidelity:
