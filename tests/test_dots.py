@@ -193,13 +193,13 @@ class TestExchange:
         _, grid, mat = flat_well
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 12.0))
         import dqdsim.dots as dots_mod
-        real = dots_mod.two_body_integral
+        real = dots_mod.coulomb_integrals
 
-        def fake(kernel, f1, f2, grid_):
-            val = real(kernel, f1, f2, grid_)
-            return val * (-1.0 if f1 is f2 else 1.0)
+        def fake(kernel, fields, grid_):
+            val = real(kernel, fields, grid_)
+            return val * (1.0 - 2.0 * np.eye(len(fields)))
 
-        monkeypatch.setattr(dots_mod, "two_body_integral", fake)
+        monkeypatch.setattr(dots_mod, "coulomb_integrals", fake)
         with pytest.raises(ModelValidityError):
             exchange_energy(sol, grid, mat, 60.0)
 

@@ -290,13 +290,19 @@ class TestLabIntegrator:
     ramps from the rotating frame, times the frame's phase."""
 
     @pytest.mark.parametrize("case", ["ry_pi_left", "cnot_single",
-                                      "cnot_multi_second_ry", "sub_period"])
+                                      "cnot_multi_second_ry", "sub_period",
+                                      "ry_pi_left_dt300"])
     def test_periodic_drive_equals_step_by_step_product(self, table, case):
         p = table(400.0)
         ry = schedule_ry("L", math.pi, p).segments[0]
         lead = ()                        # hold segments before the drive
+        dt_factor = 200.0
         if case == "ry_pi_left":
             seg = ry
+        elif case == "ry_pi_left_dt300":
+            # criterion 9a's gate: over a million sequential exponentials
+            seg = schedule_ry("L", math.pi, p, rabi_hz=5e6).segments[0]
+            dt_factor = 300.0
         elif case == "cnot_single":
             p = table(408.0)
             seg = cnot_single_schedule(p).segments[0]
@@ -311,14 +317,17 @@ class TestLabIntegrator:
             assert seg.duration_ps * 1e-12 < 1.0 / seg.drive.freq_hz
         frame = seg.drive.freq_hz
         res = evolve(PulseSchedule(lead + (seg,), (), frame), src_const(p),
-                     integrator="lab")
+                     integrator="lab", dt_factor=dt_factor)
         t0_s = sum(s.duration_ps for s in lead) * 1e-12
-        want, n_steps = drive_segment_brute_force(seg, t0_s, p)
+        want, n_steps = drive_segment_brute_force(seg, t0_s, p, dt_factor)
         if lead:
             want = want @ evolve(PulseSchedule(lead, (), frame), src_const(p),
                                  integrator="lab").u
         assert np.abs(res.u - want).max() <= 1e-10
         assert res.n_exponentials == 2 * n_steps + len(lead)
+        if case == "ry_pi_left_dt300":
+            assert 2 * n_steps >= 1_000_000
+            assert np.abs(want.conj().T @ want - np.eye(4)).max() <= 1e-8
 
     def test_lab_ramp_is_the_rotating_ramp_times_its_frame_phase(self, table):
         sched = cnot_multi_schedule(table(400.0), table(412.0), 1.0)
@@ -374,7 +383,8 @@ class TestLabIntegrator:
                           table, integrator=integrator)
             step_ps = seg.duration_ps / (lone.n_exponentials // 2)
             inside = rows_ps[(rows_ps > start) & (rows_ps < end)]
-            marks = np.arange(start + stride_ps, end, stride_ps)
+            marks = np.arange((start // stride_ps + 1) * stride_ps, end,
+                              stride_ps)
             assert inside.size >= marks.size - 1 > 10
             for mark in marks:
                 after = inside[inside >= mark]
@@ -383,6 +393,37 @@ class TestLabIntegrator:
             for row in inside:
                 assert np.any((row >= marks) & (row <= marks + step_ps + 1))
         assert n_ramps == 2
+
+    @pytest.mark.parametrize("integrator", ["rwa", "lab"])
+    def test_rows_follow_one_stride_grid_from_zero(self, table, integrator):
+        # drives, ramps and a hold, none of whose starts is a multiple of
+        # the stride: every mark k * stride has its row within one step
+        # after it, and every row but a segment end and the final state
+        # lies within one step after a mark
+        stride_ps = 250
+        sched = cnot_multi_schedule(table(400.0), table(408.0), tau_tr_ns=5.0)
+        res = evolve(sched, table, integrator=integrator,
+                     sample_every_ns=stride_ps * 1e-3)
+        unsampled = evolve(sched, table, integrator=integrator)
+        assert np.array_equal(res.u, unsampled.u)
+        rows_ps = np.round(res.trajectory_t_ns * 1e3).astype(int)
+        assert np.all(np.diff(rows_ps) > 0)
+        starts = np.cumsum([0] + [s.duration_ps for s in sched.segments])
+        assert np.count_nonzero(starts[1:-1] % stride_ps) >= 4
+        # the largest step of each segment alone (0 when it is constant)
+        step_ps = [evolve(PulseSchedule((seg,), (), sched.frame_freq_hz),
+                          table, integrator=integrator).dt_ns * 1e3
+                   for seg in sched.segments]
+        seg_of = np.searchsorted(starts, rows_ps, side="right") - 1
+        marks = np.arange(stride_ps, starts[-1], stride_ps)
+        seg_of_mark = np.searchsorted(starts, marks, side="right") - 1
+        for mark, k in zip(marks, seg_of_mark):
+            after = rows_ps[rows_ps >= mark]
+            assert after[0] <= mark + step_ps[k] + 1
+        for row, k in zip(rows_ps[1:-1], seg_of[1:-1]):
+            if row in starts:
+                continue
+            assert row % stride_ps <= step_ps[k] + 1
 
 
 class TestGateFidelity:

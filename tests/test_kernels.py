@@ -59,3 +59,57 @@ class TestKernels:
         assert np.abs(propagate_affine(a, b, coefs, 1e-2) - single).max() < 1e-13
         u_with = propagate_affine(a, b, coefs, 1e-2, u0=u0)
         assert np.abs(u_with - single @ u0).max() < 1e-13
+
+
+def eigh_exponentials(h_base, h_coef, coefs, dt_s):
+    """Step exponentials by batched 4x4 Hermitian eigendecomposition."""
+    m = h_base[None, :, :] + coefs[:, None, None] * h_coef[None, :, :]
+    w, v = np.linalg.eigh(m)
+    phase = np.exp(-2j * np.pi * dt_s * w)
+    return np.einsum("kij,kj,klj->kil", v, phase, v.conj())
+
+
+def sector_hermitian(rng, coupling=True):
+    """A random Hermitian 4x4 that conserves total S_z: uu and dd alone,
+    ud and du coupled (or not)."""
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0], h[1, 1], h[2, 2], h[3, 3] = rng.normal(size=4)
+    if coupling:
+        h[1, 2] = complex(*rng.normal(size=2))
+        h[2, 1] = h[1, 2].conjugate()
+    return h
+
+
+class TestSectorExponentials:
+    """A generator that conserves total S_z is exponentiated in closed form
+    per sector; any other keeps the 4x4 eigendecomposition."""
+
+    def test_matches_eigendecomposition(self):
+        rng = np.random.default_rng(21)
+        coefs = rng.normal(size=64)
+        degenerate = np.diag([0.3, -0.7, -0.7, 1.1]).astype(complex)
+        cases = [(sector_hermitian(rng), sector_hermitian(rng)),
+                 (sector_hermitian(rng, False), sector_hermitian(rng, False)),
+                 (sector_hermitian(rng), sector_hermitian(rng, False)),
+                 (degenerate, np.zeros((4, 4), dtype=complex)),
+                 (degenerate, 0.5 * degenerate)]
+        cases += [(sector_hermitian(rng), sector_hermitian(rng))
+                  for _ in range(20)]
+        for h_base, h_coef in cases:
+            for dt in (1e-3, 2e-2):
+                got = step_exponentials(h_base, h_coef, coefs, dt)
+                want = eigh_exponentials(h_base, h_coef, coefs, dt)
+                assert np.abs(got - want).max() <= 1e-14
+
+    def test_cross_sector_generator_keeps_the_eigendecomposition(self):
+        rng = np.random.default_rng(22)
+        coefs = rng.normal(size=64)
+        for i, j in zip(*np.nonzero(np.triu(kernels.CROSS_SECTOR))):
+            for in_coef in (False, True):
+                h_base, h_coef = sector_hermitian(rng), sector_hermitian(rng)
+                h = h_coef if in_coef else h_base
+                h[i, j] += 1e-3
+                h[j, i] += 1e-3
+                got = step_exponentials(h_base, h_coef, coefs, 2e-2)
+                assert np.array_equal(
+                    got, eigh_exponentials(h_base, h_coef, coefs, 2e-2))

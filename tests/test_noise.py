@@ -10,15 +10,16 @@ from dqdsim.device import DeviceBiases, build_grid
 from dqdsim.dots import (
     Device,
     MagnetFieldMap,
+    coulomb_integrals,
     coulomb_kernel,
     exchange_energy,
-    two_body_integral,
     zeeman_splittings,
 )
 from dqdsim.dynamics import cnot_matrix, ry_matrix
 from dqdsim.errors import ConfigurationError, GeometryError, NumericalError
 from dqdsim.noise import (
     NoiseConfig,
+    NoiseField,
     fidelity_samples,
     fluctuation_stats,
     perturbed_spin_params,
@@ -195,6 +196,47 @@ class TestBlockIterationFallback:
 
 
 @pytest.mark.slow
+class TestWeylShift:
+    @pytest.mark.parametrize("v_m", [400.0, 408.0])
+    def test_uniform_field_needs_no_fallback(self, shipped_device, caplog,
+                                             v_m):
+        # every level moves down by 0.5 meV; the shift follows the noise
+        # field's minimum, so H - s stays positive definite, and a uniform
+        # shift leaves E_Z and J as they were
+        sol = shipped_device.solution_at(v_m)
+        noise = NoiseField(np.full(sol.potential_ev.shape, -5e-4), 1)
+        with caplog.at_level(logging.DEBUG, logger="dqdsim"):
+            p = perturbed_spin_params(shipped_device, sol, noise)
+        assert fallbacks(caplog) == []
+        clean = shipped_device.spin_params(sol)
+        for got, want in ((p.e_zl_hz, clean.e_zl_hz),
+                          (p.e_zr_hz, clean.e_zr_hz), (p.j_hz, clean.j_hz)):
+            assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("v_m", [400.0, 408.0])
+    def test_block_iterations_per_sample(self, shipped_device, monkeypatch,
+                                         caplog, v_m):
+        # one banded solve per block iteration
+        calls = []
+        solve = noise_mod.cho_solve_banded
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(noise_mod, "cho_solve_banded", counting)
+        sol = shipped_device.solution_at(v_m)
+        cfg = NoiseConfig(sigma_uev=5.0, seed=17, n_samples=4)
+        with caplog.at_level(logging.DEBUG, logger="dqdsim"):
+            for i in range(1, cfg.n_samples + 1):
+                calls.clear()
+                perturbed_spin_params(shipped_device, sol,
+                                      sample_noise(shipped_device.grid, cfg, i))
+                assert 1 <= len(calls) <= 4
+        assert fallbacks(caplog) == []
+
+
+@pytest.mark.slow
 class TestBlockIterationOracle:
     @pytest.mark.parametrize("v_m", [0.400, 0.408])
     @pytest.mark.parametrize("sigma", [0.1, 5.0])
@@ -230,11 +272,16 @@ class TestCoulombIntegrals:
         blob_l = np.exp(-((x - 60) / 12.0) ** 2) * np.ones((8, 1))
         blob_r = np.exp(-((x - 170) / 15.0) ** 2) * np.ones((8, 1))
         fields = [rng.random(shape), rng.random(shape), blob_l, blob_r]
-        for f1 in fields:
-            for f2 in fields:
+        # every pair from one call, and the exchange pair (left and right
+        # densities) alone
+        got = coulomb_integrals(fft, fields, grid)
+        pair = coulomb_integrals(fft, fields[2:], grid)
+        for a, f1 in enumerate(fields):
+            for b, f2 in enumerate(fields):
                 want = dense_two_body_integral(dense, f1, f2, grid)
-                got = two_body_integral(fft, f1, f2, grid)
-                assert abs(got - want) <= 1e-12 * abs(want)
+                assert abs(got[a, b] - want) <= 1e-12 * abs(want)
+                if a >= 2 and b >= 2:
+                    assert abs(pair[a - 2, b - 2] - want) <= 1e-12 * abs(want)
 
 
 def failing_at(indices, exc_cls=GeometryError):
