@@ -523,7 +523,9 @@ def parse_device_config(text: str, source: str = "<string>"
       [grid]     width_nm, dx_nm, dy_nm, temperature_k
       [materials] any MaterialParams field
       [biases]   v_b, v_l, v_m, v_r, drain_bias_v (volts)
-      [field_map] b0_tesla, gradient_tesla_per_nm  (or file = path)
+      [field_map] profile = plateaus with b_left_tesla, b_right_tesla,
+                 x_mid_nm, width_nm; or b0_tesla, gradient_tesla_per_nm;
+                 or file = path (required by `dots.load_device`)
       [exchange] coulomb_length_nm
     Extra sections are returned verbatim in `extra`.
     """

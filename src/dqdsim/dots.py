@@ -103,7 +103,8 @@ def field_map_from_config(section: dict, device_width_nm: float) -> MagnetFieldM
 
     Keys: either `file` (two-column text), or `profile = plateaus` with
     b_left_tesla, b_right_tesla, x_mid_nm, width_nm, or the linear-gradient
-    pair b0_tesla, gradient_tesla_per_nm.
+    pair b0_tesla, gradient_tesla_per_nm. Every key of the chosen profile
+    is required; a missing one raises KeyError.
     """
     if "file" in section:
         return MagnetFieldMap.from_file(section["file"])
@@ -114,8 +115,7 @@ def field_map_from_config(section: dict, device_width_nm: float) -> MagnetFieldM
             -1.0, device_width_nm + 1.0,
         )
     return MagnetFieldMap.from_gradient(
-        float(section.get("b0_tesla", 0.65)),
-        float(section.get("gradient_tesla_per_nm", 5e-5)),
+        float(section["b0_tesla"]), float(section["gradient_tesla_per_nm"]),
         -1.0, device_width_nm + 1.0,
     )
 
@@ -149,9 +149,11 @@ class Device(NamedTuple):
 
     def spin_params(self, solution: ConvergedSolution) -> SpinParams:
         """(E_ZL, E_ZR, J) of a solution on this device."""
-        e_zl, e_zr = zeeman_splittings(solution, self.field_map, self.grid)
+        pair = localized_pair(solution, self.grid)
+        e_zl, e_zr = zeeman_splittings(solution, self.field_map, self.grid,
+                                       pair)
         j_hz = exchange_energy(solution, self.grid, self.mat,
-                               self.coulomb_length_nm)
+                               self.coulomb_length_nm, pair)
         return SpinParams(e_zl_hz=e_zl, e_zr_hz=e_zr, j_hz=j_hz,
                           v_m_mv=solution.biases.v_m * 1e3)
 
@@ -160,13 +162,12 @@ def load_device(path) -> Device:
     """Read a device file into a `Device`.
 
     The field map comes from `[field_map]` and the Coulomb length from
-    `[exchange] coulomb_length_nm`, which is required. A file that cannot
-    be read or parsed, or that lacks the Coulomb length, raises
-    ConfigurationError.
+    `[exchange] coulomb_length_nm`; both are required. A file that cannot
+    be read or parsed, or that lacks either, raises ConfigurationError.
     """
     spec, mat, biases, extra = load_device_config(path)
     try:
-        fmap = field_map_from_config(extra.get("field_map", {}), spec.width_nm)
+        fmap = field_map_from_config(extra["field_map"], spec.width_nm)
         coulomb = float(extra["exchange"]["coulomb_length_nm"])
     except (KeyError, OSError, ValueError) as exc:
         raise ConfigurationError(
@@ -232,22 +233,20 @@ def orbital_centroid_x(psi: np.ndarray, grid: Grid) -> float:
 
 
 def zeeman_splittings(solution: ConvergedSolution, field_map: MagnetFieldMap,
-                      grid: Grid, regions: DotRegions | None = None
-                      ) -> tuple[float, float]:
+                      grid: Grid, pair=None) -> tuple[float, float]:
     """(E_ZL, E_ZR) in Hz: g mu_B / h times the density-weighted B_Z.
 
     The ground orbital of each dot is the maximally localized combination of
     the two lowest well states, which reduces to the eigenstates themselves
     once the dots are detuned and handles the symmetric case where both
-    eigenstates straddle the barrier.
+    eigenstates straddle the barrier. `pair` is the solution's
+    `localized_pair`, when the caller already has it.
     """
-    if regions is None:
-        regions = find_dots(solution, grid)
-    if regions.n_dots != 2:
+    if find_dots(solution, grid).n_dots != 2:
         raise GeometryError("Zeeman splittings need two dots")
     if not field_map.covers(grid.x[0], grid.x[-1]):
         raise ConfigurationError("field map does not cover the device extent")
-    phi_a, phi_b, _ = localized_pair(solution, grid)
+    phi_a, phi_b, _ = pair or localized_pair(solution, grid)
     b_x = field_map(grid.x)
     vals = []
     for phi in (phi_a, phi_b):
@@ -329,15 +328,17 @@ def localized_pair(solution: ConvergedSolution, grid: Grid):
 
 
 def exchange_energy(solution: ConvergedSolution, grid: Grid,
-                    mat: MaterialParams, coulomb_length_nm: float) -> float:
+                    mat: MaterialParams, coulomb_length_nm: float,
+                    pair=None) -> float:
     """Two-site singlet-triplet exchange J in Hz (>= 0).
 
     Singlet sector {S(1,1), S(2,0), S(0,2)} of the two-site model:
         diag(V, U_L + eps, U_R - eps) + sqrt(2) t off-diagonal couplings,
     with eps the localized-orbital detuning; J = E_T - E_S with E_T = V.
-    Raises ModelValidityError when U - V <= 0.
+    `pair` is the solution's `localized_pair`, when the caller already has
+    it. Raises ModelValidityError when U - V <= 0.
     """
-    phi_l, phi_r, h2 = localized_pair(solution, grid)
+    phi_l, phi_r, h2 = pair or localized_pair(solution, grid)
     t_ev = abs(h2[0, 1])
     eps_ev = h2[0, 0] - h2[1, 1]
     kern = coulomb_kernel(grid, mat, coulomb_length_nm)

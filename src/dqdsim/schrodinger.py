@@ -14,7 +14,7 @@ along the long [001] axis of the device; the resulting line density times
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +48,15 @@ WARM_SHIFT_BELOW_GROUND_EV = 1e-3
 
 # Anderson mixing: the number of residual differences it fits, and the
 # residual below which it extrapolates (above it the step is purely damped).
+# Undamped, always-on Anderson mixing blew up from 2.2e-2 eV on the shipped
+# device, so the start stays at or below 10 meV.
 ANDERSON_DEPTH = 5
-ANDERSON_START_EV = 1e-3
+ANDERSON_START_EV = 1e-2
+
+# A cold solve's continuation stage only seeds the final stage, which starts
+# ~2e-2 eV away from the continuation's solution however tightly that is
+# converged: the stage stops at this residual.
+SEED_TOL_EV = 1e-3
 
 
 @dataclass
@@ -331,7 +338,8 @@ class ConvergedSolution:
 def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
                  t_k: float, u0: np.ndarray, n_states: int, mixing: float,
                  tol_ev: float, max_iter: int,
-                 stall_window: int | None = None):
+                 stall_window: int | None = None,
+                 spectrum: Spectrum | None = None):
     """One damped, Anderson-accelerated fixed-point stage at a fixed
     temperature.
 
@@ -343,10 +351,19 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
     least-squares fit of f on the last `ANDERSON_DEPTH` residual
     differences dF (dU the matching iterate differences). The history is
     cleared whenever the residual exceeds 1.5 times its best, which also
-    halves beta, or rises back above `ANDERSON_START_EV`. With
+    halves beta (down to 0.01), or rises back above `ANDERSON_START_EV`.
+    Each residual that sets a new minimum grows beta by 1.5, up to
+    `mixing`, so a halved beta recovers while the residual falls. With
     `stall_window`, the stage is abandoned once its residual has set no new
-    minimum for that many iterations. Every eigensolve after the stage's
-    first is warm-started from the previous iteration's spectrum.
+    minimum for that many iterations.
+
+    `spectrum`, when given, is the spectrum of `u0`; the first iteration
+    then uses it instead of solving. Every other eigensolve is
+    warm-started from the previous iteration's spectrum, with its energies
+    lowered by the most negative change of the potential over the well
+    when there is one. By Weyl's inequality no level of the new potential
+    lies below those energies, so the warm shift stays below the new
+    ground state and the factorization never falls back to a cold solve.
 
     Returns (u, charge, spectrum, resid, history, stage). When the stage
     does not converge, u is the last iterate and charge and spectrum are
@@ -356,13 +373,21 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
     history = []
     beta = mixing
     best, best_it = np.inf, 0
-    spectrum = None
     depth = ANDERSON_DEPTH
     d_u = np.empty((depth,) + u0.shape)     # ring buffers of differences
     d_f = np.empty((depth,) + u0.shape)
     n_diff, prev = 0, None                  # prev: last (u, f) below start
+    j0, j1 = well_rows(grid)
+    u_spectrum = u0                         # the potential of `spectrum`
     for it in range(1, max_iter + 1):
-        spectrum = solve_eigenstates(u, grid, mat, n_states, start=spectrum)
+        if it > 1 or spectrum is None:
+            if spectrum is not None:
+                drop = min(0.0, float((u[j0:j1] - u_spectrum[j0:j1]).min()))
+                spectrum = replace(spectrum,
+                                   energies_ev=spectrum.energies_ev + drop)
+            spectrum = solve_eigenstates(u, grid, mat, n_states,
+                                         start=spectrum)
+            u_spectrum = u
         charge = (bulk_charge(u, grid, mat, t_k)
                   + quantum_charge(spectrum, mat.fermi_level_ev, t_k, grid, mat))
         f = solve_poisson(grid, mat, biases, charge) - u
@@ -372,13 +397,14 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
             return (u, charge, spectrum, resid, history,
                     ScfStage(t_k, it, True, False))
         # adaptive safeguard: while the residual grows, shrink the step and
-        # restart the Anderson history
+        # restart the Anderson history; while it falls, let the step recover
         if resid > 1.5 * best:
             n_diff, prev = 0, None
             if beta > 0.01:
                 beta = max(beta * 0.5, 0.01)
         if resid < best:
             best, best_it = resid, it
+            beta = min(mixing, 1.5 * beta)
         elif stall_window is not None and it - best_it >= stall_window:
             log.debug("SCF stage at %g K abandoned after %d iterations: "
                       "best residual %.3e eV at iteration %d",
@@ -417,14 +443,18 @@ def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
 
     A cold start descends through a one-step temperature continuation
     (40 K -> T): occupations are steep at 1.5 K and the hot stage provides
-    a well-behaved warm start. The continuation stage is abandoned when it
-    hits `max_iter` or when its residual has set no new minimum for
-    `STALL_WINDOW` iterations; the final stage then starts from the
-    charge-free potential. Every stage mixes damped steps with Anderson
-    extrapolation once its residual is below `ANDERSON_START_EV` (1 meV);
-    see `_scf_fixed_t`. The final stage always runs at the device
-    temperature with exact Fermi-Dirac occupation and the 1 ueV max-norm
-    tolerance. It is never cut short: at `max_iter` (if that is >= 50) it
+    a well-behaved warm start. That stage only seeds the final one, so it
+    stops at `SEED_TOL_EV` (1 meV), and the final stage's first iteration
+    reuses its last spectrum, which was solved on exactly that potential:
+    a cold solve makes one cold eigensolve. The continuation stage is
+    abandoned when it hits `max_iter` or when its residual has set no new
+    minimum for `STALL_WINDOW` iterations; the final stage then starts
+    from the charge-free potential. Every stage mixes damped steps with
+    Anderson extrapolation once its residual is below `ANDERSON_START_EV`
+    (10 meV), with a damping factor that halves when the residual jumps
+    and recovers while it falls; see `_scf_fixed_t`. The final stage
+    always runs at the device temperature with exact Fermi-Dirac
+    occupation and the 1 ueV max-norm tolerance. It is never cut short: at `max_iter` (if that is >= 50) it
     is retried once with heavy damping, and NonConvergenceError (with the
     residual history and stage records) is raised when a cap ends it.
 
@@ -437,25 +467,28 @@ def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
     t_dev = spec.temperature_k
     stages, history = [], []
 
-    def stage(t_k, u0, beta, tol, cap, stall_window=None):
+    def stage(t_k, u0, beta, tol, cap, stall_window=None, spectrum=None):
         u, charge, spectrum, resid, hist, record = _scf_fixed_t(
-            grid, mat, biases, t_k, u0, n_states, beta, tol, cap, stall_window)
+            grid, mat, biases, t_k, u0, n_states, beta, tol, cap, stall_window,
+            spectrum)
         history.extend(hist)
         stages.append(record)
         return u, charge, spectrum, resid, record
 
+    u_spectrum = None                   # the spectrum of u, when known
     if start_potential is not None:
         u = start_potential
     else:
         u = solve_poisson(grid, mat, biases, np.zeros((grid.ny, grid.nx)))
         if t_dev < 40.0:
-            u_stage, *_, done = stage(40.0, u, mixing, max(tol_ev, 2e-5),
-                                      max_iter, STALL_WINDOW)
+            u_stage, _, stage_spectrum, _, done = stage(
+                40.0, u, mixing, max(tol_ev, SEED_TOL_EV), max_iter,
+                STALL_WINDOW)
             if done.converged:
-                u = u_stage
+                u, u_spectrum = u_stage, stage_spectrum
 
     u_fin, charge, spectrum, resid, done = stage(t_dev, u, mixing, tol_ev,
-                                                 max_iter)
+                                                 max_iter, spectrum=u_spectrum)
     if not done.converged and max_iter >= 50:
         # oscillating filling transitions: one retry with heavy damping,
         # warm-started from the last iterate

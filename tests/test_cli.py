@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -189,8 +190,10 @@ protocol = swap_everything
             "profile = plateaus", "file = no-such-map.txt"),
         Path(cli.default_device_path()).read_text().replace(
             "coulomb_length_nm = 420.0", ""),
+        re.sub(r"\[field_map\][^[]*", "",
+               Path(cli.default_device_path()).read_text()),
     ], ids=["no-section-header", "no-layer-thickness", "no-field-map-file",
-            "no-coulomb-length"])
+            "no-coulomb-length", "no-field-map"])
     def test_malformed_device_file_is_config_error(self, tmp_path, capsys,
                                                     device):
         (tmp_path / "device.cfg").write_text(device)
