@@ -4,7 +4,8 @@ Experiments: stability, j-sweep, gate, noise-sweep, transition-sweep,
 fluct-stats. Each reads a structured-text config file, runs deterministically
 under a fixed seed, and writes a CSV (with a '#'-prefixed metadata header)
 plus a JSON sidecar with identical content. Exit codes: 0 success,
-2 configuration error, 3 numerical failure, 4 partial results written.
+2 configuration error, 3 numerical failure, 4 i/o error; earlier outputs
+left intact.
 
 Config schema (INI):
   [experiment]  seed, out, integrator (lab|rwa)
@@ -62,7 +63,7 @@ from .protocols import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-EXIT_PARTIAL = 4
+EXIT_IO = 4
 
 
 def _parse_range(txt: str) -> np.ndarray:
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -319,12 +319,24 @@ def coulomb_integrals(kernel: np.ndarray, fields, grid: Grid) -> np.ndarray:
 
 def localized_pair(solution: ConvergedSolution, grid: Grid):
     """Maximally localized (left, right) combinations of the two lowest well
-    orbitals; returns (phi_l, phi_r, h2) with h2 the effective 2x2
-    Hamiltonian in the localized basis (eV)."""
-    from .schrodinger import localized_pair_from
+    orbitals.
 
-    sp = solution.spectrum
-    return localized_pair_from(sp.wavefunctions, sp.energies_ev, grid)
+    Diagonalizes the lateral position operator in the two-state subspace;
+    returns (phi_l, phi_r, h2) with phi on the well block and h2 the
+    effective 2x2 Hamiltonian in the localized basis (eV), ordered left to
+    right.
+    """
+    psi = solution.spectrum.wavefunctions[:2]
+    da = grid.dx * grid.dy
+    x_op = np.empty((2, 2))
+    for a in range(2):
+        for b in range(2):
+            x_op[a, b] = (psi[a] * psi[b] * grid.x[None, :]).sum() * da
+    pos, w = np.linalg.eigh(0.5 * (x_op + x_op.T))
+    w = w[:, np.argsort(pos)]
+    phi = [w[0, c] * psi[0] + w[1, c] * psi[1] for c in range(2)]
+    h2 = w.T @ np.diag(solution.spectrum.energies_ev[:2]) @ w
+    return phi[0], phi[1], h2
 
 
 def exchange_energy(solution: ConvergedSolution, grid: Grid,

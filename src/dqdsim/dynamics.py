@@ -70,7 +70,6 @@ class DrivePulse:
     freq_hz: float                 # w_D
     phase_rad: float = 0.0         # theta
     target: str = "L"              # "L", "R" or "both"
-    active: bool = True
 
     def __post_init__(self):
         if self.rabi_hz < 0:
@@ -97,7 +96,7 @@ def static_hamiltonian(p: SpinParams) -> np.ndarray:
 def build_hamiltonian(p: SpinParams, d: DrivePulse | None, t_s: float) -> np.ndarray:
     """Lab-frame H(t)/h in Hz; Hermitian by construction."""
     h = static_hamiltonian(p)
-    if d is not None and d.active and d.rabi_hz > 0:
+    if d is not None and d.rabi_hz > 0:
         h = h + (d.rabi_hz * math.cos(2.0 * math.pi * d.freq_hz * t_s + d.phase_rad)
                  ) * drive_operator(d.target)
     return h
@@ -109,7 +108,7 @@ def rwa_hamiltonian(p: SpinParams, d: DrivePulse | None, frame_freq_hz: float) -
     h = (0.5 * (p.e_zl_hz - frame_freq_hz) * SZ_L
          + 0.5 * (p.e_zr_hz - frame_freq_hz) * SZ_R
          + p.j_hz * HEIS).astype(complex)
-    if d is not None and d.active and d.rabi_hz > 0:
+    if d is not None and d.rabi_hz > 0:
         if abs(d.freq_hz - frame_freq_hz) > 1e-6:
             raise ScheduleError("drive frequency differs from the schedule frame")
         op = (math.cos(d.phase_rad) * drive_operator(d.target)
@@ -255,7 +254,7 @@ def _compile_segment(seg, t0_s: float, params_source, integrator: str,
     if integrator == "rwa":
         return rwa_hamiltonian(p_hold, seg.drive, frame_freq)
     d = seg.drive
-    if d is None or not d.active or d.rabi_hz == 0.0:
+    if d is None or d.rabi_hz == 0.0:
         return static_hamiltonian(p_hold)
 
     def gamma_drive(ts):
@@ -387,7 +386,7 @@ def evolve(schedule, params_source, integrator: str = "rwa",
             raise ScheduleError("segments cannot ramp and drive simultaneously")
 
     frame_freq = schedule.frame_freq_hz
-    drives = [s.drive for s in segments if s.drive is not None and s.drive.active]
+    drives = [s.drive for s in segments if s.drive is not None]
     for d in drives:
         if abs(d.freq_hz - frame_freq) > 1e-6:
             raise ScheduleError(

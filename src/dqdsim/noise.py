@@ -18,8 +18,9 @@ node of a gate and returns the sample's parameter table.
 
 The per-sample eigensolve is a block inverse iteration warm-started from
 the clean solution's states (subspace iteration with a Rayleigh-Ritz step,
-Saad, Numerical Methods for Large Eigenvalue Problems, ch. 5). H - s is
-banded once the well block is ordered column by column, so one banded
+Saad, Numerical Methods for Large Eigenvalue Problems, ch. 5), on the
+well block in the solver's column-by-column cell order
+(`schrodinger.to_solver_order`), where H - s is banded, so one banded
 Cholesky factorization serves every iteration. The shift is
 s = E0 + min(0, min dV) - `SHIFT_BELOW_GROUND_EV`, with E0 the clean
 ground energy and dV the noise on the well cells. By Weyl's inequality
@@ -59,9 +60,10 @@ from .params import ParamsTable, SpinParams
 from .schrodinger import (
     ConvergedSolution,
     Spectrum,
-    _column_major_kinetic,
     shifted_well_cholesky,
     solve_eigenstates,
+    to_solver_order,
+    well_kinetic,
     well_rows,
     well_spectrum,
 )
@@ -133,8 +135,8 @@ def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
     """
     n_states = solution.spectrum.n_states
     j0, j1 = well_rows(grid)
-    order, kin, band = _column_major_kinetic(grid, mat)
-    v = u[j0:j1, :].ravel()[order]
+    kin, band = well_kinetic(grid, mat)
+    v = to_solver_order(u[j0:j1])
     # Weyl: no eigenvalue of H0 + dV lies below E0 + min(dV)
     dv_min = float((u[j0:j1] - solution.potential_ev[j0:j1]).min())
     shift = (solution.spectrum.energies_ev[0] + min(dv_min, 0.0)
@@ -144,8 +146,8 @@ def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
     except LinAlgError:
         reason = "H - s is not positive definite"
     else:
-        clean = solution.spectrum.wavefunctions[:, j0:j1, :]
-        x = clean.reshape(n_states, -1).T[order] * np.sqrt(grid.dx * grid.dy)
+        x = (to_solver_order(solution.spectrum.wavefunctions).T
+             * np.sqrt(grid.dx * grid.dy))
         for _ in range(MAX_BLOCK_ITERATIONS):
             x = qr(cho_solve_banded((chol, False), x, check_finite=False),
                    mode="economic", overwrite_a=True, check_finite=False)[0]
@@ -156,9 +158,7 @@ def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
             resid = np.sqrt(np.einsum("ij,ij->j", r, r))
             x = x @ rot
             if resid.max() <= RESIDUAL_TOL_EV:
-                vecs = np.empty_like(x)
-                vecs[order] = x
-                return well_spectrum(theta, vecs, grid)
+                return well_spectrum(theta, x, grid)
         reason = (f"residual {resid.max():.2e} eV after "
                   f"{MAX_BLOCK_ITERATIONS} iterations")
     log.debug("noise sample %d: block inverse iteration fell back to "

@@ -6,6 +6,13 @@ Masses are anisotropic: `mass_lateral` acts along x, `mass_vertical` along
 the growth direction. The well is a single rectangular block of cells, so the
 discrete operator is assembled once per grid and reused with new potentials.
 
+One format holds a well state: a `Spectrum` keeps its states on the well
+block, shape (n_states, well rows, nx). The eigensolvers order the block's
+cells column by column (`to_solver_order`), which makes the operator banded
+with bandwidth = well rows (`well_kinetic`); `well_spectrum` turns solver
+eigenvectors back into block states. `quantum_charge` is the one place a
+density is embedded into the full grid.
+
 Occupation statistics treat each 2D eigenstate as a 1D subband that is free
 along the long [001] axis of the device; the resulting line density times
 |psi|^2 is the 3D electron density fed back into the Poisson solver.
@@ -63,21 +70,17 @@ SEED_TOL_EV = 1e-3
 class Spectrum:
     """Lowest eigenpairs on the Quantum region.
 
-    wavefunctions[i] is a full-grid (ny, nx) real array, zero outside the
-    region, normalized so sum(|psi|^2) dx dy = 1 (units nm^-1).
+    wavefunctions[i] is a real (well rows, nx) array on the well block,
+    rows `well_rows(grid)` of the grid, normalized so sum(|psi|^2) dx dy = 1
+    (units nm^-1).
     """
 
     energies_ev: np.ndarray
-    wavefunctions: np.ndarray          # (n_states, ny, nx)
-    n_states: int
+    wavefunctions: np.ndarray          # (n_states, well rows, nx)
 
-    def check_orthonormal(self, dx: float, dy: float, tol: float = 1e-10) -> float:
-        flat = self.wavefunctions.reshape(self.n_states, -1)
-        gram = flat @ flat.T * dx * dy
-        err = float(np.max(np.abs(gram - np.eye(self.n_states))))
-        if err > tol:
-            raise NumericalError(f"eigenvectors not orthonormal: {err:.2e}")
-        return err
+    @property
+    def n_states(self) -> int:
+        return self.energies_ev.size
 
 
 def well_rows(grid: Grid) -> tuple[int, int]:
@@ -88,79 +91,49 @@ def well_rows(grid: Grid) -> tuple[int, int]:
     return int(rows[0]), int(rows[-1]) + 1
 
 
-def _well_kinetic(grid: Grid, mat: MaterialParams) -> sp.csr_matrix:
-    """Hard-wall kinetic operator on the well block (cached per grid)."""
+def to_solver_order(a: np.ndarray) -> np.ndarray:
+    """Well-block arrays (..., rows, cols) flattened to the eigensolvers'
+    cell order, column by column: (..., rows * cols). `well_spectrum`
+    holds the inverse."""
+    return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (-1,))
+
+
+def well_kinetic(grid: Grid, mat: MaterialParams):
+    """Hard-wall kinetic operator on the well block in solver order, as
+    (CSR matrix, upper band storage for `cholesky_banded`). Cached per grid.
+
+    Five-point stencil; a boundary cell gets an extra +t toward each wall
+    face (mirror ghost). Vertical neighbours are adjacent in solver order,
+    so the bandwidth is the number of well rows, and the coupling across
+    the end of each column is zero.
+    """
     key = ("kinetic", mat.mass_lateral, mat.mass_vertical)
-    if key in grid._cache:
-        return grid._cache[key]
-    j0, j1 = well_rows(grid)
-    nr, nx = j1 - j0, grid.nx
-    tx = HBAR2_OVER_2M0 / (mat.mass_lateral * grid.dx**2)
-    ty = HBAR2_OVER_2M0 / (mat.mass_vertical * grid.dy**2)
-
-    def idx(r, i):
-        return r * nx + i
-
-    n = nr * nx
-    diag = np.full(n, 2.0 * tx + 2.0 * ty)  # interior + mirror wall terms
-    rows, cols, vals = [], [], []
-    rr, ii = np.meshgrid(np.arange(nr), np.arange(nx - 1), indexing="ij")
-    a, b = idx(rr, ii).ravel(), idx(rr, ii + 1).ravel()
-    rows += [a, b]
-    cols += [b, a]
-    vals += [np.full(a.size, -tx)] * 2
-    rr, ii = np.meshgrid(np.arange(nr - 1), np.arange(nx), indexing="ij")
-    a, b = idx(rr, ii).ravel(), idx(rr + 1, ii).ravel()
-    rows += [a, b]
-    cols += [b, a]
-    vals += [np.full(a.size, -ty)] * 2
-    # mirror-ghost wall: boundary cells get an extra +t toward the wall face
-    diag2 = diag.copy().reshape(nr, nx)
-    diag2[:, 0] += tx
-    diag2[:, -1] += tx
-    diag2[0, :] += ty
-    diag2[-1, :] += ty
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag2.ravel())
-    kin = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    grid._cache[key] = kin
-    return kin
-
-
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvector sign: largest-magnitude entry positive."""
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        imax = int(np.argmax(np.abs(out[:, k])))
-        if out[imax, k] < 0:
-            out[:, k] = -out[:, k]
-    return out
-
-
-def _column_major_kinetic(grid: Grid, mat: MaterialParams):
-    """The well's kinetic operator with cells ordered column by column
-    (bandwidth = well rows): (order, CSR matrix, upper band storage).
-    Cached per grid."""
-    key = ("kinetic-column-major", mat.mass_lateral, mat.mass_vertical)
     if key not in grid._cache:
         j0, j1 = well_rows(grid)
         nr, nx = j1 - j0, grid.nx
-        order = np.arange(nr * nx).reshape(nr, nx).T.ravel()
-        kin = _well_kinetic(grid, mat)[order][:, order].tocsr()
+        tx = HBAR2_OVER_2M0 / (mat.mass_lateral * grid.dx**2)
+        ty = HBAR2_OVER_2M0 / (mat.mass_vertical * grid.dy**2)
+        diag = np.full((nr, nx), 2.0 * tx + 2.0 * ty)
+        diag[:, 0] += tx
+        diag[:, -1] += tx
+        diag[0, :] += ty
+        diag[-1, :] += ty
         band = np.zeros((nr + 1, nr * nx))
-        for k in range(nr + 1):
-            band[nr - k, k:] = kin.diagonal(k)
-        grid._cache[key] = (order, kin, band)
+        band[nr] = to_solver_order(diag)
+        band[nr - 1, 1:] = -ty
+        band[nr - 1, ::nr] = 0.0       # no coupling across a column's end
+        band[0, nr:] = -tx
+        offsets = range(1, nr + 1)
+        upper = [band[nr - k, k:] for k in offsets]
+        kin = sp.diags([band[nr]] + upper + upper,
+                       [0, *offsets, *(-k for k in offsets)], format="csr")
+        grid._cache[key] = (kin, band)
     return grid._cache[key]
 
 
 def shifted_well_cholesky(band: np.ndarray, v: np.ndarray,
                           shift: float) -> np.ndarray:
-    """Upper banded Cholesky factor of H - shift on the column-ordered well,
+    """Upper banded Cholesky factor of H - shift in solver order,
     H = kinetic `band` + diag(v). Raises LinAlgError unless every eigenvalue
     of H lies above `shift`."""
     ab = band.copy()
@@ -181,10 +154,11 @@ def solve_eigenstates(potential_ev: np.ndarray, grid: Grid, mat: MaterialParams,
     start : a spectrum of a nearby potential with the same `n_states`, for
         a warm start of the sparse solve.
 
-    The sparse solve is ARPACK in shift-invert mode, with (H - sigma)^-1
-    applied through a banded Cholesky factor of the column-ordered well.
-    Cold, sigma = min(V) - 5 meV and the start vector is uniform; H - sigma
-    is then always positive definite. Warm, sigma lies
+    Both branches solve H = `well_kinetic` + diag(V) in solver order; they
+    differ only in the eigensolver. The sparse solve is ARPACK in
+    shift-invert mode, with (H - sigma)^-1 applied through a banded
+    Cholesky factor. Cold, sigma = min(V) - 5 meV and the start vector is
+    uniform; H - sigma is then always positive definite. Warm, sigma lies
     `WARM_SHIFT_BELOW_GROUND_EV` below the start's ground energy and the
     start vector is the sum of its states. The factorization succeeds only
     when every eigenvalue lies above sigma, so either way ARPACK returns
@@ -196,20 +170,18 @@ def solve_eigenstates(potential_ev: np.ndarray, grid: Grid, mat: MaterialParams,
     if not np.all(np.isfinite(potential_ev)):
         raise ConfigurationError("potential contains non-finite entries")
     j0, j1 = well_rows(grid)
-    v = potential_ev[j0:j1, :].ravel()
+    v = to_solver_order(potential_ev[j0:j1])
     n = v.size
     if n_states >= n:
         raise ConfigurationError("n_states exceeds the Quantum-region size")
 
+    kin, band = well_kinetic(grid, mat)
     if method == "auto":
         method = "dense" if n <= 400 else "sparse"
     if method == "dense":
-        h = _well_kinetic(grid, mat) + sp.diags(v)
-        w, vecs = np.linalg.eigh(h.toarray())
+        w, vecs = np.linalg.eigh(kin.toarray() + np.diag(v))
         w, vecs = w[:n_states], vecs[:, :n_states]
     elif method == "sparse":
-        order, kin, band = _column_major_kinetic(grid, mat)
-        v = v[order]
         chol = None
         if start is not None and start.n_states == n_states:
             sigma = float(start.energies_ev[0]) - WARM_SHIFT_BELOW_GROUND_EV
@@ -219,8 +191,7 @@ def solve_eigenstates(potential_ev: np.ndarray, grid: Grid, mat: MaterialParams,
                 log.debug("warm eigensolve fell back to a cold start: an "
                           "eigenvalue lies below the shift %.6e eV", sigma)
             else:
-                v0 = start.wavefunctions[:, j0:j1, :].reshape(
-                    n_states, -1).sum(axis=0)[order]
+                v0 = to_solver_order(start.wavefunctions).sum(axis=0)
         if chol is None:
             sigma = float(v.min()) - 5e-3
             chol = shifted_well_cholesky(band, v, sigma)
@@ -233,16 +204,14 @@ def solve_eigenstates(potential_ev: np.ndarray, grid: Grid, mat: MaterialParams,
                                                       check_finite=False),
             dtype=float)
         try:
-            w, vecs_c = spla.eigsh(h, k=n_states, sigma=sigma, which="LM",
-                                   v0=v0, tol=0, maxiter=1000, OPinv=op_inv)
+            w, vecs = spla.eigsh(h, k=n_states, sigma=sigma, which="LM",
+                                 v0=v0, tol=0, maxiter=1000, OPinv=op_inv)
         except spla.ArpackNoConvergence as exc:
             raise NumericalError(
                 "eigensolver did not converge",
                 diagnostics={"converged": len(getattr(exc, "eigenvalues", [])),
                              "requested": n_states},
             ) from exc
-        vecs = np.empty_like(vecs_c)
-        vecs[order] = vecs_c
         idx = np.argsort(w)
         w, vecs = w[idx], vecs[:, idx]
     else:
@@ -253,41 +222,17 @@ def solve_eigenstates(potential_ev: np.ndarray, grid: Grid, mat: MaterialParams,
 
 def well_spectrum(energies_ev: np.ndarray, vecs: np.ndarray,
                   grid: Grid) -> Spectrum:
-    """Spectrum from unit-norm eigenvectors on the well block (columns, in
-    the block's row-major cell order): deterministic signs, continuum
-    normalization and zero padding to the full grid."""
+    """Spectrum from unit-norm eigenvectors, the columns of `vecs` in solver
+    order: states on the well block, each with its first largest-magnitude
+    entry (row-major) positive, in continuum normalization."""
     j0, j1 = well_rows(grid)
-    n_states = vecs.shape[1]
-    vecs = _fix_signs(vecs)
-    vecs /= np.sqrt(grid.dx * grid.dy)  # continuum normalization, nm^-1
-    full = np.zeros((n_states, grid.ny, grid.nx))
-    full[:, j0:j1, :] = vecs.T.reshape(n_states, j1 - j0, grid.nx)
-    return Spectrum(energies_ev=energies_ev, wavefunctions=full,
-                    n_states=n_states)
-
-
-def localized_pair_from(wavefunctions: np.ndarray, energies_ev: np.ndarray,
-                        grid: Grid):
-    """Maximally localized combinations of the two lowest well states.
-
-    Diagonalizes the lateral position operator in the two-state subspace;
-    returns (phi_left, phi_right, h2) with phi on the well block and h2 the
-    effective 2x2 Hamiltonian (eV) in the localized basis, ordered left to
-    right.
-    """
-    j0, j1 = well_rows(grid)
-    psi = [wavefunctions[k][j0:j1, :] for k in (0, 1)]
-    da = grid.dx * grid.dy
-    x_op = np.empty((2, 2))
-    for a in range(2):
-        for b in range(2):
-            x_op[a, b] = (psi[a] * psi[b] * grid.x[None, :]).sum() * da
-    pos, w = np.linalg.eigh(0.5 * (x_op + x_op.T))
-    order = np.argsort(pos)
-    w = w[:, order]
-    phi = [w[0, c] * psi[0] + w[1, c] * psi[1] for c in range(2)]
-    h2 = w.T @ np.diag(energies_ev[:2]) @ w
-    return phi[0], phi[1], h2
+    states = np.ascontiguousarray(
+        np.swapaxes(vecs.T.reshape(-1, grid.nx, j1 - j0), -1, -2))
+    for psi in states:                  # deterministic sign
+        if psi.flat[np.argmax(np.abs(psi))] < 0:
+            psi *= -1.0
+    states /= np.sqrt(grid.dx * grid.dy)  # continuum normalization, nm^-1
+    return Spectrum(energies_ev=energies_ev, wavefunctions=states)
 
 
 def subband_line_density(energies_ev: np.ndarray, e_fermi_ev: float,
@@ -306,10 +251,13 @@ def subband_line_density(energies_ev: np.ndarray, e_fermi_ev: float,
 
 def quantum_charge(spectrum: Spectrum, e_fermi_ev: float, temperature_k: float,
                    grid: Grid, mat: MaterialParams) -> np.ndarray:
-    """Quantum-region electron density (cm^-3) from occupied subbands."""
+    """Electron density (cm^-3) of the occupied subbands on the full grid,
+    zero outside the well rows."""
     occ = subband_line_density(spectrum.energies_ev, e_fermi_ev,
                                temperature_k, mat)
-    n_nm3 = np.tensordot(occ, spectrum.wavefunctions**2, axes=(0, 0))
+    j0, j1 = well_rows(grid)
+    n_nm3 = np.zeros((grid.ny, grid.nx))
+    n_nm3[j0:j1] = np.tensordot(occ, spectrum.wavefunctions**2, axes=(0, 0))
     return n_nm3 / NM3_PER_CM3
 
 

@@ -3,10 +3,11 @@
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
-from dqdsim.constants import COULOMB_EV_NM, EV_TO_HZ
+from dqdsim.constants import COULOMB_EV_NM, EV_TO_HZ, HBAR2_OVER_2M0
 from dqdsim.dots import _segment_coulomb, localized_pair
 from dqdsim.schrodinger import well_rows
 
@@ -16,6 +17,33 @@ def fermi_integral_quadrature(eta: float, order: float) -> float:
     val, _ = quad(lambda x: x**order / (1.0 + math.exp(x - eta)),
                   0.0, max(eta, 0.0) + 60.0, limit=400)
     return val / math.gamma(order + 1.0)
+
+
+def row_major_well_kinetic(grid, mat):
+    """Hard-wall kinetic operator on the well block, cells in row-major
+    order, assembled pair by pair from the five-point stencil; a boundary
+    cell gets an extra +t toward each wall face (mirror ghost)."""
+    j0, j1 = well_rows(grid)
+    nr, nx = j1 - j0, grid.nx
+    tx = HBAR2_OVER_2M0 / (mat.mass_lateral * grid.dx**2)
+    ty = HBAR2_OVER_2M0 / (mat.mass_vertical * grid.dy**2)
+    idx = np.arange(nr * nx).reshape(nr, nx)
+    rows, cols, vals = [], [], []
+    for a, b, t in ((idx[:, :-1], idx[:, 1:], tx), (idx[:-1], idx[1:], ty)):
+        rows += [a.ravel(), b.ravel()]
+        cols += [b.ravel(), a.ravel()]
+        vals += [np.full(a.size, -t)] * 2
+    diag = np.full((nr, nx), 2.0 * tx + 2.0 * ty)
+    diag[:, 0] += tx
+    diag[:, -1] += tx
+    diag[0, :] += ty
+    diag[-1, :] += ty
+    rows.append(idx.ravel())
+    cols.append(idx.ravel())
+    vals.append(diag.ravel())
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nr * nx, nr * nx))
 
 
 def dense_coulomb_kernel(grid, mat, length_nm):

@@ -8,6 +8,7 @@ import pytest
 from dqdsim import cli
 from dqdsim.cli import (
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_OK,
     Experiment,
     main,
@@ -139,6 +140,19 @@ protocol = swap_everything
 """)
         assert main(["gate", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+
+    def test_out_in_a_missing_directory_is_io_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""
+[params]
+table = {DIRECT_TABLE}
+[gate]
+protocol = ry_pi_left
+""")
+        out = tmp_path / "missing" / "gate.csv"
+        assert main(["gate", "--config", cfg, "--out", str(out)]) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
     def test_unreadable_config_is_config_error(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -26,12 +26,14 @@ from dqdsim.schrodinger import (
     self_consistent_solve,
     solve_eigenstates,
     subband_line_density,
+    to_solver_order,
+    well_kinetic,
     well_rows,
 )
 
 from conftest import quartic_double_well, synthetic_solution, tiny_device
 
-from oracles import fermi_integral_quadrature
+from oracles import fermi_integral_quadrature, row_major_well_kinetic
 
 
 def narrow_box(nx=64, ny=64, wx=16.0, wy=8.0):
@@ -76,7 +78,6 @@ class TestEigenstates:
         for barrier_mev in (10.0, 14.0, 18.0):
             u = quartic_double_well(grid, barrier_mev)
             sp = solve_eigenstates(u, grid, mat, 2, method="sparse")
-            j0, j1 = well_rows(grid)
             dense = np.linalg.eigvalsh(
                 (_well_matrix(grid, mat, u)).toarray())[:2]
             assert sp.energies_ev[0] == pytest.approx(dense[0], abs=1e-8)
@@ -84,8 +85,7 @@ class TestEigenstates:
             split = sp.energies_ev[1] - sp.energies_ev[0]
             assert split > 0
             # symmetric/antisymmetric pair: |psi_0| even, |psi_1| odd
-            w0 = sp.wavefunctions[0][j0:j1]
-            w1 = sp.wavefunctions[1][j0:j1]
+            w0, w1 = sp.wavefunctions[:2]
             assert np.abs(w0 - w0[:, ::-1]).max() < 1e-5
             assert np.abs(w1 + w1[:, ::-1]).max() < 1e-5
             if prev_split is not None:
@@ -96,7 +96,34 @@ class TestEigenstates:
         spec, grid, mat = flat_well
         u = quartic_double_well(grid, 6.0)
         sp = solve_eigenstates(u, grid, mat, 5)
-        assert sp.check_orthonormal(grid.dx, grid.dy, tol=1e-10) < 1e-10
+        flat = sp.wavefunctions.reshape(sp.n_states, -1)
+        gram = flat @ flat.T * grid.dx * grid.dy
+        assert np.abs(gram - np.eye(sp.n_states)).max() < 1e-10
+
+    @pytest.mark.parametrize("method", ["sparse", "dense"])
+    def test_states_live_on_the_well_block(self, flat_well, method):
+        spec, grid, mat = flat_well
+        j0, j1 = well_rows(grid)
+        sp = solve_eigenstates(quartic_double_well(grid, 6.0), grid, mat, 3,
+                               method=method)
+        assert sp.n_states == 3
+        assert sp.wavefunctions.shape == (3, j1 - j0, grid.nx)
+
+    def test_kinetic_operator_is_the_row_major_stencil_by_columns(self,
+                                                                  flat_well):
+        spec, grid, mat = flat_well
+        j0, j1 = well_rows(grid)
+        nr = j1 - j0
+        kin, band = well_kinetic(grid, mat)
+        ref = row_major_well_kinetic(grid, mat)
+        # the solver's cell k is row k % rows of column k // rows
+        by_columns = np.arange(ref.shape[0]).reshape(nr, grid.nx).T.ravel()
+        assert (ref[by_columns][:, by_columns] != kin).nnz == 0
+        for k in range(nr + 1):
+            assert np.array_equal(band[nr - k, k:], kin.diagonal(k))
+        # the solver order is the column-by-column flattening
+        block = np.arange(nr * grid.nx, dtype=float).reshape(nr, grid.nx)
+        assert np.array_equal(to_solver_order(block), block.ravel()[by_columns])
 
     def test_n_states_validation(self, flat_well):
         spec, grid, mat = flat_well
@@ -202,10 +229,10 @@ class TestWarmStartedEigensolve:
 
 
 def _well_matrix(grid, mat, potential):
-    from dqdsim.schrodinger import _well_kinetic
     import scipy.sparse as sp_
     j0, j1 = well_rows(grid)
-    return _well_kinetic(grid, mat) + sp_.diags(potential[j0:j1].ravel())
+    return (row_major_well_kinetic(grid, mat)
+            + sp_.diags(potential[j0:j1].ravel()))
 
 
 class TestQuantumCharge:
@@ -215,6 +242,14 @@ class TestQuantumCharge:
         sp = solve_eigenstates(u, grid, mat, 3)
         n = quantum_charge(sp, 0.0, 1.5, grid, mat)
         assert n.max() == 0.0
+
+    def test_zero_outside_the_well_rows(self, flat_well):
+        spec, grid, mat = flat_well
+        sp = solve_eigenstates(quartic_double_well(grid, 6.0), grid, mat, 3)
+        n = quantum_charge(sp, sp.energies_ev[1] + 1e-3, 1.5, grid, mat)
+        j0, j1 = well_rows(grid)
+        assert n.shape == (grid.ny, grid.nx) and n[j0:j1].max() > 0.0
+        assert not n[:j0].any() and not n[j1:].any()
 
     def test_single_state_line_density_matches_quadrature(self, flat_well):
         spec, grid, mat = flat_well
