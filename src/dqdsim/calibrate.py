@@ -89,7 +89,7 @@ def secant(f, x0, x1, target, tol, lo, hi, max_steps):
     return x1, y1
 
 
-def calibrate_field_map(solution, grid, transition_width_nm: float = 15.0):
+def calibrate_field_map(solution, grid, transition_width_nm: float):
     """Solve the two-plateau B_Z(x) exactly for the Zeeman anchors.
 
     B(x) = B_L + (B_R - B_L) s(x) with a tanh transition under the middle
@@ -100,15 +100,10 @@ def calibrate_field_map(solution, grid, transition_width_nm: float = 15.0):
     above the acceptance bound). Returns (map, `[field_map]` section).
     """
     x_mid = find_dots(solution, grid).barrier_x_nm
-    phi_a, phi_b, _ = localized_pair(solution, grid)
-    weights = []
-    for phi in (phi_a, phi_b):
-        w = (phi**2).sum(axis=0)
-        weights.append((float((w * grid.x).sum() / w.sum()), w / w.sum()))
-    weights.sort(key=lambda t: t[0])
     s_x = 0.5 * (1.0 + np.tanh((grid.x - x_mid) / transition_width_nm))
-    s_l = float((weights[0][1] * s_x).sum())
-    s_r = float((weights[1][1] * s_x).sum())
+    phi_l, phi_r, _ = localized_pair(solution, grid)
+    s_l, s_r = (float((w / w.sum() * s_x).sum())
+                for w in ((phi**2).sum(axis=0) for phi in (phi_l, phi_r)))
     b_targets = np.array([ANCHOR_E_ZL_HZ, ANCHOR_E_ZR_HZ]) / ZEEMAN_HZ_PER_T
     a = np.array([[1.0 - s_l, s_l], [1.0 - s_r, s_r]])
     b_left, b_right = np.linalg.solve(a, b_targets)

@@ -5,7 +5,7 @@ fluct-stats. Each reads a structured-text config file, runs deterministically
 under a fixed seed, and writes a CSV (with a '#'-prefixed metadata header)
 plus a JSON sidecar with identical content. Exit codes: 0 success,
 2 configuration error, 3 numerical failure, 4 i/o error; earlier outputs
-left intact.
+left intact (but for the one case `write_outputs` names).
 
 Config schema (INI):
   [experiment]  seed, out, integrator (lab|rwa)
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .dots import charge_stability, load_device
-from .dynamics import CNOT_DOWN, cnot_matrix, cz_matrix, evolve, gate_fidelity, ry_matrix
+from .dynamics import CNOT_DOWN, CNOT_UP, cz_matrix, evolve, gate_fidelity, ry_matrix
 from .errors import ConfigurationError, DqdError, NumericalError
 from .noise import (NoiseConfig, NoisyTableFactory, fidelity_samples,
                     fluctuation_stats)
@@ -192,8 +192,11 @@ def write_outputs(out_path: str, header_cols: list, rows: list, meta: dict):
     """CSV with '#' metadata header + machine-readable JSON sidecar.
 
     Both files are written to temporary files beside their targets and
-    renamed into place only once both are complete, so a failed write
-    leaves the previous outputs intact and no temporary file behind.
+    renamed into place only once both are complete: the JSON sidecar first,
+    then the CSV, which `--resume` reads. A failed write or a failed first
+    rename leaves the previous outputs intact; any failure leaves no
+    temporary file behind. Only when the CSV's own rename fails is the new
+    sidecar already in place beside the previous CSV.
     """
     lines = [f"# {k} = {v}" for k, v in meta.items()]
     lines.append(",".join(header_cols))
@@ -202,8 +205,8 @@ def write_outputs(out_path: str, header_cols: list, rows: list, meta: dict):
     body = "\n".join(lines) + "\n"
     sidecar = {"meta": meta, "columns": header_cols,
                "rows": [[_jsonable(v) for v in r] for r in rows]}
-    texts = ((out_path, body),
-             (out_path + ".json", json.dumps(sidecar, indent=1, sort_keys=True)))
+    texts = ((out_path + ".json", json.dumps(sidecar, indent=1, sort_keys=True)),
+             (out_path, body))
     pending = []
     try:
         for path, text in texts:
@@ -211,13 +214,13 @@ def write_outputs(out_path: str, header_cols: list, rows: list, meta: dict):
             pending.append((tmp, path))
             with open(tmp, "w") as fh:
                 fh.write(text)
+        for tmp, path in pending:
+            os.replace(tmp, path)
     except BaseException:
         for tmp, _ in pending:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
         raise
-    for tmp, path in pending:
-        os.replace(tmp, path)
 
 
 def _fmt(v):
@@ -256,14 +259,13 @@ def build_protocol(name: str, table, v_weak: float, v_strong: float,
     if name == "ry_pi_right":
         return schedule_ry("R", math.pi, p_weak), ry_matrix("R", math.pi)
     if name == "cnot_single":
-        return cnot_single_schedule(p_strong), cnot_matrix("R")
+        return cnot_single_schedule(p_strong), CNOT_UP
     if name == "cnot_multi":
         return cnot_multi_schedule(p_weak, p_strong, tau_tr_ns), CNOT_DOWN
     if name == "cz":
         return cz_schedule(p_weak, p_strong, tau_tr_ns), cz_matrix()
     if name == "u":
-        return (u_gate_schedule(p_strong, tau_tr_ns, v_m_weak_mv=v_weak),
-                cz_matrix())
+        return u_gate_schedule(p_strong, tau_tr_ns, v_weak), cz_matrix()
     raise ConfigurationError(f"unknown protocol {name!r}")
 
 
@@ -276,9 +278,7 @@ def run_stability(exp: Experiment) -> int:
     v_r = exp.value("stability", "v_r_mv", kind=_parse_range)
     v_m = exp.value("stability", "v_m_mv", "400")
     v_b = exp.value("stability", "v_b_mv", "200")
-    dev = exp.device()
-    diagram = charge_stability(dev.spec, dev.mat, v_l, v_r, v_m, v_b,
-                               grid=dev.grid)
+    diagram = charge_stability(exp.device(), v_l, v_r, v_m, v_b)
     rows = []
     for j, vr in enumerate(diagram.v_r_mv):
         for i, vl in enumerate(diagram.v_l_mv):

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,15 +39,12 @@ ELECTRODE_NAMES = ("B1", "L", "M", "R", "B2")
 class Layer:
     material: str                 # "Si" or "SiGe"
     thickness_nm: float
-    ge_fraction: float = 0.30     # meaningful for SiGe only
 
     def __post_init__(self):
         if self.material not in ("Si", "SiGe"):
             raise ConfigurationError(f"unknown material {self.material!r}")
         if self.thickness_nm <= 0:
             raise ConfigurationError("layer thickness must be > 0")
-        if not 0.0 <= self.ge_fraction <= 1.0:
-            raise ConfigurationError("ge_fraction must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,7 @@ class DeviceSpec:
     width_nm: float
     dx_nm: float
     dy_nm: float
-    temperature_k: float = 1.5
+    temperature_k: float
     # depth interval of the ohmic source/drain segments on the side boundaries
     source_drain_depth_nm: tuple[float, float] | None = None
 
@@ -105,6 +101,16 @@ class DeviceSpec:
 
 @dataclass(frozen=True)
 class MaterialParams:
+    """Material constants of the Si/SiGe stack.
+
+    The defaults are part of the model: literature values for strained Si
+    on relaxed Si0.7Ge0.3 (relative permittivities, the 150 meV
+    conduction-band offset, the Delta_2 effective masses and valley
+    degeneracy, the bulk density-of-states mass) and a grounded source
+    reservoir. A device file still states every field; its Schottky
+    barrier is the value the calibration fits.
+    """
+
     permittivity_si: float = 11.7
     permittivity_sige: float = 13.0
     # conduction-band offset of the SiGe barrier above the strained Si well, eV
@@ -127,17 +133,16 @@ class MaterialParams:
         if self.schottky_barrier_ev < 0:
             raise ConfigurationError("Schottky barrier must be >= 0")
 
-    def permittivity(self, material: str) -> float:
-        return self.permittivity_si if material == "Si" else self.permittivity_sige
-
 
 @dataclass(frozen=True)
 class DeviceBiases:
-    v_b: float = 0.2      # both barrier gates, volts
-    v_l: float = 0.54
-    v_m: float = 0.40
-    v_r: float = 0.57
-    drain_bias_v: float = 1e-4
+    """Gate and drain biases, volts; a device file states each one."""
+
+    v_b: float            # both barrier gates
+    v_l: float
+    v_m: float
+    v_r: float
+    drain_bias_v: float
 
     def __post_init__(self):
         vals = (self.v_b, self.v_l, self.v_m, self.v_r, self.drain_bias_v)
@@ -513,30 +518,49 @@ def load_device_config(path) -> tuple[DeviceSpec, MaterialParams, DeviceBiases, 
             f"malformed device file {path}: {exc!r}") from exc
 
 
+def _from_section(cp: configparser.ConfigParser, section: str, cls):
+    """The dataclass `cls` from `[section]`, which states each of its
+    fields, parsed by the field's annotated type: a missing key raises
+    KeyError, an unknown one ConfigurationError."""
+    sec = cp[section]
+    unknown = set(sec) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigurationError(f"unknown keys in [{section}]: {sorted(unknown)}")
+    return cls(**{f.name: (int if f.type == "int" else float)(sec[f.name])
+                  for f in fields(cls)})
+
+
 def parse_device_config(text: str, source: str = "<string>"
                         ) -> tuple[DeviceSpec, MaterialParams, DeviceBiases, dict]:
     """Parse the key/value device schema; returns (spec, materials, biases, extra).
 
     Schema (INI, units in key names):
-      [layers]   ordered entries "name = material thickness_nm [ge_fraction]"
+      [layers]   ordered entries "name = material thickness_nm"
       [electrodes] "B1 = x0_nm x1_nm" ... for B1, L, M, R, B2
-      [grid]     width_nm, dx_nm, dy_nm, temperature_k
-      [materials] any MaterialParams field
-      [biases]   v_b, v_l, v_m, v_r, drain_bias_v (volts)
+      [grid]     width_nm, dx_nm, dy_nm, temperature_k; optionally
+                 source_drain_depth_nm = y0_nm y1_nm
+      [materials] every MaterialParams field
+      [biases]   every DeviceBiases field: v_b, v_l, v_m, v_r, drain_bias_v
+                 (volts)
       [field_map] profile = plateaus with b_left_tesla, b_right_tesla,
                  x_mid_nm, width_nm; or b0_tesla, gradient_tesla_per_nm;
                  or file = path (required by `dots.load_device`)
       [exchange] coulomb_length_nm
-    Extra sections are returned verbatim in `extra`.
+    Every [grid], [materials] and [biases] key is required but
+    source_drain_depth_nm: a missing one raises KeyError, an unknown
+    [materials] or [biases] key ConfigurationError. Extra sections are
+    returned verbatim in `extra`.
     """
     cp = configparser.ConfigParser()
     cp.read_string(text, source=source)
 
     layers = []
-    for _, val in cp.items("layers"):
+    for name, val in cp.items("layers"):
         parts = val.split()
-        ge = float(parts[2]) if len(parts) > 2 else 0.30
-        layers.append(Layer(parts[0], float(parts[1]), ge))
+        if len(parts) != 2:
+            raise ConfigurationError(
+                f"[layers] {name} = {val!r}: expected 'material thickness_nm'")
+        layers.append(Layer(parts[0], float(parts[1])))
     electrodes = []
     for name, val in cp.items("electrodes"):
         x0, x1 = (float(t) for t in val.split())
@@ -553,20 +577,11 @@ def parse_device_config(text: str, source: str = "<string>"
         width_nm=float(g["width_nm"]),
         dx_nm=float(g["dx_nm"]),
         dy_nm=float(g["dy_nm"]),
-        temperature_k=float(g.get("temperature_k", "1.5")),
+        temperature_k=float(g["temperature_k"]),
         source_drain_depth_nm=sd,
     )
-
-    mat_kwargs = {}
-    if cp.has_section("materials"):
-        for key, val in cp.items("materials"):
-            mat_kwargs[key] = int(val) if key == "valley_degeneracy" else float(val)
-    mat = MaterialParams(**mat_kwargs)
-
-    bias_kwargs = {}
-    if cp.has_section("biases"):
-        bias_kwargs = {k: float(v) for k, v in cp.items("biases")}
-    biases = DeviceBiases(**bias_kwargs)
+    mat = _from_section(cp, "materials", MaterialParams)
+    biases = _from_section(cp, "biases", DeviceBiases)
 
     extra = {
         s: dict(cp.items(s))
@@ -581,7 +596,7 @@ def device_config_text(spec: DeviceSpec, mat: MaterialParams,
     """The device file `load_device_config` reads, as text."""
     cp = configparser.ConfigParser()
     cp["layers"] = {
-        f"layer{i}": f"{l.material} {l.thickness_nm:.6g} {l.ge_fraction:.4g}"
+        f"layer{i}": f"{l.material} {l.thickness_nm:.6g}"
         for i, l in enumerate(spec.layers)
     }
     cp["electrodes"] = {
@@ -598,23 +613,9 @@ def device_config_text(spec: DeviceSpec, mat: MaterialParams,
             f"{spec.source_drain_depth_nm[0]:.6g} {spec.source_drain_depth_nm[1]:.6g}"
         )
     cp["grid"] = grid_sec
-    cp["materials"] = {
-        "permittivity_si": repr(mat.permittivity_si),
-        "permittivity_sige": repr(mat.permittivity_sige),
-        "conduction_band_offset_ev": repr(mat.conduction_band_offset_ev),
-        "mass_lateral": repr(mat.mass_lateral),
-        "mass_vertical": repr(mat.mass_vertical),
-        "mass_transport": repr(mat.mass_transport),
-        "dos_mass_bulk": repr(mat.dos_mass_bulk),
-        "valley_degeneracy": repr(mat.valley_degeneracy),
-        "schottky_barrier_ev": repr(mat.schottky_barrier_ev),
-        "fermi_level_ev": repr(mat.fermi_level_ev),
-    }
-    cp["biases"] = {
-        "v_b": repr(biases.v_b), "v_l": repr(biases.v_l),
-        "v_m": repr(biases.v_m), "v_r": repr(biases.v_r),
-        "drain_bias_v": repr(biases.drain_bias_v),
-    }
+    for sec, values in (("materials", mat), ("biases", biases)):
+        cp[sec] = {f.name: repr(getattr(values, f.name))
+                   for f in fields(values)}
     for sec, items in (extra or {}).items():
         cp[sec] = {k: str(v) for k, v in items.items()}
     buf = io.StringIO()

@@ -47,6 +47,14 @@ from .schrodinger import (
 # per-device value (`[exchange] coulomb_length_nm`).
 DOT_LENGTH_NM = 60.0
 
+# A potential valley counts as a dot when the saddle separating it from
+# every deeper one lies at least this far above it (eV).
+MIN_VALLEY_DEPTH_EV = 2e-5
+
+# Samples of the analytic field-map profiles over the device extent.
+GRADIENT_SAMPLES = 33
+PLATEAU_SAMPLES = 401
+
 
 class MagnetFieldMap:
     """Lateral profile B_Z(x) of the micromagnet field, tesla.
@@ -69,18 +77,18 @@ class MagnetFieldMap:
 
     @classmethod
     def from_gradient(cls, b0_tesla: float, gradient_t_per_nm: float,
-                      x0_nm: float, x1_nm: float, n: int = 33):
-        x = np.linspace(x0_nm, x1_nm, n)
+                      x0_nm: float, x1_nm: float):
+        x = np.linspace(x0_nm, x1_nm, GRADIENT_SAMPLES)
         return cls(x, b0_tesla + gradient_t_per_nm * x)
 
     @classmethod
     def from_plateaus(cls, b_left_tesla: float, b_right_tesla: float,
                       x_mid_nm: float, width_nm: float,
-                      x0_nm: float, x1_nm: float, n: int = 401):
+                      x0_nm: float, x1_nm: float):
         """Two-plateau profile: flat at the dots, tanh transition under the
         middle gate. Flat plateaus decouple the Zeeman splittings from
         noise-driven dot motion."""
-        x = np.linspace(x0_nm, x1_nm, n)
+        x = np.linspace(x0_nm, x1_nm, PLATEAU_SAMPLES)
         s = 0.5 * (1.0 + np.tanh((x - x_mid_nm) / width_nm))
         return cls(x, b_left_tesla + (b_right_tesla - b_left_tesla) * s)
 
@@ -189,13 +197,12 @@ def well_profile(solution: ConvergedSolution, grid: Grid) -> np.ndarray:
     return solution.potential_ev[j0:j1, :].mean(axis=0)
 
 
-def find_dots(solution: ConvergedSolution, grid: Grid,
-              min_depth_ev: float = 2e-5) -> DotRegions:
+def find_dots(solution: ConvergedSolution, grid: Grid) -> DotRegions:
     """Locate 0, 1 or 2 potential valleys in the well and the inter-dot cut.
 
     Valleys are kept by topographic prominence: a local minimum counts when
     the saddle separating it from every deeper kept valley lies at least
-    `min_depth_ev` above it. This ignores micro-eV noise wiggles while
+    `MIN_VALLEY_DEPTH_EV` above it. This ignores micro-eV noise wiggles while
     keeping genuinely shallow inter-dot barriers. More than two surviving
     valleys raises GeometryError.
     """
@@ -208,7 +215,7 @@ def find_dots(solution: ConvergedSolution, grid: Grid,
         for j in strong:
             lo, hi = (i, j) if i < j else (j, i)
             saddle = prof[lo:hi + 1].max()
-            if saddle - prof[i] < min_depth_ev:
+            if saddle - prof[i] < MIN_VALLEY_DEPTH_EV:
                 prominent = False
                 break
         if prominent:
@@ -227,11 +234,6 @@ def find_dots(solution: ConvergedSolution, grid: Grid,
     )
 
 
-def orbital_centroid_x(psi: np.ndarray, grid: Grid) -> float:
-    w = (psi**2).sum(axis=0)
-    return float((w * grid.x).sum() / w.sum())
-
-
 def zeeman_splittings(solution: ConvergedSolution, field_map: MagnetFieldMap,
                       grid: Grid, pair=None) -> tuple[float, float]:
     """(E_ZL, E_ZR) in Hz: g mu_B / h times the density-weighted B_Z.
@@ -239,22 +241,21 @@ def zeeman_splittings(solution: ConvergedSolution, field_map: MagnetFieldMap,
     The ground orbital of each dot is the maximally localized combination of
     the two lowest well states, which reduces to the eigenstates themselves
     once the dots are detuned and handles the symmetric case where both
-    eigenstates straddle the barrier. `pair` is the solution's
-    `localized_pair`, when the caller already has it.
+    eigenstates straddle the barrier; `localized_pair` orders them left to
+    right. `pair` is the solution's `localized_pair`, when the caller
+    already has it.
     """
     if find_dots(solution, grid).n_dots != 2:
         raise GeometryError("Zeeman splittings need two dots")
     if not field_map.covers(grid.x[0], grid.x[-1]):
         raise ConfigurationError("field map does not cover the device extent")
-    phi_a, phi_b, _ = pair or localized_pair(solution, grid)
+    phi_l, phi_r, _ = pair or localized_pair(solution, grid)
     b_x = field_map(grid.x)
-    vals = []
-    for phi in (phi_a, phi_b):
-        w = (phi**2).sum(axis=0)
-        ez = float(ZEEMAN_HZ_PER_T * (w * b_x).sum() * grid.dx * grid.dy)
-        vals.append((orbital_centroid_x(phi, grid), ez))
-    vals.sort()
-    return vals[0][1], vals[1][1]
+    e_zl, e_zr = (
+        float(ZEEMAN_HZ_PER_T * ((phi**2).sum(axis=0) * b_x).sum()
+              * grid.dx * grid.dy)
+        for phi in (phi_l, phi_r))
+    return e_zl, e_zr
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +324,9 @@ def localized_pair(solution: ConvergedSolution, grid: Grid):
 
     Diagonalizes the lateral position operator in the two-state subspace;
     returns (phi_l, phi_r, h2) with phi on the well block and h2 the
-    effective 2x2 Hamiltonian in the localized basis (eV), ordered left to
-    right.
+    effective 2x2 Hamiltonian in the localized basis (eV). The pair is
+    ordered by the position eigenvalue, which is each orbital's centroid,
+    so left to right.
     """
     psi = solution.spectrum.wavefunctions[:2]
     da = grid.dx * grid.dy
@@ -420,27 +422,28 @@ def dot_occupations(solution: ConvergedSolution, grid: Grid, spec: DeviceSpec,
     return int(n[0]), int(n[1])
 
 
-def charge_stability(spec: DeviceSpec, mat: MaterialParams,
-                     v_l_mv, v_r_mv, v_m_mv: float, v_b_mv: float,
-                     *, grid: Grid | None = None) -> StabilityDiagram:
-    """Occupation map over a (V_L, V_R) window at fixed V_M, V_B."""
+def charge_stability(device: Device, v_l_mv, v_r_mv, v_m_mv: float,
+                     v_b_mv: float) -> StabilityDiagram:
+    """Occupation map over a (V_L, V_R) window at fixed V_M, V_B: each point
+    is solved at the device file's biases with those four replaced."""
     v_l_mv = np.asarray(v_l_mv, dtype=float)
     v_r_mv = np.asarray(v_r_mv, dtype=float)
     if v_l_mv.size == 0 or v_r_mv.size == 0:
         raise ConfigurationError("stability ranges must be non-empty")
-    grid = grid or build_grid(spec)
     n_l = np.zeros((v_r_mv.size, v_l_mv.size), dtype=int)
     n_r = np.zeros_like(n_l)
     start = None
     for j, vr in enumerate(v_r_mv):
         row_start = start
         for i, vl in enumerate(v_l_mv):
-            biases = DeviceBiases(v_b=v_b_mv * 1e-3, v_l=vl * 1e-3,
-                                  v_m=v_m_mv * 1e-3, v_r=vr * 1e-3)
-            sol = self_consistent_solve(spec, mat, biases, grid=grid,
+            biases = replace(device.biases, v_b=v_b_mv * 1e-3, v_l=vl * 1e-3,
+                             v_m=v_m_mv * 1e-3, v_r=vr * 1e-3)
+            sol = self_consistent_solve(device.spec, device.mat, biases,
+                                        grid=device.grid,
                                         start_potential=row_start)
             row_start = sol.potential_ev
             if i == 0:
                 start = sol.potential_ev
-            n_l[j, i], n_r[j, i] = dot_occupations(sol, grid, spec, mat)
+            n_l[j, i], n_r[j, i] = dot_occupations(sol, device.grid,
+                                                   device.spec, device.mat)
     return StabilityDiagram(v_l_mv=v_l_mv, v_r_mv=v_r_mv, n_l=n_l, n_r=n_r)

@@ -132,18 +132,10 @@ def cz_matrix() -> np.ndarray:
     return np.diag([-1.0 + 0j, 1.0, 1.0, 1.0])
 
 
-def cnot_matrix(control: str = "R") -> np.ndarray:
-    """CNOT flipping the other (target) qubit when the control is |up> = |1>."""
-    u = np.zeros((4, 4), dtype=complex)
-    if control == "R":
-        # control-up states are uu (0) and du (2)
-        u[0, 2] = u[2, 0] = 1.0
-        u[1, 1] = u[3, 3] = 1.0
-    else:
-        u[0, 1] = u[1, 0] = 1.0
-        u[2, 2] = u[3, 3] = 1.0
-    return u
-
+# CNOT flipping the left qubit when the right one is |up> = |1>: the gate
+# that the single-step protocol compiles (uu <-> du)
+CNOT_UP = np.array([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+                   dtype=complex)
 
 # CNOT flipping the left qubit when the right one is |down>: the gate that
 # the three-step protocol compiles (ud <-> dd)
@@ -348,8 +340,8 @@ def _stepped(gen: _Affine, t0_s: float, dur_s: float, dt_factor: float,
 
 
 def evolve(schedule, params_source, integrator: str = "rwa",
-           dt_factor: float = 200.0, sample_every_ns: float | None = None,
-           initial_state: int = STATE_DD) -> UnitaryResult:
+           dt_factor: float = 200.0, sample_every_ns: float | None = None
+           ) -> UnitaryResult:
     """Integrate a pulse schedule into a 4x4 propagator.
 
     Parameters
@@ -359,8 +351,8 @@ def evolve(schedule, params_source, integrator: str = "rwa",
         ramps also needs its vectorized `j_of_vm(v_m_mv_array)`, as a
         ParamsTable provides, for J along the ramp.
     integrator : "rwa" (production) or "lab" (reference oracle)
-    sample_every_ns : if set, record the state trajectory from
-        `initial_state` at the stride marks k * sample_every_ns from t = 0
+    sample_every_ns : if set, record the state trajectory from |dd>
+        (`STATE_DD`) at the stride marks k * sample_every_ns from t = 0
         and at the end of the schedule. A mark's row falls on the first
         step end at or after it: the mark itself in a constant segment,
         the next step end in a stepped one, or the segment's end. Rows do
@@ -415,7 +407,7 @@ def evolve(schedule, params_source, integrator: str = "rwa",
     marks_ps = np.empty(0, dtype=int)
     if sampling:
         psi = np.zeros(4, dtype=complex)
-        psi[initial_state] = 1.0
+        psi[STATE_DD] = 1.0
         traj_t.append(0.0)
         traj_a.append(psi.copy())
         stride_ps = max(int(round(sample_every_ns * 1000.0)), 1)
@@ -543,8 +535,9 @@ def _check_unitary(u: np.ndarray, name: str):
         raise ConfigurationError(f"{name} is not unitary to 1e-8")
 
 
-def _avg_fidelity_from_trace(tr_abs: float, d: int = 4) -> float:
-    return (tr_abs**2 / d + 1.0) / (d + 1.0)
+def _avg_fidelity_from_trace(tr_abs: float) -> float:
+    """Average gate fidelity of two-qubit gates (d = 4) from |Tr(U_i^+ U)|."""
+    return (tr_abs**2 / 4 + 1.0) / 5
 
 
 Z_L = SZ_L.diagonal().real
@@ -564,12 +557,11 @@ def _best_angle(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.angle(q) - np.angle(p)
 
 
-def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray,
-                  frame_opt: bool = True) -> float:
-    """Average gate fidelity in percent.
+def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray) -> float:
+    """Frame-optimized average gate fidelity in percent.
 
     F_avg = (|Tr(U_ideal^+ U)|^2 / d + 1) / (d + 1), d = 4, globally phase
-    invariant. With `frame_opt` the ideal gate is pre- and post-composed with
+    invariant. The ideal gate is pre- and post-composed with
     single-qubit virtual-Z rotations, matching the experimental convention of
     tracking qubit phases in software, and |Tr| is maximized over their four
     angles by exact coordinate ascent: with three angles fixed the trace is
@@ -581,9 +573,6 @@ def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray,
     _check_unitary(u_actual, "u_actual")
     _check_unitary(u_ideal, "u_ideal")
     a = np.conj(u_ideal) * u_actual   # Tr = sum_jk A_jk with phase factors
-    if not frame_opt:
-        return 100.0 * _avg_fidelity_from_trace(abs(a.sum()))
-
     x = FRAME_STARTS.copy()           # angles (post L, post R, pre L, pre R)
 
     def ph(i, z):

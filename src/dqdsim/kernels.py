@@ -78,19 +78,17 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
 
 
 def propagate_affine(h_base: np.ndarray, h_coef: np.ndarray,
-                     coefs: np.ndarray, dt_s: float,
-                     u0: np.ndarray | None = None) -> np.ndarray:
+                     coefs: np.ndarray, dt_s: float) -> np.ndarray:
     """U = prod_k expm(-i 2 pi dt (h_base + coefs[k] h_coef)), applied in order.
 
     coefs[k] multiplies h_coef in the k-th exponential; index 0 acts first.
-    With `u0` the product is applied to it.
     """
     coefs = np.ascontiguousarray(coefs, dtype=float)
     if coefs.size == 0:
-        return np.eye(4, dtype=complex) if u0 is None else u0.copy()
+        return np.eye(4, dtype=complex)
     h_base = np.asarray(h_base, dtype=complex)
     h_coef = np.asarray(h_coef, dtype=complex)
-    u = u0
+    u = None
     for start in range(0, coefs.size, CHUNK_STEPS):
         chunk = ordered_product(step_exponentials(
             h_base, h_coef, coefs[start:start + CHUNK_STEPS], dt_s))

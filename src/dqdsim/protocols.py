@@ -97,9 +97,8 @@ def ry_pulse(target: str, angle_rad: float, p: SpinParams,
     )
 
 
-def schedule_ry(target: str, angle_rad: float, p: SpinParams,
-                rabi_hz: float = RY_RABI_HZ) -> PulseSchedule:
-    seg = ry_pulse(target, angle_rad, p, rabi_hz)
+def schedule_ry(target: str, angle_rad: float, p: SpinParams) -> PulseSchedule:
+    seg = ry_pulse(target, angle_rad, p)
     if seg is None:
         raise ConfigurationError("zero-angle rotation compiles to no schedule")
     return PulseSchedule(
@@ -114,34 +113,44 @@ def u_hold_time_s(p_strong: SpinParams) -> float:
     return 1.0 / (2.0 * p_strong.j_hz)
 
 
-def u_gate_schedule(p_strong: SpinParams, tau_tr_ns: float,
-                    v_m_weak_mv: float | None = None,
-                    frame_freq_hz: float | None = None) -> PulseSchedule:
-    """Ramp up, hold for tau_U = 1/(2J) (conditional phase pi), ramp down.
+def _cz_block(p_strong: SpinParams, tau_tr_ns: float,
+              v_weak_mv: float | None,
+              p_weak: SpinParams | None) -> PulseSchedule:
+    """The entangling block, in the frame at the strong point's mean Zeeman
+    frequency: ramp V_M from `v_weak_mv` up to the strong point over
+    tau_TR, hold for tau_U = 1/(2J) (conditional phase pi), ramp back.
+    Given `p_weak`, it ends on the two virtual-Z rotations that make it a
+    CZ (`_hold_vz_angles`).
 
     The hold accumulates exactly int J dt = 1/2 by construction; phase
     accrued on the ramps is not compensated.
     """
     tau_u_s = u_hold_time_s(p_strong)
     v_strong = p_strong.v_m_mv
-    if v_strong is None:
-        raise ConfigurationError("p_strong must carry its V_M provenance")
-    if v_m_weak_mv is None:
-        v_m_weak_mv = 400.0
-    segs = []
+    if v_weak_mv is None or v_strong is None:
+        raise ConfigurationError("both operating points must carry V_M provenance")
+    segs = (Segment(_ps(tau_u_s), v_strong),)
     if tau_tr_ns > 0:
-        segs.append(Segment(_ps(tau_tr_ns * 1e-9), v_strong,
-                            ramp_from_mv=v_m_weak_mv))
-    segs.append(Segment(_ps(tau_u_s), v_strong))
-    if tau_tr_ns > 0:
-        segs.append(Segment(_ps(tau_tr_ns * 1e-9), v_m_weak_mv,
-                            ramp_from_mv=v_strong))
-    if frame_freq_hz is None:
-        frame_freq_hz = 0.5 * (p_strong.e_zl_hz + p_strong.e_zr_hz)
+        ramp_ps = _ps(tau_tr_ns * 1e-9)
+        segs = (Segment(ramp_ps, v_strong, ramp_from_mv=v_weak_mv), *segs,
+                Segment(ramp_ps, v_weak_mv, ramp_from_mv=v_strong))
+    events = ()
+    if p_weak is not None:
+        t_z = sum(seg.duration_ps for seg in segs)
+        a_l, a_r = _hold_vz_angles(p_weak, p_strong, tau_u_s)
+        events = ((t_z, "L", a_l), (t_z, "R", a_r))
     return PulseSchedule(
-        segments=tuple(segs), vz_events=(), frame_freq_hz=frame_freq_hz,
+        segments=segs, vz_events=events,
+        frame_freq_hz=0.5 * (p_strong.e_zl_hz + p_strong.e_zr_hz),
         symbols={"tau_u_ns": tau_u_s * 1e9, "tau_tr_ns": tau_tr_ns},
     )
+
+
+def u_gate_schedule(p_strong: SpinParams, tau_tr_ns: float,
+                    v_m_weak_mv: float) -> PulseSchedule:
+    """Device-native U: the `_cz_block` from `v_m_weak_mv` (mV), without
+    its virtual-Z rotations."""
+    return _cz_block(p_strong, tau_tr_ns, v_m_weak_mv, None)
 
 
 def _hold_vz_angles(p_weak: SpinParams, p_strong: SpinParams,
@@ -172,25 +181,17 @@ def _hold_vz_angles(p_weak: SpinParams, p_strong: SpinParams,
     return (a_l, a_r)
 
 
-def cz_schedule(p_weak: SpinParams, p_strong: SpinParams, tau_tr_ns: float,
-                frame_freq_hz: float | None = None) -> PulseSchedule:
-    """Controlled-Z: device-native U plus virtual Z rotations on both qubits."""
-    base = u_gate_schedule(p_strong, tau_tr_ns, v_m_weak_mv=p_weak.v_m_mv,
-                           frame_freq_hz=frame_freq_hz)
-    t_z = base.total_time_ps
-    a_l, a_r = _hold_vz_angles(p_weak, p_strong, u_hold_time_s(p_strong))
-    events = ((t_z, "L", a_l), (t_z, "R", a_r))
-    return PulseSchedule(
-        segments=base.segments, vz_events=events,
-        frame_freq_hz=base.frame_freq_hz, symbols=dict(base.symbols),
-    )
+def cz_schedule(p_weak: SpinParams, p_strong: SpinParams,
+                tau_tr_ns: float) -> PulseSchedule:
+    """Controlled-Z: the `_cz_block` with its virtual Z rotations on both
+    qubits."""
+    return _cz_block(p_strong, tau_tr_ns, p_weak.v_m_mv, p_weak)
 
 
-def cnot_single_schedule(p_strong: SpinParams,
-                         rabi_hz: float = CNOT_RABI_HZ,
-                         theta_rad: float = CNOT_THETA_RAD) -> PulseSchedule:
+def cnot_single_schedule(p_strong: SpinParams) -> PulseSchedule:
     """Single resonant pulse flipping the left (target) qubit conditioned on
-    the right (control) qubit being up.
+    the right (control) qubit being up, at B_o = `CNOT_RABI_HZ` and
+    theta = `CNOT_THETA_RAD` (both read at call time).
 
     omega_D and the flip duration come from the analytic conditional-
     resonance construction the reported pulse parameters belong to:
@@ -200,6 +201,7 @@ def cnot_single_schedule(p_strong: SpinParams,
     residual detuning and the spectator phase set the noise-free infidelity
     of this gate.
     """
+    rabi_hz = CNOT_RABI_HZ
     if p_strong.j_hz < MIN_STRONG_J_FACTOR * rabi_hz:
         raise RegimeError(
             "conditional resonances unresolvable: J = "
@@ -212,7 +214,7 @@ def cnot_single_schedule(p_strong: SpinParams,
         duration_ps=_ps(duration_s),
         v_m_mv=p_strong.v_m_mv if p_strong.v_m_mv is not None else 0.0,
         drive=DrivePulse(rabi_hz=rabi_hz, freq_hz=omega_d,
-                         phase_rad=theta_rad, target="both"),
+                         phase_rad=CNOT_THETA_RAD, target="both"),
     )
     return PulseSchedule(
         segments=(seg,), vz_events=(), frame_freq_hz=omega_d,
@@ -223,36 +225,17 @@ def cnot_single_schedule(p_strong: SpinParams,
 
 
 def cnot_multi_schedule(p_weak: SpinParams, p_strong: SpinParams,
-                        tau_tr_ns: float,
-                        ry_rabi_hz: float = RY_RABI_MULTI_HZ) -> PulseSchedule:
+                        tau_tr_ns: float) -> PulseSchedule:
     """Three-step CNOT: RY(-pi/2) on the target (left qubit, the right spin
-    is the control), the CZ block (ramp, U hold, ramp, virtual RZ(-pi/2) on
-    both at T_Z), then RY(pi/2) on the target."""
-    if p_strong.j_hz <= 0:
-        raise RegimeError("multi-step CNOT needs a strong-interaction point with J > 0")
-    ry_minus = ry_pulse("L", -0.5 * math.pi, p_weak, rabi_hz=ry_rabi_hz)
-    ry_plus = ry_pulse("L", +0.5 * math.pi, p_weak, rabi_hz=ry_rabi_hz)
-    tau_u_s = u_hold_time_s(p_strong)
-    v_weak, v_strong = p_weak.v_m_mv, p_strong.v_m_mv
-    if v_weak is None or v_strong is None:
-        raise ConfigurationError("both operating points must carry V_M provenance")
-
-    segs = [ry_minus]
-    if tau_tr_ns > 0:
-        segs.append(Segment(_ps(tau_tr_ns * 1e-9), v_strong, ramp_from_mv=v_weak))
-    segs.append(Segment(_ps(tau_u_s), v_strong))
-    if tau_tr_ns > 0:
-        segs.append(Segment(_ps(tau_tr_ns * 1e-9), v_weak, ramp_from_mv=v_strong))
-    t_z = sum(s.duration_ps for s in segs)
-    segs.append(ry_plus)
-    a_l, a_r = _hold_vz_angles(p_weak, p_strong, tau_u_s)
-    events = ((t_z, "L", a_l), (t_z, "R", a_r))
+    is the control) at B_o = `RY_RABI_MULTI_HZ`, the CZ block
+    (`cz_schedule`), then RY(pi/2) on the target."""
+    ry_minus = ry_pulse("L", -0.5 * math.pi, p_weak, rabi_hz=RY_RABI_MULTI_HZ)
+    ry_plus = ry_pulse("L", +0.5 * math.pi, p_weak, rabi_hz=RY_RABI_MULTI_HZ)
+    cz = cz_schedule(p_weak, p_strong, tau_tr_ns)
+    t0 = ry_minus.duration_ps
     return PulseSchedule(
-        segments=tuple(segs), vz_events=events,
+        segments=(ry_minus, *cz.segments, ry_plus),
+        vz_events=tuple((t0 + t, q, a) for t, q, a in cz.vz_events),
         frame_freq_hz=ry_minus.drive.freq_hz,
-        symbols={
-            "tau_y_ns": ry_minus.duration_ps * 1e-3,
-            "tau_u_ns": tau_u_s * 1e9,
-            "tau_tr_ns": tau_tr_ns,
-        },
+        symbols={"tau_y_ns": ry_minus.duration_ps * 1e-3, **cz.symbols},
     )

@@ -65,6 +65,14 @@ ANDERSON_START_EV = 1e-2
 # converged: the stage stops at this residual.
 SEED_TOL_EV = 1e-3
 
+# The self-consistent solve: well states it keeps, the ceiling of its
+# damping factor, its max-norm tolerance on the undamped residual, and the
+# iteration cap of each stage. Read at call time.
+N_STATES = 6
+MIXING = 0.1
+TOL_EV = 1e-6
+MAX_ITER = 600
+
 
 @dataclass
 class Spectrum:
@@ -129,6 +137,16 @@ def well_kinetic(grid: Grid, mat: MaterialParams):
                        [0, *offsets, *(-k for k in offsets)], format="csr")
         grid._cache[key] = (kin, band)
     return grid._cache[key]
+
+
+def weyl_floor(energies_ev, u: np.ndarray, u_ref: np.ndarray, grid: Grid):
+    """Lower bounds on the well levels of the potential `u`, given the
+    levels `energies_ev` of `u_ref`: each lowered by the most negative
+    change u - u_ref over the well, when there is one. By Weyl's inequality
+    (Horn & Johnson, Matrix Analysis, Thm 4.3.1) the k-th level of u lies
+    at or above the k-th bound."""
+    j0, j1 = well_rows(grid)
+    return energies_ev + min(0.0, float((u[j0:j1] - u_ref[j0:j1]).min()))
 
 
 def shifted_well_cholesky(band: np.ndarray, v: np.ndarray,
@@ -284,7 +302,7 @@ class ConvergedSolution:
 
 
 def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
-                 t_k: float, u0: np.ndarray, n_states: int, mixing: float,
+                 t_k: float, u0: np.ndarray, mixing: float,
                  tol_ev: float, max_iter: int,
                  stall_window: int | None = None,
                  spectrum: Spectrum | None = None):
@@ -308,10 +326,9 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
     `spectrum`, when given, is the spectrum of `u0`; the first iteration
     then uses it instead of solving. Every other eigensolve is
     warm-started from the previous iteration's spectrum, with its energies
-    lowered by the most negative change of the potential over the well
-    when there is one. By Weyl's inequality no level of the new potential
-    lies below those energies, so the warm shift stays below the new
-    ground state and the factorization never falls back to a cold solve.
+    lowered to their `weyl_floor` on the new potential, so the warm shift
+    stays below the new ground state and the factorization never falls
+    back to a cold solve.
 
     Returns (u, charge, spectrum, resid, history, stage). When the stage
     does not converge, u is the last iterate and charge and spectrum are
@@ -325,15 +342,13 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
     d_u = np.empty((depth,) + u0.shape)     # ring buffers of differences
     d_f = np.empty((depth,) + u0.shape)
     n_diff, prev = 0, None                  # prev: last (u, f) below start
-    j0, j1 = well_rows(grid)
     u_spectrum = u0                         # the potential of `spectrum`
     for it in range(1, max_iter + 1):
         if it > 1 or spectrum is None:
             if spectrum is not None:
-                drop = min(0.0, float((u[j0:j1] - u_spectrum[j0:j1]).min()))
-                spectrum = replace(spectrum,
-                                   energies_ev=spectrum.energies_ev + drop)
-            spectrum = solve_eigenstates(u, grid, mat, n_states,
+                spectrum = replace(spectrum, energies_ev=weyl_floor(
+                    spectrum.energies_ev, u, u_spectrum, grid))
+            spectrum = solve_eigenstates(u, grid, mat, N_STATES,
                                          start=spectrum)
             u_spectrum = u
         charge = (bulk_charge(u, grid, mat, t_k)
@@ -382,8 +397,6 @@ def _scf_fixed_t(grid: Grid, mat: MaterialParams, biases: DeviceBiases,
 
 def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
                           biases: DeviceBiases, *, grid: Grid | None = None,
-                          n_states: int = 6, mixing: float = 0.1,
-                          tol_ev: float = 1e-6, max_iter: int = 600,
                           start_potential: np.ndarray | None = None
                           ) -> ConvergedSolution:
     """Alternate Poisson and charge models with damped, Anderson-accelerated
@@ -399,25 +412,26 @@ def self_consistent_solve(spec: DeviceSpec, mat: MaterialParams,
     minimum for `STALL_WINDOW` iterations; the final stage then starts
     from the charge-free potential. Every stage mixes damped steps with
     Anderson extrapolation once its residual is below `ANDERSON_START_EV`
-    (10 meV), with a damping factor that halves when the residual jumps
-    and recovers while it falls; see `_scf_fixed_t`. The final stage
-    always runs at the device temperature with exact Fermi-Dirac
-    occupation and the 1 ueV max-norm tolerance. It is never cut short: at `max_iter` (if that is >= 50) it
-    is retried once with heavy damping, and NonConvergenceError (with the
-    residual history and stage records) is raised when a cap ends it.
+    (10 meV), with a damping factor up to `MIXING` (0.1) that halves when
+    the residual jumps and recovers while it falls; see `_scf_fixed_t`.
+    The final stage always runs at the device temperature with exact
+    Fermi-Dirac occupation and the `TOL_EV` (1 ueV) max-norm tolerance.
+    It is never cut short: at `MAX_ITER` (if that is >= 50) it is retried
+    once with heavy damping, and NonConvergenceError (with the residual
+    history and stage records) is raised when a cap ends it. The solve
+    keeps the `N_STATES` lowest well states.
 
     The solution records every stage as a `ScfStage` and the residual
     history of all stages in order; `iterations` is their total.
     """
-    if not 0.0 < mixing <= 0.5:
-        raise ConfigurationError("mixing factor must lie in (0, 0.5]")
     grid = grid or build_grid(spec)
     t_dev = spec.temperature_k
+    mixing, tol_ev, max_iter = MIXING, TOL_EV, MAX_ITER
     stages, history = [], []
 
     def stage(t_k, u0, beta, tol, cap, stall_window=None, spectrum=None):
         u, charge, spectrum, resid, hist, record = _scf_fixed_t(
-            grid, mat, biases, t_k, u0, n_states, beta, tol, cap, stall_window,
+            grid, mat, biases, t_k, u0, beta, tol, cap, stall_window,
             spectrum)
         history.extend(hist)
         stages.append(record)

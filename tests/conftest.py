@@ -15,12 +15,17 @@ from dqdsim.params import SpinParams, paper_table
 from dqdsim.schrodinger import ConvergedSolution, solve_eigenstates, subband_line_density
 
 
+# the shipped device file's biases
+SHIPPED_BIASES = DeviceBiases(v_b=0.2, v_l=0.54, v_m=0.4, v_r=0.57,
+                              drain_bias_v=1e-4)
+
+
 @pytest.fixture(scope="session")
 def flat_well():
     """Bare quantum-well stack with no electrodes (for synthetic potentials)."""
     layers = (Layer("SiGe", 10.0), Layer("Si", 8.0), Layer("SiGe", 10.0))
     spec = DeviceSpec(layers=layers, electrodes=(), width_nm=240.0,
-                      dx_nm=1.0, dy_nm=1.0)
+                      dx_nm=1.0, dy_nm=1.0, temperature_k=1.5)
     return spec, build_grid(spec), MaterialParams()
 
 
@@ -33,7 +38,7 @@ def tiny_device():
         electrodes=(Electrode("B1", (10, 40)), Electrode("L", (55, 85)),
                     Electrode("M", (100, 130)), Electrode("R", (145, 175)),
                     Electrode("B2", (190, 220))),
-        width_nm=230.0, dx_nm=2.0, dy_nm=1.0,
+        width_nm=230.0, dx_nm=2.0, dy_nm=1.0, temperature_k=1.5,
     )
     return spec, MaterialParams(schottky_barrier_ev=0.42)
 
@@ -44,7 +49,8 @@ def tiny_model():
     solves in milliseconds."""
     spec, mat = tiny_device()
     fmap = MagnetFieldMap.from_gradient(0.65, 5e-5, -1.0, spec.width_nm + 1.0)
-    biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45)
+    biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45,
+                          drain_bias_v=1e-4)
     return Device(spec, mat, biases, build_grid(spec), fmap, 420.0)
 
 
@@ -70,7 +76,7 @@ def synthetic_solution(grid, mat, potential, n_states=4, temperature_k=1.5):
                                temperature_k, mat)
     return ConvergedSolution(
         potential_ev=potential, charge_cm3=np.zeros_like(potential),
-        spectrum=spectrum, biases=DeviceBiases(), iterations=1,
+        spectrum=spectrum, biases=SHIPPED_BIASES, iterations=1,
         final_update_norm_ev=0.0, occupancies_per_nm=occ,
     )
 

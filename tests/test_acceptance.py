@@ -12,7 +12,7 @@ import pytest
 
 from dqdsim.constants import UEV_TO_HZ
 from dqdsim.dots import charge_stability
-from dqdsim.dynamics import CNOT_DOWN, cnot_matrix, evolve, gate_fidelity, ry_matrix
+from dqdsim.dynamics import CNOT_DOWN, CNOT_UP, evolve, gate_fidelity, ry_matrix
 from dqdsim.noise import (
     NoiseConfig,
     NoisyTableFactory,
@@ -60,7 +60,7 @@ class TestCriterion2:
         ok = True
         details = []
         for target in ("L", "R"):
-            sched = schedule_ry(target, math.pi, p, rabi_hz=5.0e6)
+            sched = schedule_ry(target, math.pi, p)
             res = evolve(sched, table, integrator="rwa")
             fid = gate_fidelity(res.u, ry_matrix(target, math.pi))
             t_ns = sched.total_time_ns
@@ -75,7 +75,7 @@ class TestCriterion3:
         p = table(408.0)
         sched = cnot_single_schedule(p)
         res = evolve(sched, table, integrator="rwa")
-        fid = gate_fidelity(res.u, cnot_matrix("R"))
+        fid = gate_fidelity(res.u, CNOT_UP)
         t_ns = sched.total_time_ns
         ok = abs(t_ns - 100.4) <= 2.0 and abs(fid - 98.34) <= 0.5
         report("criterion 3 (single-step CNOT: 100.4 +- 2 ns, F = 98.34 +- 0.5%)",
@@ -130,8 +130,7 @@ class TestCriterion5:
         dev = shipped_device
         v_l = np.array([505.0, 540.0, 575.0])
         v_r = np.array([535.0, 570.0, 605.0])
-        diagram = charge_stability(dev.spec, dev.mat, v_l, v_r, 400.0, 200.0,
-                                   grid=dev.grid)
+        diagram = charge_stability(dev, v_l, v_r, 400.0, 200.0)
         regimes = diagram.regimes()
         at_pinit = diagram.occupation_at(540.0, 570.0)
         ok = regimes == {(0, 0), (1, 0), (0, 1), (1, 1)} and at_pinit == (1, 1)
@@ -145,7 +144,7 @@ def _noise_fidelity_curve(device, protocols, sigmas, n_samples, seed,
     evaluated on the same noise tables, built once per sample."""
     factory = NoisyTableFactory(device, (400.0, v_strong))
     table = factory.clean_table()
-    gates = [(cnot_single_schedule(table(v_strong)), cnot_matrix("R"))
+    gates = [(cnot_single_schedule(table(v_strong)), CNOT_UP)
              if protocol == "cnot_single" else
              (cnot_multi_schedule(table(400.0), table(v_strong), tau_tr),
               CNOT_DOWN)
@@ -234,7 +233,7 @@ class TestCriterion8:
 class TestCriterion9:
     def test_unitarity_and_step_halving(self, table):
         p = table(400.0)
-        sched = schedule_ry("L", math.pi, p, rabi_hz=5.0e6)
+        sched = schedule_ry("L", math.pi, p)
         res = evolve(sched, table, integrator="lab", dt_factor=300.0)
         ok1 = res.n_exponentials >= 1_000_000 and res.unitarity_defect <= 1e-8
         u_half = evolve(sched, table, integrator="lab", dt_factor=400.0).u
@@ -250,7 +249,7 @@ class TestCriterion9:
         ok = True
         details = []
         for name, sched in (
-            ("ry_pi", schedule_ry("L", math.pi, table(400.0), rabi_hz=5.0e6)),
+            ("ry_pi", schedule_ry("L", math.pi, table(400.0))),
             ("cnot_single", cnot_single_schedule(table(408.0))),
             ("cnot_multi", cnot_multi_schedule(table(400.0), table(408.0), 5.0)),
         ):

@@ -48,9 +48,16 @@ def shipped_text():
     shipped_text().replace("width_nm = 480", "width_nm = wide"),
     shipped_text().replace("width_nm = 15.0000\n", ""),
     shipped_text().replace("[exchange]\ncoulomb_length_nm = 420.0\n", ""),
+    shipped_text().replace("temperature_k = 1.5\n", ""),
+    shipped_text().replace("mass_vertical = 0.916\n", ""),
+    shipped_text().replace("drain_bias_v = 0.0001\n", ""),
+    shipped_text().replace("layer1 = SiGe 63.5\n", "layer1 = SiGe 63.5 0.3\n"),
 ], ids=["no-file", "no-section-header", "no-layer-thickness",
-        "non-numeric-width", "no-map-width", "no-coulomb-length"])
+        "non-numeric-width", "no-map-width", "no-coulomb-length",
+        "no-temperature", "no-material-key", "no-bias-key",
+        "third-layer-token"])
 def test_bad_device_file_is_config_error(tmp_path, capsys, body):
+    assert body != shipped_text()
     path = tmp_path / "device.cfg"
     if body is not None:
         path.write_text(body)

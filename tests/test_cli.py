@@ -154,6 +154,23 @@ protocol = ry_pi_left
         assert not list(tmp_path.rglob("*.tmp"))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
+    def test_failed_sidecar_rename_keeps_the_csv(self, tmp_path, capsys):
+        # the sidecar is renamed into place first, so when that fails the
+        # CSV that `--resume` reads is still the earlier run's
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""
+[params]
+table = {DIRECT_TABLE}
+[gate]
+protocol = ry_pi_left
+""")
+        out = tmp_path / "out.csv"
+        out.write_text("earlier\n")
+        (tmp_path / "out.csv.json").mkdir()
+        assert main(["gate", "--config", cfg, "--out", str(out)]) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+        assert out.read_text() == "earlier\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_unreadable_config_is_config_error(self, tmp_path):
         with pytest.raises(ConfigurationError):
             Experiment(tmp_path)       # a directory

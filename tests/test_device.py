@@ -7,7 +7,6 @@ import scipy.sparse.linalg as spla
 from dqdsim.cli import default_device_path
 from dqdsim.constants import Q_OVER_EPS0_EV_NM
 from dqdsim.device import (
-    DeviceBiases,
     DeviceSpec,
     Electrode,
     Layer,
@@ -24,6 +23,7 @@ from dqdsim.device import (
 )
 from dqdsim.errors import ConfigurationError
 
+from conftest import SHIPPED_BIASES
 from oracles import fermi_integral_quadrature
 
 REF_LAYERS = (Layer("Si", 2.0), Layer("SiGe", 30.0), Layer("Si", 8.0),
@@ -36,7 +36,7 @@ def make_spec(**kw):
         electrodes=(Electrode("B1", (40, 80)), Electrode("L", (110, 160)),
                     Electrode("M", (180, 230)), Electrode("R", (250, 300)),
                     Electrode("B2", (330, 370))),
-        width_nm=420.0, dx_nm=2.0, dy_nm=1.0,
+        width_nm=420.0, dx_nm=2.0, dy_nm=1.0, temperature_k=1.5,
     )
     args.update(kw)
     return DeviceSpec(**args)
@@ -100,7 +100,7 @@ class TestSolvePoisson:
     def test_linear_ramp_between_side_dirichlet(self):
         layers = (Layer("SiGe", 20.0), Layer("SiGe", 20.0))
         spec = DeviceSpec(layers=layers, electrodes=(), width_nm=80.0,
-                          dx_nm=1.0, dy_nm=1.0)
+                          dx_nm=1.0, dy_nm=1.0, temperature_k=1.5)
         grid = build_grid(spec)
         mat = MaterialParams(permittivity_sige=11.7)
         prob = PoissonProblem(grid, mat)  # sides Dirichlet, top/bottom Neumann
@@ -115,7 +115,8 @@ class TestSolvePoisson:
             w = 40.0
             h = w / n
             spec = DeviceSpec(layers=(Layer("SiGe", 20.0), Layer("SiGe", 20.0)),
-                              electrodes=(), width_nm=w, dx_nm=h, dy_nm=h)
+                              electrodes=(), width_nm=w, dx_nm=h, dy_nm=h,
+                              temperature_k=1.5)
             grid = build_grid(spec)
             mat = MaterialParams(permittivity_sige=11.7, permittivity_si=11.7)
             kx, ky = 3 * np.pi / w, 2 * np.pi / w
@@ -139,7 +140,7 @@ class TestSolvePoisson:
     def test_discrete_maximum_principle(self):
         grid = build_grid(make_spec())
         mat = MaterialParams()
-        biases = DeviceBiases()
+        biases = SHIPPED_BIASES
         u = solve_poisson(grid, mat, biases, np.zeros((grid.ny, grid.nx)))
         u_top, u_left, u_right = [], [], []
         from dqdsim.device import boundary_values
@@ -152,7 +153,7 @@ class TestSolvePoisson:
     def test_solver_determinism(self):
         grid = build_grid(make_spec())
         mat = MaterialParams()
-        biases = DeviceBiases()
+        biases = SHIPPED_BIASES
         charge = np.full((grid.ny, grid.nx), 1e15)
         u1 = solve_poisson(grid, mat, biases, charge)
         u2 = solve_poisson(grid, mat, biases, charge)
@@ -161,7 +162,7 @@ class TestSolvePoisson:
     def test_shape_mismatch_rejected(self):
         grid = build_grid(make_spec())
         with pytest.raises(ConfigurationError):
-            solve_poisson(grid, MaterialParams(), DeviceBiases(),
+            solve_poisson(grid, MaterialParams(), SHIPPED_BIASES,
                           np.zeros((3, 3)))
 
 
@@ -247,7 +248,7 @@ class TestConfigIO:
     def test_roundtrip(self, tmp_path):
         spec = make_spec()
         mat = MaterialParams(schottky_barrier_ev=0.44)
-        biases = DeviceBiases(v_l=0.54, v_r=0.57)
+        biases = SHIPPED_BIASES
         path = tmp_path / "dev.cfg"
         path.write_text(device_config_text(
             spec, mat, biases, extra={"field_map": {"b0_tesla": "0.65"}}))

@@ -5,12 +5,13 @@ import pytest
 
 from dqdsim.constants import ZEEMAN_HZ_PER_T
 from dqdsim.device import build_grid
+from dqdsim import dots
 from dqdsim.dots import (
     MagnetFieldMap,
+    charge_stability,
     exchange_energy,
     find_dots,
     localized_pair,
-    orbital_centroid_x,
     zeeman_splittings,
 )
 from dqdsim.errors import ConfigurationError, GeometryError, ModelValidityError
@@ -29,7 +30,7 @@ class TestFieldMap:
         assert np.allclose(fm(x), 0.65 + 5e-5 * x, rtol=0, atol=1e-12)
 
     def test_file_roundtrip(self, tmp_path):
-        fm = MagnetFieldMap.from_gradient(0.6, 4e-5, 0.0, 100.0, n=11)
+        fm = MagnetFieldMap.from_gradient(0.6, 4e-5, 0.0, 100.0)
         path = tmp_path / "bz.txt"
         np.savetxt(path, np.column_stack([fm.x_nm, fm.b_tesla]),
                    header="x_nm B_tesla")
@@ -68,6 +69,28 @@ class TestDevice:
             assert not np.array_equal(got.potential_ev, sol.potential_ev)
 
 
+class TestChargeStability:
+    def test_every_point_solves_at_the_device_biases(self, monkeypatch):
+        # a drain bias other than the shipped file's: every point keeps it
+        dev = tiny_model()
+        dev = dev._replace(biases=replace(dev.biases, drain_bias_v=3e-4))
+        solved = []
+        solve = dots.self_consistent_solve
+
+        def recording(spec, mat, biases, **kw):
+            solved.append(biases)
+            return solve(spec, mat, biases, **kw)
+
+        monkeypatch.setattr(dots, "self_consistent_solve", recording)
+        diagram = charge_stability(dev, [440.0, 450.0], [450.0], 350.0, 200.0)
+        assert diagram.n_l.shape == (1, 2)
+        assert solved == [
+            replace(dev.biases, v_b=200.0 * 1e-3, v_l=v_l * 1e-3,
+                    v_m=350.0 * 1e-3, v_r=450.0 * 1e-3)
+            for v_l in (440.0, 450.0)]
+        assert all(b.drain_bias_v == 3e-4 for b in solved)
+
+
 class TestFindDots:
     def test_symmetric_two_dots(self, flat_well):
         _, grid, mat = flat_well
@@ -92,8 +115,8 @@ class TestFindDots:
             grid, mat, quartic_double_well(grid, 10.0, tilt_uev=400.0))
         reg = find_dots(sol, grid)
         # tilt lowers the left side: ground state left, first excited right
-        x0, x1 = (orbital_centroid_x(sol.spectrum.wavefunctions[k], grid)
-                  for k in (0, 1))
+        w = (sol.spectrum.wavefunctions[:2] ** 2).sum(axis=1)
+        x0, x1 = (w * grid.x).sum(axis=1) / w.sum(axis=1)
         assert x0 < reg.barrier_x_nm - grid.dx
         assert x1 > reg.barrier_x_nm + grid.dx
 
@@ -209,7 +232,7 @@ class TestFieldMapCalibration:
         from dqdsim.calibrate import ANCHOR_E_ZL_HZ, ANCHOR_E_ZR_HZ, calibrate_field_map
         spec, grid, mat = flat_well
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 10.0))
-        fmap, params = calibrate_field_map(sol, grid)
+        fmap, params = calibrate_field_map(sol, grid, 15.0)
         assert params["profile"] == "plateaus"
         e_zl, e_zr = zeeman_splittings(sol, fmap, grid)
         # sampled-curve interpolation leaves a sub-kHz residual, far
@@ -222,7 +245,7 @@ class TestFieldMapCalibration:
         from dqdsim.dots import field_map_from_config
         spec, grid, mat = flat_well
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 10.0))
-        fmap, params = calibrate_field_map(sol, grid)
+        fmap, params = calibrate_field_map(sol, grid, 15.0)
         fmap2 = field_map_from_config(params, spec.width_nm)
         x = np.linspace(0, spec.width_nm, 23)
         assert np.allclose(fmap(x), fmap2(x), rtol=0, atol=1e-9)

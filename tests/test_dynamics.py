@@ -15,8 +15,9 @@ from dqdsim.dynamics import (
     SY_L,
     SZ_L,
     SZ_R,
+    CNOT_UP,
+    _avg_fidelity_from_trace,
     build_hamiltonian,
-    cnot_matrix,
     conditional_resonances,
     cz_matrix,
     drive_operator,
@@ -76,7 +77,7 @@ def noisy_gate_corpus(n_each, seed):
     table = paper_table()
     gates = ((cnot_multi_schedule(table(400.0), table(408.0), 5.0), CNOT_DOWN),
              (cz_schedule(table(400.0), table(410.0), 5.0), cz_matrix()),
-             (cnot_single_schedule(table(412.0)), cnot_matrix("R")))
+             (cnot_single_schedule(table(412.0)), CNOT_UP))
     rng = np.random.default_rng(seed)
     return [(evolve(sched, perturbed_table(table, rng)).u, ideal)
             for sched, ideal in gates for _ in range(n_each)]
@@ -134,7 +135,7 @@ class TestEvolve:
     def test_resonant_rabi_flip_and_frame_agreement(self):
         p = SpinParams(e_zl_hz=18.309e9, e_zr_hz=18.453e9, j_hz=0.0,
                        v_m_mv=400.0)
-        sched = schedule_ry("L", math.pi, p, rabi_hz=5e6)
+        sched = schedule_ry("L", math.pi, p)
         res_rwa = evolve(sched, src_const(p), integrator="rwa")
         psi0 = np.zeros(4, dtype=complex)
         psi0[3] = 1.0  # |dd>
@@ -148,13 +149,13 @@ class TestEvolve:
         assert np.linalg.norm(u2 - phase * u1, 2) <= 1e-3
 
     def test_unitarity_over_many_lab_steps(self, p400):
-        sched = schedule_ry("L", math.pi, p400, rabi_hz=5e6)
+        sched = schedule_ry("L", math.pi, p400)
         res = evolve(sched, src_const(p400), integrator="lab", dt_factor=300.0)
         assert res.n_exponentials >= 1_000_000
         assert res.unitarity_defect <= 1e-8
 
     def test_step_halving(self, p400):
-        sched = schedule_ry("L", math.pi, p400, rabi_hz=5e6)
+        sched = schedule_ry("L", math.pi, p400)
         u1 = evolve(sched, src_const(p400), integrator="lab",
                     dt_factor=200.0).u
         u2 = evolve(sched, src_const(p400), integrator="lab",
@@ -164,7 +165,7 @@ class TestEvolve:
     def test_time_reversal(self, p400):
         # time reversal is anti-unitary: evolving the mirrored schedule
         # H(T - t) and conjugating undoes the forward evolution
-        seg = schedule_ry("L", math.pi, p400, rabi_hz=5e6).segments[0]
+        seg = schedule_ry("L", math.pi, p400).segments[0]
         fwd = PulseSchedule((seg,), (), seg.drive.freq_hz)
         res_f = evolve(fwd, src_const(p400), integrator="lab")
         t_s = fwd.total_time_ns * 1e-9
@@ -200,7 +201,7 @@ class TestEvolve:
         assert np.array_equal(u_vec, u_pointwise)
 
     def test_trajectory_probabilities_normalized(self, p400):
-        sched = schedule_ry("L", math.pi, p400, rabi_hz=5e6)
+        sched = schedule_ry("L", math.pi, p400)
         res = evolve(sched, src_const(p400), integrator="rwa",
                      sample_every_ns=1.0)
         probs = np.abs(res.trajectory_amps) ** 2
@@ -216,7 +217,7 @@ class TestEvolve:
         assert sched.vz_events and sched.total_time_ps % 250 != 0
         full = evolve(sched, table, integrator=integrator)
         res = evolve(sched, table, integrator=integrator,
-                     sample_every_ns=0.25, initial_state=STATE_DD)
+                     sample_every_ns=0.25)
         assert np.abs(res.u - full.u).max() <= 1e-12
         assert res.trajectory_t_ns[-1] == res.total_time_ns
         assert np.abs(res.trajectory_amps[-1]
@@ -229,8 +230,7 @@ class TestEvolve:
         # still fall at the RWA rows' times and end at the gate's end
         sched = cnot_multi_schedule(table(400.0), table(408.0), tau_tr_ns=1.0)
         res = {integrator: evolve(sched, table, integrator=integrator,
-                                  sample_every_ns=stride_ns,
-                                  initial_state=STATE_DD)
+                                  sample_every_ns=stride_ns)
                for integrator in ("rwa", "lab")}
         t = res["lab"].trajectory_t_ns
         assert np.array_equal(t, res["rwa"].trajectory_t_ns)
@@ -255,7 +255,7 @@ def cf4_product(h_base, h_coef, gamma, t0_s, dt_s, n_steps):
         coefs = np.empty(2 * k.size)
         coefs[0::2] = 2.0 * (a1 * g1 + a2 * g2)
         coefs[1::2] = 2.0 * (a2 * g1 + a1 * g2)
-        u = propagate_affine(h_base, h_coef, coefs, 0.5 * dt_s, u0=u)
+        u = propagate_affine(h_base, h_coef, coefs, 0.5 * dt_s) @ u
     return u
 
 
@@ -301,7 +301,7 @@ class TestLabIntegrator:
             seg = ry
         elif case == "ry_pi_left_dt300":
             # criterion 9a's gate: over a million sequential exponentials
-            seg = schedule_ry("L", math.pi, p, rabi_hz=5e6).segments[0]
+            seg = schedule_ry("L", math.pi, p).segments[0]
             dt_factor = 300.0
         elif case == "cnot_single":
             p = table(408.0)
@@ -426,12 +426,19 @@ class TestLabIntegrator:
             assert row % stride_ps <= step_ps[k] + 1
 
 
+def plain_fidelity(u_actual, u_ideal):
+    """Average gate fidelity (%) without the virtual-Z frame optimization:
+    `gate_fidelity`'s trace formula at zero frame angles."""
+    return 100.0 * _avg_fidelity_from_trace(
+        abs(np.trace(u_ideal.conj().T @ u_actual)))
+
+
 class TestGateFidelity:
     def test_identity_and_global_phase(self):
-        u = cnot_matrix("R")
-        assert gate_fidelity(u, u, frame_opt=False) == pytest.approx(100.0)
-        assert gate_fidelity(np.exp(0.7j) * u, u,
-                             frame_opt=False) == pytest.approx(100.0)
+        u = CNOT_UP
+        for fidelity in (gate_fidelity, plain_fidelity):
+            assert fidelity(u, u) == pytest.approx(100.0)
+            assert fidelity(np.exp(0.7j) * u, u) == pytest.approx(100.0)
 
     def test_matches_2design_average(self):
         # over-rotated conditional flip vs ideal CNOT
@@ -440,13 +447,15 @@ class TestGateFidelity:
         over[0, 0] = over[2, 2] = math.cos(theta / 2)
         over[0, 2] = -math.sin(theta / 2)
         over[2, 0] = math.sin(theta / 2)
-        u_act = over @ cnot_matrix("R")
-        got = gate_fidelity(u_act, cnot_matrix("R"), frame_opt=False)
-        want = average_fidelity_2design(u_act, cnot_matrix("R"))
+        u_act = over @ CNOT_UP
+        got = plain_fidelity(u_act, CNOT_UP)
+        want = average_fidelity_2design(u_act, CNOT_UP)
         assert got == pytest.approx(want, abs=1e-9)
+        # the frame optimization starts at zero angles and never loses
+        assert gate_fidelity(u_act, CNOT_UP) >= want - 1e-9
 
     def test_frame_opt_absorbs_virtual_z(self):
-        u_ideal = cnot_matrix("R")
+        u_ideal = CNOT_UP
         dressed = rz_matrix("L", 0.7) @ rz_matrix("R", -1.1) @ u_ideal \
             @ rz_matrix("L", 0.3) @ rz_matrix("R", 2.0)
         assert gate_fidelity(dressed, u_ideal) == pytest.approx(100.0, abs=1e-6)
@@ -469,15 +478,15 @@ class TestGateFidelity:
         bad = np.eye(4, dtype=complex)
         bad[0, 0] = 0.5
         with pytest.raises(ConfigurationError):
-            gate_fidelity(bad, cnot_matrix("R"))
+            gate_fidelity(bad, CNOT_UP)
 
     def test_fidelity_range(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             q, _ = np.linalg.qr(m)
-            f = gate_fidelity(q, cnot_matrix("R"), frame_opt=False)
-            assert 0.0 <= f <= 100.0 + 1e-9
+            for f in (gate_fidelity(q, CNOT_UP), plain_fidelity(q, CNOT_UP)):
+                assert 0.0 <= f <= 100.0 + 1e-9
 
 
 class TestConditionalResonances:
@@ -496,7 +505,7 @@ class TestConditionalResonances:
             p408.e_zr_hz - p408.e_zl_hz + p408.j_hz / 2, rel=1e-9)
 
     def test_rot_to_lab_roundtrip(self, p400):
-        sched = schedule_ry("L", math.pi / 2, p400, rabi_hz=5e6)
+        sched = schedule_ry("L", math.pi / 2, p400)
         res = evolve(sched, src_const(p400), integrator="rwa")
         u_lab = rot_to_lab(res.u, res.total_time_ns * 1e-9, res.frame_freq_hz)
         assert np.abs(u_lab.conj().T @ u_lab - np.eye(4)).max() < 1e-10

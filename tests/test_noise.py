@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dqdsim.noise as noise_mod
-from dqdsim.device import DeviceBiases, build_grid
+from dqdsim.device import build_grid
 from dqdsim.dots import (
     Device,
     MagnetFieldMap,
@@ -15,7 +15,7 @@ from dqdsim.dots import (
     exchange_energy,
     zeeman_splittings,
 )
-from dqdsim.dynamics import cnot_matrix, ry_matrix
+from dqdsim.dynamics import CNOT_UP, ry_matrix
 from dqdsim.errors import ConfigurationError, GeometryError, NumericalError
 from dqdsim.noise import (
     NoiseConfig,
@@ -30,7 +30,7 @@ from dqdsim.params import ParamsTable, SpinParams, paper_table
 from dqdsim.protocols import cnot_single_schedule, schedule_ry
 from dqdsim.schrodinger import solve_eigenstates
 
-from conftest import quartic_double_well, synthetic_solution
+from conftest import SHIPPED_BIASES, quartic_double_well, synthetic_solution
 from oracles import dense_coulomb_kernel, dense_two_body_integral
 
 
@@ -50,7 +50,7 @@ def field_map(flat_well):
 @pytest.fixture(scope="module")
 def flat_device(flat_well, field_map):
     spec, grid, mat = flat_well
-    return Device(spec, mat, DeviceBiases(), grid, field_map, 60.0)
+    return Device(spec, mat, SHIPPED_BIASES, grid, field_map, 60.0)
 
 
 class TestSampleNoise:
@@ -65,7 +65,7 @@ class TestSampleNoise:
         from dqdsim.device import DeviceSpec, Layer, build_grid
         layers = (Layer("SiGe", 20.0), Layer("Si", 8.0), Layer("SiGe", 22.0))
         spec = DeviceSpec(layers=layers, electrodes=(), width_nm=250.0,
-                          dx_nm=1.0, dy_nm=1.0)
+                          dx_nm=1.0, dy_nm=1.0, temperature_k=1.5)
         grid = build_grid(spec)
         cfg = NoiseConfig(sigma_uev=5.0, seed=7, n_samples=1)
         field = sample_noise(grid, cfg, 1)
@@ -262,7 +262,8 @@ class TestCoulombIntegrals:
         from dqdsim.device import DeviceSpec, Layer, MaterialParams
         layers = (Layer("SiGe", 10.0), Layer("Si", 8.0), Layer("SiGe", 10.0))
         grid = build_grid(DeviceSpec(layers=layers, electrodes=(),
-                                     width_nm=240.0 * dx, dx_nm=dx, dy_nm=dy))
+                                     width_nm=240.0 * dx, dx_nm=dx, dy_nm=dy,
+                                     temperature_k=1.5))
         mat = MaterialParams()
         dense = dense_coulomb_kernel(grid, mat, 420.0)
         fft = coulomb_kernel(grid, mat, 420.0)
@@ -324,7 +325,7 @@ class FakeFactory:
 
 RY_L = (schedule_ry("L", math.pi, paper_table()(400.0)),
         ry_matrix("L", math.pi))
-CNOT = (cnot_single_schedule(paper_table()(408.0)), cnot_matrix("R"))
+CNOT = (cnot_single_schedule(paper_table()(408.0)), CNOT_UP)
 
 
 class FluctEntry:

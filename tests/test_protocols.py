@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dqdsim import protocols
 from dqdsim.dynamics import (
     CNOT_DOWN,
-    cnot_matrix,
     evolve,
     gate_fidelity,
     ry_matrix,
@@ -104,7 +104,7 @@ class TestUGate:
     def test_zero_j_rejected(self):
         p = SpinParams(e_zl_hz=18.3e9, e_zr_hz=18.45e9, j_hz=0.0, v_m_mv=408.0)
         with pytest.raises(RegimeError):
-            u_gate_schedule(p, 5.0)
+            u_gate_schedule(p, 5.0, 400.0)
 
 
 class TestCnotSingle:
@@ -116,9 +116,11 @@ class TestCnotSingle:
         assert sched.symbols["omega_d_exact_hz"] == pytest.approx(
             18.32097e9, abs=1e6)
 
-    def test_doubling_rabi_halves_duration(self, p408):
-        t1 = cnot_single_schedule(p408, rabi_hz=4.977e6).total_time_ns
-        t2 = cnot_single_schedule(p408, rabi_hz=9.954e6).total_time_ns
+    def test_doubling_rabi_halves_duration(self, p408, monkeypatch):
+        monkeypatch.setattr(protocols, "CNOT_RABI_HZ", 4.977e6)
+        t1 = cnot_single_schedule(p408).total_time_ns
+        monkeypatch.setattr(protocols, "CNOT_RABI_HZ", 9.954e6)
+        t2 = cnot_single_schedule(p408).total_time_ns
         assert t2 == pytest.approx(t1 / 2, rel=0.02)
 
     def test_weak_j_degenerates(self, p400):

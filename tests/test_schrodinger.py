@@ -39,7 +39,7 @@ from oracles import fermi_integral_quadrature, row_major_well_kinetic
 def narrow_box(nx=64, ny=64, wx=16.0, wy=8.0):
     layers = (Layer("SiGe", wy), Layer("Si", wy), Layer("SiGe", wy))
     spec = DeviceSpec(layers=layers, electrodes=(), width_nm=wx,
-                      dx_nm=wx / nx, dy_nm=wy / ny)
+                      dx_nm=wx / nx, dy_nm=wy / ny, temperature_k=1.5)
     return spec, build_grid(spec)
 
 
@@ -60,7 +60,7 @@ class TestEigenstates:
         # lateral harmonic confinement inside a wide well
         layers = (Layer("SiGe", 8.0), Layer("Si", 8.0), Layer("SiGe", 8.0))
         spec = DeviceSpec(layers=layers, electrodes=(), width_nm=160.0,
-                          dx_nm=0.5, dy_nm=8.0 / 16)
+                          dx_nm=0.5, dy_nm=8.0 / 16, temperature_k=1.5)
         grid = build_grid(spec)
         mat = MaterialParams()
         k = 1e-4  # eV / nm^2
@@ -281,21 +281,25 @@ class TestQuantumCharge:
 
 
 class TestSelfConsistent:
-    def test_depleted_device_matches_charge_free_poisson(self):
+    def test_depleted_device_matches_charge_free_poisson(self, monkeypatch):
         spec, mat = tiny_device()
         grid = build_grid(spec)
-        biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3)
-        sol = self_consistent_solve(spec, mat, biases, grid=grid, n_states=3)
+        biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3,
+                              drain_bias_v=1e-4)
+        monkeypatch.setattr(schrodinger, "N_STATES", 3)
+        sol = self_consistent_solve(spec, mat, biases, grid=grid)
         assert sol.charge_cm3.max() == 0.0
         u_free = solve_poisson(grid, mat, biases, np.zeros((grid.ny, grid.nx)))
         assert np.abs(sol.potential_ev - u_free).max() < 1e-9
 
-    def test_residual_after_convergence(self):
+    def test_residual_after_convergence(self, monkeypatch):
         spec, mat = tiny_device()
         grid = build_grid(spec)
-        biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45)
-        sol = self_consistent_solve(spec, mat, biases, grid=grid, n_states=4,
-                                    tol_ev=1e-6)
+        biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45,
+                              drain_bias_v=1e-4)
+        monkeypatch.setattr(schrodinger, "N_STATES", 4)
+        monkeypatch.setattr(schrodinger, "TOL_EV", 1e-6)
+        sol = self_consistent_solve(spec, mat, biases, grid=grid)
         # one more cycle moves the potential by <= 2x tolerance
         from dqdsim.device import bulk_charge
         from dqdsim.schrodinger import quantum_charge as qc
@@ -305,29 +309,30 @@ class TestSelfConsistent:
         u_next = solve_poisson(grid, mat, biases, charge)
         assert np.abs(u_next - sol.potential_ev).max() <= 2e-6
 
-    def test_damping_independence(self):
+    def test_damping_independence(self, monkeypatch):
         spec, mat = tiny_device()
         grid = build_grid(spec)
-        biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45)
-        sols = [self_consistent_solve(spec, mat, biases, grid=grid,
-                                      n_states=4, mixing=m)
-                for m in (0.1, 0.3)]
+        biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45,
+                              drain_bias_v=1e-4)
+        monkeypatch.setattr(schrodinger, "N_STATES", 4)
+        sols = []
+        for m in (0.1, 0.3):
+            monkeypatch.setattr(schrodinger, "MIXING", m)
+            sols.append(self_consistent_solve(spec, mat, biases, grid=grid))
         assert np.abs(sols[0].potential_ev - sols[1].potential_ev).max() <= 2e-6
 
-    def test_iteration_cap_reports_history(self):
+    def test_iteration_cap_reports_history(self, monkeypatch):
         spec, mat = tiny_device()
         # accumulation biases: the device carries charge, so one heavily
         # damped iteration cannot reach the 1 ueV tolerance
-        biases = DeviceBiases(v_b=0.3, v_l=0.7, v_m=0.6, v_r=0.7)
+        biases = DeviceBiases(v_b=0.3, v_l=0.7, v_m=0.6, v_r=0.7,
+                              drain_bias_v=1e-4)
+        for name, value in (("N_STATES", 4), ("MAX_ITER", 1),
+                            ("MIXING", 0.01)):
+            monkeypatch.setattr(schrodinger, name, value)
         with pytest.raises(NonConvergenceError) as exc:
-            self_consistent_solve(spec, mat, biases, n_states=4, max_iter=1,
-                                  mixing=0.01)
+            self_consistent_solve(spec, mat, biases)
         assert "update_history_ev" in exc.value.diagnostics
-
-    def test_mixing_validation(self):
-        spec, mat = tiny_device()
-        with pytest.raises(ConfigurationError):
-            self_consistent_solve(spec, mat, DeviceBiases(), mixing=0.9)
 
 
 def _scripted_scf(monkeypatch, grid, mat, biases, shifts_ev, trace=None):
@@ -358,7 +363,7 @@ def _scripted_scf(monkeypatch, grid, mat, biases, shifts_ev, trace=None):
 
 
 def _stage(grid, mat, biases, u0, tol_ev, max_iter, stall_window):
-    return schrodinger._scf_fixed_t(grid, mat, biases, 8.0, u0, 3, 0.1,
+    return schrodinger._scf_fixed_t(grid, mat, biases, 8.0, u0, 0.1,
                                     tol_ev, max_iter,
                                     stall_window=stall_window)
 
@@ -367,7 +372,8 @@ class TestStallRule:
     def setup_method(self):
         self.spec, self.mat = tiny_device()
         self.grid = build_grid(self.spec)
-        self.biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3)
+        self.biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3,
+                                   drain_bias_v=1e-4)
 
     def test_two_cycle_abandons_continuation_stage(self, monkeypatch, caplog):
         # G(u) alternates between two fields 10 meV apart: the damped
@@ -407,9 +413,11 @@ class TestStallRule:
         _scripted_scf(monkeypatch, self.grid, self.mat, self.biases,
                       lambda k, du: 0.01 * (k % 2))
         cap = STALL_WINDOW + 10
+        monkeypatch.setattr(schrodinger, "N_STATES", 3)
+        monkeypatch.setattr(schrodinger, "MAX_ITER", cap)
         with pytest.raises(NonConvergenceError) as exc:
             self_consistent_solve(self.spec, self.mat, self.biases,
-                                  grid=self.grid, n_states=3, max_iter=cap)
+                                  grid=self.grid)
         stages = exc.value.diagnostics["stages"]
         assert [(st.temperature_k, st.converged, st.abandoned)
                 for st in stages] == [(40.0, False, True), (1.5, False, False),
@@ -419,10 +427,12 @@ class TestStallRule:
         history = exc.value.diagnostics["update_history_ev"]
         assert len(history) == sum(st.iterations for st in stages)
 
-    def test_solution_carries_stages_and_history(self):
+    def test_solution_carries_stages_and_history(self, monkeypatch):
         spec, mat = tiny_device()
-        biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45)
-        sol = self_consistent_solve(spec, mat, biases, n_states=4)
+        biases = DeviceBiases(v_b=0.2, v_l=0.45, v_m=0.35, v_r=0.45,
+                              drain_bias_v=1e-4)
+        monkeypatch.setattr(schrodinger, "N_STATES", 4)
+        sol = self_consistent_solve(spec, mat, biases)
         assert [st.temperature_k for st in sol.stages] == [40.0, 1.5]
         assert sol.stages[-1].converged
         assert sol.iterations == sum(st.iterations for st in sol.stages)
@@ -433,16 +443,16 @@ class TestStallRule:
 class TestAndersonMixing:
     # the tiny device at accumulation biases: its dots carry charge, and
     # the damped loop needs hundreds of iterations
-    BIASES = DeviceBiases(v_b=0.2, v_l=0.6, v_m=0.5, v_r=0.6)
+    BIASES = DeviceBiases(v_b=0.2, v_l=0.6, v_m=0.5, v_r=0.6,
+                          drain_bias_v=1e-4)
 
     def test_matches_damped_loop_in_fewer_iterations(self, monkeypatch):
         spec, mat = tiny_device()
         grid = build_grid(spec)
-        sol = self_consistent_solve(spec, mat, self.BIASES, grid=grid,
-                                    n_states=4)
+        monkeypatch.setattr(schrodinger, "N_STATES", 4)
+        sol = self_consistent_solve(spec, mat, self.BIASES, grid=grid)
         monkeypatch.setattr(schrodinger, "ANDERSON_DEPTH", 0)
-        damped = self_consistent_solve(spec, mat, self.BIASES, grid=grid,
-                                       n_states=4)
+        damped = self_consistent_solve(spec, mat, self.BIASES, grid=grid)
         assert sol.charge_cm3.max() > 0
         assert np.abs(sol.potential_ev - damped.potential_ev).max() <= 2e-6
         assert 2 * sol.iterations < damped.iterations
@@ -464,9 +474,10 @@ class TestAndersonMixing:
         monkeypatch.setattr(schrodinger, "solve_eigenstates",
                             recording_eigenstates)
         monkeypatch.setattr(schrodinger, "solve_poisson", recording_poisson)
+        monkeypatch.setattr(schrodinger, "N_STATES", 4)
         u0 = poisson(grid, mat, self.BIASES, np.zeros((grid.ny, grid.nx)))
         *_, history, stage = schrodinger._scf_fixed_t(
-            grid, mat, self.BIASES, 40.0, u0, 4, 0.1, 2e-5, 600)
+            grid, mat, self.BIASES, 40.0, u0, 0.1, 2e-5, 600)
         assert stage.converged
         # beta can leave 0.1 only once the residual jumps above 1.5 times
         # its best, and every residual above the start comes before that
@@ -486,7 +497,8 @@ class TestAndersonMixing:
         # stays below ANDERSON_START_EV, so only the safeguard clears
         spec, mat = tiny_device()
         grid = build_grid(spec)
-        biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3)
+        biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3,
+                              drain_bias_v=1e-4)
         x = grid.x[None, :] / grid.x.max()
         trace = []
         u_free = _scripted_scf(
@@ -519,7 +531,8 @@ class TestAndersonMixing:
         # and its beta is the step over the residual
         spec, mat = tiny_device()
         grid = build_grid(spec)
-        biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3)
+        biases = DeviceBiases(v_b=-0.3, v_l=-0.3, v_m=-0.3, v_r=-0.3,
+                              drain_bias_v=1e-4)
         trace = []
         u_free = _scripted_scf(monkeypatch, grid, mat, biases,
                                lambda k, du: 2.0 * (k == 5), trace)
