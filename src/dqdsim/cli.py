@@ -12,6 +12,7 @@ Config schema (INI):
   [device]      file = <device cfg path> | default
   [params]      table = "v_m_mv e_zl_hz e_zr_hz j_hz; ..."   (direct mode)
   [stability]   v_l_mv, v_r_mv ("start:stop:step"), v_m_mv, v_b_mv
+                (the last two default to the device file's biases)
   [j-sweep]     v_m_mv = start:stop:step
   [gate]        protocol, v_m_weak_mv, v_m_strong_mv, tau_tr_ns, sample_ns
   [noise-sweep] protocol, sigma_uev (comma list), n_samples, v_m_weak_mv,
@@ -19,16 +20,18 @@ Config schema (INI):
   [transition-sweep] tau_tr_ns (comma list), v_m_strong_mv, sigma_uev,
                 n_samples (sigma_uev must be 0, its default, without
                 a [device])
-  [fluct-stats] sigma_uev (comma list), n_samples, v_m_mv
+  [fluct-stats] sigma_uev (comma list), n_samples, v_m_mv (default: the
+                device file's)
 
 Device-backed experiments load the `[device]` file once as a `dots.Device`
 (`Experiment.device`); its `solution_at` and `spin_params` give every
 operating point and spin parameter the experiments use.
 
-Noise runs use the one Monte Carlo loop in `noise`. A device-mode
-transition-sweep shares each sample's noise table across its tau_TR; a
-failed sample is dropped for every gate it serves, and a row that dropped
-samples writes one stderr line of failure counts by class.
+Noise runs use the one Monte Carlo loop in `noise`, one run for every
+sigma of a sweep. A device-mode transition-sweep shares each sample's
+noise table across its tau_TR; a failed sample is dropped for every gate
+it serves, and a row that dropped samples writes one stderr line of
+failure counts by class.
 """
 
 from __future__ import annotations
@@ -203,9 +206,9 @@ def write_outputs(out_path: str, header_cols: list, rows: list, meta: dict):
     for r in rows:
         lines.append(",".join(_fmt(v) for v in r))
     body = "\n".join(lines) + "\n"
-    sidecar = {"meta": meta, "columns": header_cols,
-               "rows": [[_jsonable(v) for v in r] for r in rows]}
-    texts = ((out_path + ".json", json.dumps(sidecar, indent=1, sort_keys=True)),
+    sidecar = {"meta": meta, "columns": header_cols, "rows": rows}
+    texts = ((out_path + ".json", json.dumps(sidecar, indent=1, sort_keys=True,
+                                             default=_json_scalar)),
              (out_path, body))
     pending = []
     try:
@@ -229,10 +232,11 @@ def _fmt(v):
     return str(v)
 
 
-def _jsonable(v):
+def _json_scalar(v):
+    """A NumPy scalar as the Python number `json` writes."""
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
-    return v
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def _meta(exp: Experiment, experiment: str) -> dict:
@@ -276,9 +280,10 @@ def build_protocol(name: str, table, v_weak: float, v_strong: float,
 def run_stability(exp: Experiment) -> int:
     v_l = exp.value("stability", "v_l_mv", kind=_parse_range)
     v_r = exp.value("stability", "v_r_mv", kind=_parse_range)
-    v_m = exp.value("stability", "v_m_mv", "400")
-    v_b = exp.value("stability", "v_b_mv", "200")
-    diagram = charge_stability(exp.device(), v_l, v_r, v_m, v_b)
+    dev = exp.device()
+    v_m = exp.value("stability", "v_m_mv", repr(dev.biases.v_m * 1e3))
+    v_b = exp.value("stability", "v_b_mv", repr(dev.biases.v_b * 1e3))
+    diagram = charge_stability(dev, v_l, v_r, v_m, v_b)
     rows = []
     for j, vr in enumerate(diagram.v_r_mv):
         for i, vl in enumerate(diagram.v_l_mv):
@@ -311,13 +316,10 @@ def run_gate(exp: Experiment) -> int:
     res = evolve(schedule, table, integrator=exp.integrator,
                  sample_every_ns=sample_ns)
     fid = gate_fidelity(res.u, ideal)
-    rows = []
-    for t, amps in zip(res.trajectory_t_ns, res.trajectory_amps):
-        probs = np.abs(amps) ** 2
-        row = [float(t)] + [float(p) for p in probs]
-        for a in amps:
-            row += [float(a.real), float(a.imag)]
-        rows.append(tuple(row))
+    amps = np.ascontiguousarray(res.trajectory_amps)
+    # t, the four populations, then (re, im) of each amplitude
+    rows = np.column_stack([res.trajectory_t_ns, np.abs(amps) ** 2,
+                            amps.view(float)]).tolist()
     cols = (["t_ns", "p_uu", "p_ud", "p_du", "p_dd"]
             + [f"{p}_{s}" for s in ("uu", "ud", "du", "dd") for p in ("re", "im")])
     meta = _meta(exp, "gate")
@@ -339,24 +341,29 @@ def _report_failures(name: str, value: float, n_samples: int, failures):
 def _fidelity_sweep(exp: Experiment, name: str, column: str, keys: list,
                     gate_for, cfg_for, table, factory, meta: dict) -> int:
     """One fidelity row per new key: `gate_for(key)` on the clean `table`
-    if `cfg_for(key)` is None, else over the samples of that config, which
-    every key with the same config shares."""
+    if `cfg_for(key)` is None, else over the samples of that config. The
+    configs of a sweep share seed and n_samples, so one Monte Carlo run
+    serves them all, each sample drawn once; it evaluates every pending
+    gate under every pending config (a runner varies one or the other)."""
     rows = exp.resume_rows(name)
-    groups = {}
-    for key in keys:
-        if key not in rows:
-            groups.setdefault(cfg_for(key), {})[key] = gate_for(key)
-    for cfg, gates in groups.items():
+    pending = {key: (gate_for(key), cfg_for(key)) for key in keys
+               if key not in rows}
+    gates = {id(gate[0]): gate for gate, cfg in pending.values()
+             if cfg is not None}
+    cfgs = list(dict.fromkeys(cfg for _, cfg in pending.values()
+                              if cfg is not None))
+    results = {}
+    if cfgs:
+        results = dict(zip(cfgs, fidelity_samples(
+            factory, cfgs, list(gates.values()), exp.integrator)))
+    for key, ((schedule, ideal), cfg) in pending.items():
         if cfg is None:
-            for key, (schedule, ideal) in gates.items():
-                res = evolve(schedule, table, integrator=exp.integrator)
-                rows[key] = (key, gate_fidelity(res.u, ideal), 0.0, 1)
+            res = evolve(schedule, table, integrator=exp.integrator)
+            rows[key] = (key, gate_fidelity(res.u, ideal), 0.0, 1)
             continue
-        stats, failures = fidelity_samples(factory, cfg, list(gates.values()),
-                                           exp.integrator)
-        for key, st in zip(gates, stats):
-            _report_failures(column, key, cfg.n_samples, failures)
-            rows[key] = (key, *st)
+        stats, failures = results[cfg]
+        _report_failures(column, key, cfg.n_samples, failures)
+        rows[key] = (key, *stats[list(gates).index(id(schedule))])
     write_outputs(exp.out, [column, "fidelity_mean_percent",
                             "fidelity_std_percent", "n"],
                   [rows[key] for key in keys], {**_meta(exp, name), **meta})
@@ -408,14 +415,13 @@ def run_transition_sweep(exp: Experiment) -> int:
 def run_fluct_stats(exp: Experiment) -> int:
     sigmas = exp.value("fluct-stats", "sigma_uev", kind=_parse_range)
     n_samples = exp.value("fluct-stats", "n_samples", "1000", int)
-    v_m = exp.value("fluct-stats", "v_m_mv", "400")
     dev = exp.device()
+    v_m = exp.value("fluct-stats", "v_m_mv", repr(dev.biases.v_m * 1e3))
     sol = dev.solution_at(v_m)
+    cfgs = [NoiseConfig(sigma_uev=float(sg), seed=exp.seed,
+                        n_samples=n_samples) for sg in sigmas]
     rows = []
-    for sg in sigmas:
-        cfg = NoiseConfig(sigma_uev=float(sg), seed=exp.seed,
-                          n_samples=n_samples)
-        st = fluctuation_stats(dev, sol, cfg)
+    for sg, st in zip(sigmas, fluctuation_stats(dev, sol, cfgs)):
         _report_failures("sigma_uev", float(sg), n_samples, st.failures)
         rows.extend(st.to_csv_rows())
     meta = _meta(exp, "fluct-stats")

@@ -543,8 +543,9 @@ def parse_device_config(text: str, source: str = "<string>"
       [biases]   every DeviceBiases field: v_b, v_l, v_m, v_r, drain_bias_v
                  (volts)
       [field_map] profile = plateaus with b_left_tesla, b_right_tesla,
-                 x_mid_nm, width_nm; or b0_tesla, gradient_tesla_per_nm;
-                 or file = path (required by `dots.load_device`)
+                 x_mid_nm, width_nm; or profile = linear with b0_tesla,
+                 gradient_tesla_per_nm; or file = path (required by
+                 `dots.load_device`)
       [exchange] coulomb_length_nm
     Every [grid], [materials] and [biases] key is required but
     source_drain_depth_nm: a missing one raises KeyError, an unknown

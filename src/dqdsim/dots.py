@@ -33,10 +33,12 @@ from .device import (
     build_grid,
     load_device_config,
 )
-from .errors import ConfigurationError, GeometryError, ModelValidityError
+from .errors import (ConfigurationError, DqdError, GeometryError,
+                     ModelValidityError)
 from .params import SpinParams
 from .schrodinger import (
     ConvergedSolution,
+    scf_settings,
     self_consistent_solve,
     well_rows,
 )
@@ -110,22 +112,28 @@ def field_map_from_config(section: dict, device_width_nm: float) -> MagnetFieldM
     """Build a field map from a device-file [field_map] section.
 
     Keys: either `file` (two-column text), or `profile = plateaus` with
-    b_left_tesla, b_right_tesla, x_mid_nm, width_nm, or the linear-gradient
-    pair b0_tesla, gradient_tesla_per_nm. Every key of the chosen profile
+    b_left_tesla, b_right_tesla, x_mid_nm, width_nm, or `profile = linear`
+    with b0_tesla, gradient_tesla_per_nm. Any other profile, or none,
+    raises ConfigurationError naming it. Every key of the chosen profile
     is required; a missing one raises KeyError.
     """
     if "file" in section:
         return MagnetFieldMap.from_file(section["file"])
-    if section.get("profile", "linear") == "plateaus":
+    profile = section.get("profile")
+    if profile == "plateaus":
         return MagnetFieldMap.from_plateaus(
             float(section["b_left_tesla"]), float(section["b_right_tesla"]),
             float(section["x_mid_nm"]), float(section["width_nm"]),
             -1.0, device_width_nm + 1.0,
         )
-    return MagnetFieldMap.from_gradient(
-        float(section["b0_tesla"]), float(section["gradient_tesla_per_nm"]),
-        -1.0, device_width_nm + 1.0,
-    )
+    if profile == "linear":
+        return MagnetFieldMap.from_gradient(
+            float(section["b0_tesla"]), float(section["gradient_tesla_per_nm"]),
+            -1.0, device_width_nm + 1.0,
+        )
+    raise ConfigurationError(
+        f"[field_map] profile = {profile!r}: expected plateaus or linear, "
+        "or a file")
 
 
 class Device(NamedTuple):
@@ -144,26 +152,49 @@ class Device(NamedTuple):
         """Cold self-consistent solution at the file's biases with V_M
         replaced by `v_m_mv` (mV).
 
-        Memoized on the grid under (spec, materials, biases), every input
-        of the solve, so devices that share a grid never share a solution
-        of another input.
+        Memoized on the grid under (spec, materials, biases) and the SCF
+        constants the solve reads at call time (`scf_settings`), every
+        input of the solve, so devices that share a grid never share a
+        solution of another input.
         """
         biases = replace(self.biases, v_m=v_m_mv * 1e-3)
-        key = ("solution", self.spec, self.mat, biases)
+        key = ("solution", self.spec, self.mat, biases, scf_settings())
         if key not in self.grid._cache:
             self.grid._cache[key] = self_consistent_solve(
                 self.spec, self.mat, biases, grid=self.grid)
         return self.grid._cache[key]
 
-    def spin_params(self, solution: ConvergedSolution) -> SpinParams:
-        """(E_ZL, E_ZR, J) of a solution on this device."""
-        pair = localized_pair(solution, self.grid)
-        e_zl, e_zr = zeeman_splittings(solution, self.field_map, self.grid,
+    def spin_params(self, solution):
+        """(E_ZL, E_ZR, J) of a solution on this device.
+
+        For a sequence of solutions (a stack: noise samples of one
+        operating point) the spin map runs once over the stack and the
+        result is a list with each member's SpinParams, bit for bit the
+        ones it gets alone, or, in its place, the DqdError it raises alone:
+        a stack that raises is mapped again member by member.
+        """
+        if isinstance(solution, ConvergedSolution):
+            return self._spin_params([solution])[0]
+        try:
+            return self._spin_params(solution)
+        except DqdError:
+            out = []
+            for sol in solution:
+                try:
+                    out.append(self._spin_params([sol])[0])
+                except DqdError as exc:
+                    out.append(exc)
+            return out
+
+    def _spin_params(self, solutions) -> list:
+        pair = localized_pair(solutions, self.grid)
+        e_zl, e_zr = zeeman_splittings(solutions, self.field_map, self.grid,
                                        pair)
-        j_hz = exchange_energy(solution, self.grid, self.mat,
+        j_hz = exchange_energy(solutions, self.grid, self.mat,
                                self.coulomb_length_nm, pair)
-        return SpinParams(e_zl_hz=e_zl, e_zr_hz=e_zr, j_hz=j_hz,
-                          v_m_mv=solution.biases.v_m * 1e3)
+        return [SpinParams(e_zl_hz=float(a), e_zr_hz=float(b), j_hz=float(j),
+                           v_m_mv=sol.biases.v_m * 1e3)
+                for a, b, j, sol in zip(e_zl, e_zr, j_hz, solutions)]
 
 
 def load_device(path) -> Device:
@@ -234,8 +265,24 @@ def find_dots(solution: ConvergedSolution, grid: Grid) -> DotRegions:
     )
 
 
-def zeeman_splittings(solution: ConvergedSolution, field_map: MagnetFieldMap,
-                      grid: Grid, pair=None) -> tuple[float, float]:
+def _stack(solution):
+    """(solutions, whether `solution` was one): a ConvergedSolution is a
+    stack of one."""
+    if isinstance(solution, ConvergedSolution):
+        return [solution], True
+    return list(solution), False
+
+
+def _stacked_pair(sols: list, one: bool, pair, grid: Grid):
+    """The stack's `localized_pair`, with its leading axis: `pair` when
+    given (one solution's gets the axis), else computed."""
+    if pair is None:
+        return localized_pair(sols, grid)
+    return tuple(np.asarray(a)[None] for a in pair) if one else pair
+
+
+def zeeman_splittings(solution, field_map: MagnetFieldMap, grid: Grid,
+                      pair=None):
     """(E_ZL, E_ZR) in Hz: g mu_B / h times the density-weighted B_Z.
 
     The ground orbital of each dot is the maximally localized combination of
@@ -243,19 +290,22 @@ def zeeman_splittings(solution: ConvergedSolution, field_map: MagnetFieldMap,
     once the dots are detuned and handles the symmetric case where both
     eigenstates straddle the barrier; `localized_pair` orders them left to
     right. `pair` is the solution's `localized_pair`, when the caller
-    already has it.
+    already has it. For a sequence of solutions (a stack) E_ZL and E_ZR are
+    arrays over it, and GeometryError names the first member without two
+    dots.
     """
-    if find_dots(solution, grid).n_dots != 2:
-        raise GeometryError("Zeeman splittings need two dots")
+    sols, one = _stack(solution)
+    for k, sol in enumerate(sols):
+        if find_dots(sol, grid).n_dots != 2:
+            raise GeometryError("Zeeman splittings need two dots"
+                                + ("" if one else f" (stack member {k})"))
     if not field_map.covers(grid.x[0], grid.x[-1]):
         raise ConfigurationError("field map does not cover the device extent")
-    phi_l, phi_r, _ = pair or localized_pair(solution, grid)
+    phi_l, phi_r, _ = _stacked_pair(sols, one, pair, grid)
     b_x = field_map(grid.x)
-    e_zl, e_zr = (
-        float(ZEEMAN_HZ_PER_T * ((phi**2).sum(axis=0) * b_x).sum()
-              * grid.dx * grid.dy)
-        for phi in (phi_l, phi_r))
-    return e_zl, e_zr
+    e_zl, e_zr = (ZEEMAN_HZ_PER_T * ((phi**2).sum(axis=-2) * b_x).sum(axis=-1)
+                  * grid.dx * grid.dy for phi in (phi_l, phi_r))
+    return (float(e_zl[0]), float(e_zr[0])) if one else (e_zl, e_zr)
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +349,30 @@ def coulomb_kernel(grid: Grid, mat: MaterialParams,
 
 def coulomb_integrals(kernel: np.ndarray, fields, grid: Grid) -> np.ndarray:
     """Matrix of (f_a | K | f_b), with cell-area weights, over the
-    well-region `fields`; `kernel` is `coulomb_kernel`'s transform.
+    well-region `fields`; `kernel` is `coulomb_kernel`'s transform. Fields
+    of shape (..., F, rows, cols) give one (F, F) matrix per leading index.
 
     One real 2D FFT per field, zero-padded to the kernel's shape: by
     Parseval, (f_a | K | f_b) = sum_k w_k Re(conj(F_a) K F_b)_k / N over the
     half spectrum, with w = 1 on the columns that are their own mirror
     image (zero and Nyquist) and 2 elsewhere.
     """
-    nr, nx = fields[0].shape
+    fields = np.asarray(fields)
+    lead = fields.shape[:-2]
+    nr, nx = fields.shape[-2:]
     shape = (2 * nr, 2 * nx)
-    f = np.fft.rfft2(np.stack(fields), shape)
+    f = np.fft.rfft2(fields, shape)
     w = np.full(f.shape[-1], 2.0)
     w[[0, -1]] = 1.0
     # Re(conj(a) b) summed is the dot product of the (re, im) pairs
-    pairs = f.reshape(len(fields), -1).view(float)
-    gram = pairs @ (f * (kernel * w)).reshape(len(fields), -1).view(float).T
+    pairs = f.reshape(lead + (-1,)).view(float)
+    weighted = (f * (kernel * w)).reshape(lead + (-1,)).view(float)
+    gram = pairs @ np.swapaxes(weighted, -1, -2)
     da = grid.dx * grid.dy
     return gram * (da * da / (shape[0] * shape[1]))
 
 
-def localized_pair(solution: ConvergedSolution, grid: Grid):
+def localized_pair(solution, grid: Grid):
     """Maximally localized (left, right) combinations of the two lowest well
     orbitals.
 
@@ -326,49 +380,64 @@ def localized_pair(solution: ConvergedSolution, grid: Grid):
     returns (phi_l, phi_r, h2) with phi on the well block and h2 the
     effective 2x2 Hamiltonian in the localized basis (eV). The pair is
     ordered by the position eigenvalue, which is each orbital's centroid,
-    so left to right.
+    so left to right. For a sequence of solutions (a stack) each of the
+    three has a leading axis over it.
     """
-    psi = solution.spectrum.wavefunctions[:2]
+    sols, one = _stack(solution)
+    psi = np.stack([sol.spectrum.wavefunctions[:2] for sol in sols])
+    energies = np.stack([sol.spectrum.energies_ev[:2] for sol in sols])
     da = grid.dx * grid.dy
-    x_op = np.empty((2, 2))
+    x_op = np.empty((len(sols), 2, 2))
     for a in range(2):
         for b in range(2):
-            x_op[a, b] = (psi[a] * psi[b] * grid.x[None, :]).sum() * da
-    pos, w = np.linalg.eigh(0.5 * (x_op + x_op.T))
-    w = w[:, np.argsort(pos)]
-    phi = [w[0, c] * psi[0] + w[1, c] * psi[1] for c in range(2)]
-    h2 = w.T @ np.diag(solution.spectrum.energies_ev[:2]) @ w
+            x_op[:, a, b] = (psi[:, a] * psi[:, b]
+                             * grid.x[None, :]).sum(axis=(-2, -1)) * da
+    pos, w = np.linalg.eigh(0.5 * (x_op + np.swapaxes(x_op, -1, -2)))
+    w = np.take_along_axis(w, np.argsort(pos, axis=-1)[:, None, :], axis=-1)
+    phi = [w[:, 0, c, None, None] * psi[:, 0] + w[:, 1, c, None, None] * psi[:, 1]
+           for c in range(2)]
+    diag = np.zeros((len(sols), 2, 2))
+    diag[:, [0, 1], [0, 1]] = energies
+    h2 = np.swapaxes(w, -1, -2) @ diag @ w
+    if one:
+        return phi[0][0], phi[1][0], h2[0]
     return phi[0], phi[1], h2
 
 
-def exchange_energy(solution: ConvergedSolution, grid: Grid,
-                    mat: MaterialParams, coulomb_length_nm: float,
-                    pair=None) -> float:
+def exchange_energy(solution, grid: Grid, mat: MaterialParams,
+                    coulomb_length_nm: float, pair=None):
     """Two-site singlet-triplet exchange J in Hz (>= 0).
 
     Singlet sector {S(1,1), S(2,0), S(0,2)} of the two-site model:
         diag(V, U_L + eps, U_R - eps) + sqrt(2) t off-diagonal couplings,
     with eps the localized-orbital detuning; J = E_T - E_S with E_T = V.
     `pair` is the solution's `localized_pair`, when the caller already has
-    it. Raises ModelValidityError when U - V <= 0.
+    it. For a sequence of solutions (a stack) J is an array over it.
+    Raises ModelValidityError when U - V <= 0 (for a stack, in any member).
     """
-    phi_l, phi_r, h2 = pair or localized_pair(solution, grid)
-    t_ev = abs(h2[0, 1])
-    eps_ev = h2[0, 0] - h2[1, 1]
+    sols, one = _stack(solution)
+    phi_l, phi_r, h2 = _stacked_pair(sols, one, pair, grid)
+    t_ev = np.abs(h2[..., 0, 1])
+    eps_ev = h2[..., 0, 0] - h2[..., 1, 1]
     kern = coulomb_kernel(grid, mat, coulomb_length_nm)
-    (u_l, v), (_, u_r) = coulomb_integrals(kern, (phi_l**2, phi_r**2), grid)
+    gram = coulomb_integrals(kern, np.stack([phi_l**2, phi_r**2], axis=-3),
+                             grid)
+    u_l, v, u_r = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
     u = 0.5 * (u_l + u_r)
-    if u - v <= 0.0:
+    if np.any(u - v <= 0.0):
+        k = int(np.argmax(u - v <= 0.0))
         raise ModelValidityError(
-            f"two-site model invalid: U - V = {(u - v) * 1e3:.3f} meV <= 0"
+            f"two-site model invalid: U - V = {(u - v).flat[k] * 1e3:.3f} meV"
+            " <= 0" + ("" if one else f" (stack member {k})")
         )
-    h_s = np.array([
-        [0.0, np.sqrt(2.0) * t_ev, np.sqrt(2.0) * t_ev],
-        [np.sqrt(2.0) * t_ev, (u_l - v) + eps_ev, 0.0],
-        [np.sqrt(2.0) * t_ev, 0.0, (u_r - v) - eps_ev],
-    ])
-    e_s = float(np.linalg.eigvalsh(h_s)[0])
-    return max(-e_s, 0.0) * EV_TO_HZ
+    s2t = np.sqrt(2.0) * t_ev
+    h_s = np.zeros(np.shape(t_ev) + (3, 3))
+    h_s[..., 0, 1] = h_s[..., 0, 2] = h_s[..., 1, 0] = h_s[..., 2, 0] = s2t
+    h_s[..., 1, 1] = (u_l - v) + eps_ev
+    h_s[..., 2, 2] = (u_r - v) - eps_ev
+    e_s = np.linalg.eigvalsh(h_s)[..., 0]
+    j_hz = np.maximum(-e_s, 0.0) * EV_TO_HZ
+    return float(j_hz[0]) if one else j_hz
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,11 @@ and a ramp its rotating-frame steps, not O(duration x E_Z).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ScheduleError
+from .errors import ConfigurationError, DqdError, NumericalError, ScheduleError
 from .kernels import propagate_affine, step_exponentials
 from .params import SpinParams
 
@@ -150,8 +149,11 @@ def rot_to_lab(u_rot: np.ndarray, total_time_s: float, frame_freq_hz: float) -> 
     return phases[:, None] * u_rot
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+def unitarity_defect(u: np.ndarray):
+    """max |U^+ U - I|: a float for one matrix, an array for a stack."""
+    d = np.abs(np.swapaxes(u.conj(), -1, -2) @ u
+               - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    return float(d) if d.ndim == 0 else d
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +165,18 @@ PS = 1e-12
 
 @dataclass
 class UnitaryResult:
-    u: np.ndarray
+    u: np.ndarray                    # (4, 4); (B, 4, 4) for a stack
     frame: str                       # "lab" or "rwa"
     frame_freq_hz: float
     total_time_ns: float
     dt_ns: float                     # largest step used in stepped stretches
     # exponential factors of the ordered product `u` stands for: one per
     # constant segment, two per CF4 step (a drive's whole periods each
-    # count their 2m, though P^N computes them once)
+    # count their 2m, though P^N computes them once); summed over a stack
     n_exponentials: int
-    unitarity_defect: float
+    unitarity_defect: float | np.ndarray     # per member for a stack
+    # stack position -> the DqdError that dropped that member (its u is NaN)
+    failures: dict
     trajectory_t_ns: np.ndarray | None = None
     trajectory_amps: np.ndarray | None = None   # (n_samples, 4) amplitudes
 
@@ -199,72 +203,84 @@ def _cf4_coefs(gamma_fn, t0_s: float, dt_s: float, n_steps: int) -> np.ndarray:
 
 
 def _expm_h(h: np.ndarray, t_s) -> np.ndarray:
-    """exp(-i 2 pi t h) for a time t, or their stack for an array of times."""
+    """exp(-i 2 pi t h) for a time t, per matrix of a stack h, or, for one
+    h, the stack over an array of times."""
     w, v = np.linalg.eigh(h)
     phase = np.exp(-2j * np.pi * np.asarray(t_s)[..., None] * w)
-    return (v * phase[..., None, :]) @ v.conj().T
+    return (v * phase[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 @dataclass(frozen=True)
 class _Affine:
-    """Generator h_base + gamma(t) h_coef of a stepped segment, with steps
-    capped at 1/(dt_factor f_cap). A lab-frame drive repeats every
-    `period_s`; a ramp compiled in the frame rotating at `frame_hz` is
-    returned to the lab by that frame's phase (zero: no phase)."""
-    h_base: np.ndarray
+    """Generators h_base[b] + gamma_b(t) h_coef of a stepped segment, one
+    per member b of a stack, with member b's steps capped at
+    1/(dt_factor f_cap[b]). A lab-frame drive repeats every `period_s`; a
+    ramp compiled in the frame rotating at `frame_hz` is returned to the
+    lab by that frame's phase (zero: no phase)."""
+    h_base: np.ndarray                          # (B, 4, 4)
     h_coef: np.ndarray
-    gamma: Callable[[np.ndarray], np.ndarray]   # t [s] -> coefficient
-    f_cap: float
+    gammas: list            # per member: t [s] -> coefficient
+    f_cap: list             # per member, Hz
     period_s: float | None = None
     frame_hz: float = 0.0
 
 
-def _compile_segment(seg, t0_s: float, params_source, integrator: str,
-                     frame_freq: float) -> np.ndarray | _Affine:
-    """A segment's constant Hamiltonian (RWA hold or drive, lab-frame hold)
-    or its affine generator (ramp in either frame, lab-frame drive)."""
-    p_hold = params_source(seg.v_m_mv)
+def _ramp_gamma(j_of_vm, v0: float, v1: float, t0_s: float, dur_s: float):
+    def gamma(ts):
+        frac = np.clip((ts - t0_s) / dur_s, 0.0, 1.0)
+        return j_of_vm(v0 + (v1 - v0) * frac)
+    return gamma
+
+
+def _compile_segment(seg, t0_s: float, params: list, sources: list,
+                     integrator: str, frame_freq: float) -> np.ndarray | _Affine:
+    """A segment's constant Hamiltonians (RWA hold or drive, lab-frame
+    hold), stacked over the members, or their affine generators (ramp in
+    either frame, lab-frame drive). `params[b]` maps each V_M of the
+    schedule to member b's SpinParams; `sources[b]` is its source."""
+    p_hold = [p[seg.v_m_mv] for p in params]
     if seg.ramp_from_mv is not None:
         # linear V_M ramp; J follows the calibrated curve (log-linear in
         # V_M, hence near-exponential in time); E_Z held at the start
         # point, whose drift over the step is a few MHz at most. The ramp
         # carries no drive and commutes with total S_z, so in the lab frame
         # it is exactly the rotating-frame ramp times the frame's phase.
-        p0 = params_source(seg.ramp_from_mv)
-        h_base = (0.5 * (p0.e_zl_hz - frame_freq) * SZ_L
-                  + 0.5 * (p0.e_zr_hz - frame_freq) * SZ_R)
-        v0, v1, dur_s = seg.ramp_from_mv, seg.v_m_mv, seg.duration_ps * PS
-
-        def gamma(ts):
-            frac = np.clip((ts - t0_s) / dur_s, 0.0, 1.0)
-            return params_source.j_of_vm(v0 + (v1 - v0) * frac)
-
-        f_cap = max(p_hold.j_hz, p0.j_hz,
-                    abs(p0.e_zl_hz - frame_freq), abs(p0.e_zr_hz - frame_freq))
-        return _Affine(h_base, HEIS, gamma, f_cap,
+        p0 = [p[seg.ramp_from_mv] for p in params]
+        h_base = np.stack([0.5 * (q.e_zl_hz - frame_freq) * SZ_L
+                           + 0.5 * (q.e_zr_hz - frame_freq) * SZ_R
+                           for q in p0])
+        gammas = [_ramp_gamma(src.j_of_vm, seg.ramp_from_mv, seg.v_m_mv,
+                              t0_s, seg.duration_ps * PS) for src in sources]
+        f_cap = [max(ph.j_hz, q.j_hz, abs(q.e_zl_hz - frame_freq),
+                     abs(q.e_zr_hz - frame_freq))
+                 for ph, q in zip(p_hold, p0)]
+        return _Affine(h_base, HEIS, gammas, f_cap,
                        frame_hz=frame_freq if integrator == "lab" else 0.0)
     if integrator == "rwa":
-        return rwa_hamiltonian(p_hold, seg.drive, frame_freq)
+        return np.stack([rwa_hamiltonian(p, seg.drive, frame_freq)
+                         for p in p_hold])
     d = seg.drive
+    h_static = np.stack([static_hamiltonian(p) for p in p_hold])
     if d is None or d.rabi_hz == 0.0:
-        return static_hamiltonian(p_hold)
+        return h_static
 
     def gamma_drive(ts):
         return d.rabi_hz * np.cos(2.0 * math.pi * d.freq_hz * ts + d.phase_rad)
 
-    return _Affine(static_hamiltonian(p_hold), drive_operator(d.target),
-                   gamma_drive, max(p_hold.e_zl_hz, p_hold.e_zr_hz, d.freq_hz),
+    return _Affine(h_static, drive_operator(d.target),
+                   [gamma_drive] * len(params),
+                   [max(p.e_zl_hz, p.e_zr_hz, d.freq_hz) for p in p_hold],
                    period_s=1.0 / abs(d.freq_hz) if d.freq_hz else None)
 
 
-def _prefix_products(gen: _Affine, coefs: np.ndarray, dt_s: float,
-                     ends) -> dict:
+def _prefix_products(h_base: np.ndarray, h_coef: np.ndarray,
+                     coefs: np.ndarray, dt_s: float, ends) -> dict:
     """{k: product of the first k CF4 steps of `coefs`} for k in `ends`,
     from one stack of step exponentials scanned in log-depth."""
     out = {0: np.eye(4, dtype=complex)}
     last = max(ends, default=0)
     if last:
-        scan = step_exponentials(gen.h_base, gen.h_coef, coefs[:2 * last],
+        scan = step_exponentials(h_base, h_coef, coefs[:2 * last],
                                  0.5 * dt_s)
         shift = 1
         while shift < scan.shape[0]:
@@ -274,39 +290,54 @@ def _prefix_products(gen: _Affine, coefs: np.ndarray, dt_s: float,
     return out
 
 
+def _propagate(gen: _Affine, seqs: list) -> np.ndarray:
+    """The members' products of their (coefficients, step) CF4 sequences."""
+    coefs = [c for c, _ in seqs]
+    return propagate_affine(gen.h_base, gen.h_coef, np.concatenate(coefs),
+                            [0.5 * dt for _, dt in seqs],
+                            [c.size for c in coefs])
+
+
 def _stepped(gen: _Affine, t0_s: float, dur_s: float, dt_factor: float,
              marks_s: np.ndarray):
-    """Propagate a stepped segment that starts at `t0_s`.
+    """Propagate a stepped segment that starts at `t0_s`, for each member.
 
-    Returns its propagator, its number of CF4 exponential factors, its
-    largest step, and a row (time, map) for each stride mark in `marks_s`
-    (seconds from the segment start): the first step end at or after the
-    mark, if it lies before the segment's end, and the map from the
-    segment's initial state to the state there.
+    Returns the members' propagators (B, 4, 4), their number of CF4
+    exponential factors (summed), their largest step, and, for a stack of
+    one, a row (time, map) for each stride mark in `marks_s` (seconds from
+    the segment start): the first step end at or after the mark, if it
+    lies before the segment's end, and the map from the segment's initial
+    state to the state there.
 
     A periodic drive takes m equal steps per period, the fewest within the
-    cap, so every period has the same coefficients: its N whole periods are
-    the period product P raised to the N-th power (binary powering), and the
-    rest of the segment takes the fewest equal steps no longer than the
-    period's. Any other segment is that rest alone, within the cap.
+    member's cap, so every period has the same coefficients: its N whole
+    periods are the period product P raised to the N-th power (binary
+    powering), and the rest of the segment takes the fewest equal steps no
+    longer than the period's. Any other segment is that rest alone, within
+    the cap.
     """
     period = gen.period_s or 0.0
-    m = n_per = 0
-    dt_s = 1.0 / (dt_factor * gen.f_cap)
-    if gen.period_s is None:
-        n_rest = max(int(math.ceil(dur_s / dt_s)), 1)
-    else:
-        m = int(math.ceil(dt_factor * gen.f_cap * period))
-        dt_s = period / m
-        n_per = int(dur_s // period)
-        n_rest = int(math.ceil(max(dur_s - n_per * period, 0.0) / dt_s))
-    dt_rest = (dur_s - n_per * period) / n_rest if n_rest else 0.0
-    coefs_rest = _cf4_coefs(gen.gamma, t0_s + n_per * period, dt_rest, n_rest)
-    u = propagate_affine(gen.h_base, gen.h_coef, coefs_rest, 0.5 * dt_rest)
-    coefs_p = None
+    n_per = int(dur_s // period) if gen.period_s is not None else 0
+    plans = []                  # per member: (m, dt, n_rest, dt_rest)
+    rests, periods = [], []
+    for gamma, f_cap in zip(gen.gammas, gen.f_cap):
+        m = 0
+        dt_s = 1.0 / (dt_factor * f_cap)
+        if gen.period_s is None:
+            n_rest = max(int(math.ceil(dur_s / dt_s)), 1)
+        else:
+            m = int(math.ceil(dt_factor * f_cap * period))
+            dt_s = period / m
+            n_rest = int(math.ceil(max(dur_s - n_per * period, 0.0) / dt_s))
+        dt_rest = (dur_s - n_per * period) / n_rest if n_rest else 0.0
+        plans.append((m, dt_s, n_rest, dt_rest))
+        rests.append((_cf4_coefs(gamma, t0_s + n_per * period, dt_rest,
+                                 n_rest), dt_rest))
+        if n_per:
+            periods.append((_cf4_coefs(gamma, t0_s, dt_s, m), dt_s))
+    u = _propagate(gen, rests)
     if n_per:
-        coefs_p = _cf4_coefs(gen.gamma, t0_s, dt_s, m)
-        p = propagate_affine(gen.h_base, gen.h_coef, coefs_p, 0.5 * dt_s)
+        p = _propagate(gen, periods)
         u = u @ np.linalg.matrix_power(p, n_per)
     if gen.frame_hz:
         u = rot_to_lab(u, dur_s, gen.frame_hz)
@@ -316,6 +347,7 @@ def _stepped(gen: _Affine, t0_s: float, dur_s: float, dt_factor: float,
         # global index of the first step end at or after each mark, split
         # into whole periods n, steps j into the next period, and steps i
         # into the rest
+        m, dt_s, n_rest, dt_rest = plans[0]
         n_p = n_per * m
         steps = np.empty(marks_s.size, dtype=int)
         in_p = marks_s <= n_per * period
@@ -325,31 +357,41 @@ def _stepped(gen: _Affine, t0_s: float, dur_s: float, dt_factor: float,
         steps = np.unique(steps[steps < n_p + n_rest])
         n_of, j_of = np.divmod(np.minimum(steps, n_p), max(m, 1))
         i_of = np.maximum(steps - n_p, 0)
-        pre_p = _prefix_products(gen, coefs_p, dt_s, j_of.tolist())
-        pre_r = _prefix_products(gen, coefs_rest, dt_rest, i_of.tolist())
+        pre_p = _prefix_products(gen.h_base[0], gen.h_coef,
+                                 periods[0][0] if n_per else None, dt_s,
+                                 j_of.tolist())
+        pre_r = _prefix_products(gen.h_base[0], gen.h_coef, rests[0][0],
+                                 dt_rest, i_of.tolist())
         powers = [pre_p[0]]
         for _ in range(int(n_of.max(initial=0))):
-            powers.append(p @ powers[-1])
+            powers.append(p[0] @ powers[-1])
         for n, j, i in zip(n_of, j_of, i_of):
             t_s = n * period + j * dt_s + i * dt_rest
             mat = pre_r[i] @ pre_p[j] @ powers[n]
             rows.append((t_s, rot_to_lab(mat, t_s, gen.frame_hz)
                          if gen.frame_hz else mat))
-    dt_max = dt_s if n_per else dt_rest
-    return u, 2 * (n_per * m + n_rest), dt_max, rows
+    n_exp = sum(2 * (n_per * m + n_rest) for m, _, n_rest, _ in plans)
+    dt_max = max(dt_s if n_per else dt_rest for _, dt_s, _, dt_rest in plans)
+    return u, n_exp, dt_max, rows
 
 
 def evolve(schedule, params_source, integrator: str = "rwa",
            dt_factor: float = 200.0, sample_every_ns: float | None = None
            ) -> UnitaryResult:
-    """Integrate a pulse schedule into a 4x4 propagator.
+    """Integrate a pulse schedule into a 4x4 propagator, or into one per
+    member of a stack of parameter sources.
 
     Parameters
     ----------
     schedule : PulseSchedule (duck-typed: segments, vz_events, frame_freq_hz)
     params_source : callable V_M[mV] -> SpinParams; a schedule with bias
         ramps also needs its vectorized `j_of_vm(v_m_mv_array)`, as a
-        ParamsTable provides, for J along the ramp.
+        ParamsTable provides, for J along the ramp. A list of them is a
+        stack (noise samples of one schedule), evolved at once: `u` is
+        then (B, 4, 4), each member's the `u` it gives alone, bit for bit.
+        A member whose parameter lookup raises a DqdError or whose
+        unitarity drifts is dropped into `failures` (its `u` is NaN)
+        instead of raising.
     integrator : "rwa" (production) or "lab" (reference oracle)
     sample_every_ns : if set, record the state trajectory from |dd>
         (`STATE_DD`) at the stride marks k * sample_every_ns from t = 0
@@ -357,6 +399,7 @@ def evolve(schedule, params_source, integrator: str = "rwa",
         step end at or after it: the mark itself in a constant segment,
         the next step end in a stepped one, or the segment's end. Rows do
         not enter the propagator: sampled and unsampled `u` are equal.
+        Not for a stack.
 
     Ramp steps (both frames) are capped at 1/(dt_factor max(J, detunings
     from the frame)), lab-frame drive steps at 1/(dt_factor max(E_ZL, E_ZR,
@@ -368,6 +411,11 @@ def evolve(schedule, params_source, integrator: str = "rwa",
     """
     if integrator not in ("rwa", "lab"):
         raise ConfigurationError(f"unknown integrator {integrator!r}")
+    stacked = isinstance(params_source, list)
+    sources = params_source if stacked else [params_source]
+    sampling = sample_every_ns is not None
+    if sampling and stacked:
+        raise ConfigurationError("a trajectory is sampled for one source")
     segments = list(schedule.segments)
     if not segments:
         raise ScheduleError("empty schedule")
@@ -385,22 +433,36 @@ def evolve(schedule, params_source, integrator: str = "rwa",
                 "all driven segments must share the schedule frame frequency"
             )
 
-    generators = []
-    t_ps = 0
-    for seg in segments:
-        generators.append(_compile_segment(seg, t_ps * PS, params_source,
-                                           integrator, frame_freq))
+    # every member's parameters at every V_M of the schedule
+    v_nodes = list(dict.fromkeys(v for seg in segments
+                                 for v in (seg.v_m_mv, seg.ramp_from_mv)
+                                 if v is not None))
+    failures, params = {}, []
+    for k, src in enumerate(sources):
+        try:
+            params.append({v: src(v) for v in v_nodes})
+        except DqdError as exc:
+            if not stacked:
+                raise
+            failures[k] = exc
+    alive = [k for k in range(len(sources)) if k not in failures]
+    live_sources = [sources[k] for k in alive]
+
+    generators, t_ps = [], 0
+    for seg in segments if alive else ():
+        generators.append(_compile_segment(seg, t_ps * PS, params,
+                                           live_sources, integrator,
+                                           frame_freq))
         t_ps += seg.duration_ps
 
-    events = sorted(schedule.vz_events, key=lambda e: e[0])
-    ev_idx = 0
-
-    u = np.eye(4, dtype=complex)
-    t_ps = 0
+    u = np.broadcast_to(np.eye(4, dtype=complex), (len(alive), 4, 4)).copy()
     n_exp = 0
     dt_max_s = 0.0
 
-    sampling = sample_every_ns is not None
+    events = sorted(schedule.vz_events, key=lambda e: e[0])
+    ev_idx = 0
+    t_ps = 0
+
     psi = None
     traj_t: list[float] = []
     traj_a: list[np.ndarray] = []
@@ -443,8 +505,8 @@ def evolve(schedule, params_source, integrator: str = "rwa",
                                           dt_factor, marks_ps * PS)
             dt_max_s = max(dt_max_s, dt_s)
         else:
-            mat, n = _expm_h(gen, seg.duration_ps * PS), 1
-            rows = (zip(marks_ps * PS, _expm_h(gen, marks_ps * PS))
+            mat, n = _expm_h(gen, seg.duration_ps * PS), len(gen)
+            rows = (zip(marks_ps * PS, _expm_h(gen[0], marks_ps * PS))
                     if sampling else ())
         n_exp += n
         if sampling:
@@ -452,12 +514,13 @@ def evolve(schedule, params_source, integrator: str = "rwa",
                 # the clock is the row's time within the segment, rounded,
                 # so rounding does not accumulate
                 record(t_ps + int(round(row_s / PS)), m @ psi)
-            psi = mat @ psi
+            psi = mat[0] @ psi
         u = mat @ u
         t_ps += seg.duration_ps
         if sampling:
             record(t_ps, psi)
 
+    t_ps = sum(seg.duration_ps for seg in segments)
     if sampling and traj_t[-1] < t_ps * 1e-3:
         # the gate time is not a multiple of the stride: end on the final state
         traj_t.append(t_ps * 1e-3)
@@ -465,14 +528,26 @@ def evolve(schedule, params_source, integrator: str = "rwa",
     apply_events_at(t_ps)
 
     defect = unitarity_defect(u)
-    if defect > UNITARITY_TOL:
-        raise NumericalError(f"unitarity drift {defect:.2e} exceeds {UNITARITY_TOL}",
-                             diagnostics={"defect": defect})
+    for k, d in zip(alive, defect):
+        if d > UNITARITY_TOL:
+            exc = NumericalError(
+                f"unitarity drift {d:.2e} exceeds {UNITARITY_TOL}",
+                diagnostics={"defect": float(d)})
+            if not stacked:
+                raise exc
+            failures[k] = exc
+    out = np.full((len(sources), 4, 4), np.nan, dtype=complex)
+    out[alive] = u
+    out[list(failures)] = np.nan
+    defects = np.full(len(sources), np.nan)
+    defects[alive] = defect
     total_ns = t_ps * 1e-3
     return UnitaryResult(
-        u=u, frame=integrator,
+        u=out if stacked else out[0], frame=integrator,
         frame_freq_hz=frame_freq, total_time_ns=total_ns,
-        dt_ns=dt_max_s * 1e9, n_exponentials=n_exp, unitarity_defect=defect,
+        dt_ns=dt_max_s * 1e9, n_exponentials=n_exp,
+        unitarity_defect=defects if stacked else float(defects[0]),
+        failures=failures,
         trajectory_t_ns=np.array(traj_t) if sampling else None,
         trajectory_amps=np.array(traj_a) if sampling else None,
     )
@@ -529,13 +604,13 @@ def conditional_resonances(p: SpinParams) -> dict:
 # ---------------------------------------------------------------------------
 
 def _check_unitary(u: np.ndarray, name: str):
-    if u.shape != (4, 4):
+    if u.shape[-2:] != (4, 4):
         raise ConfigurationError(f"{name} must be 4x4")
-    if unitarity_defect(u) > 1e-8:
+    if np.max(unitarity_defect(u)) > 1e-8:
         raise ConfigurationError(f"{name} is not unitary to 1e-8")
 
 
-def _avg_fidelity_from_trace(tr_abs: float) -> float:
+def _avg_fidelity_from_trace(tr_abs):
     """Average gate fidelity of two-qubit gates (d = 4) from |Tr(U_i^+ U)|."""
     return (tr_abs**2 / 4 + 1.0) / 5
 
@@ -552,12 +627,12 @@ FRAME_MAX_SWEEPS = 10_000
 def _best_angle(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Per row of w, the angle t maximizing |sum_j w_j exp(0.5i t z_j)|:
     the sum is p e^{it/2} + q e^{-it/2}, largest at t = arg q - arg p."""
-    p = w[:, z > 0].sum(axis=1)
-    q = w[:, z < 0].sum(axis=1)
+    p = w[..., z > 0].sum(axis=-1)
+    q = w[..., z < 0].sum(axis=-1)
     return np.angle(q) - np.angle(p)
 
 
-def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray) -> float:
+def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray):
     """Frame-optimized average gate fidelity in percent.
 
     F_avg = (|Tr(U_ideal^+ U)|^2 / d + 1) / (d + 1), d = 4, globally phase
@@ -569,30 +644,42 @@ def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray) -> float:
     t = arg q - arg p. The ascent runs on all of `FRAME_STARTS` at once (zero
     angles and seven fixed random points, against local maxima) until no
     start gains more than `FRAME_TOL` in |Tr| per sweep.
+
+    A stack `u_actual` of shape (B, 4, 4) gives an array of B fidelities:
+    the members ascend together, and each stops at the sweep where it
+    would stop alone, so its value is the one it has alone.
     """
     _check_unitary(u_actual, "u_actual")
     _check_unitary(u_ideal, "u_ideal")
-    a = np.conj(u_ideal) * u_actual   # Tr = sum_jk A_jk with phase factors
-    x = FRAME_STARTS.copy()           # angles (post L, post R, pre L, pre R)
+    a = (np.conj(u_ideal) * u_actual).reshape(-1, 4, 4)
+    # angles (post L, post R, pre L, pre R) per member and start
+    x = np.broadcast_to(FRAME_STARTS, (a.shape[0],) + FRAME_STARTS.shape
+                        ).copy()
 
-    def ph(i, z):
-        return np.exp(0.5j * x[:, i, None] * z)
+    def ph(x, i, z):
+        return np.exp(0.5j * x[..., i, None] * z)
 
-    def abs_trace():
-        return np.abs(np.einsum("sj,jk,sk->s", ph(0, Z_L) * ph(1, Z_R), a,
-                                ph(2, Z_L) * ph(3, Z_R)))
+    def abs_trace(x, a):
+        # Tr = sum_jk A_jk post_j pre_k
+        return np.abs(np.einsum("bsj,bjk,bsk->bs", ph(x, 0, Z_L) * ph(x, 1, Z_R),
+                                a, ph(x, 2, Z_L) * ph(x, 3, Z_R)))
 
-    best = abs_trace()
+    best = abs_trace(x, a)
+    live = np.arange(a.shape[0])
     for _ in range(FRAME_MAX_SWEEPS):
-        rows = (ph(2, Z_L) * ph(3, Z_R)) @ a.T     # sum_k A_jk pre_k
-        x[:, 0] = _best_angle(ph(1, Z_R) * rows, Z_L)
-        x[:, 1] = _best_angle(ph(0, Z_L) * rows, Z_R)
-        cols = (ph(0, Z_L) * ph(1, Z_R)) @ a       # sum_j post_j A_jk
-        x[:, 2] = _best_angle(ph(3, Z_R) * cols, Z_L)
-        x[:, 3] = _best_angle(ph(2, Z_L) * cols, Z_R)
-        value = abs_trace()
-        gain = np.max(value - best)
-        best = np.maximum(best, value)
-        if gain <= FRAME_TOL:
+        xl, al = x[live], a[live]
+        rows = (ph(xl, 2, Z_L) * ph(xl, 3, Z_R)) @ np.swapaxes(al, -1, -2)
+        xl[..., 0] = _best_angle(ph(xl, 1, Z_R) * rows, Z_L)
+        xl[..., 1] = _best_angle(ph(xl, 0, Z_L) * rows, Z_R)
+        cols = (ph(xl, 0, Z_L) * ph(xl, 1, Z_R)) @ al
+        xl[..., 2] = _best_angle(ph(xl, 3, Z_R) * cols, Z_L)
+        xl[..., 3] = _best_angle(ph(xl, 2, Z_L) * cols, Z_R)
+        value = abs_trace(xl, al)
+        gain = np.max(value - best[live], axis=-1)
+        best[live] = np.maximum(best[live], value)
+        x[live] = xl
+        live = live[gain > FRAME_TOL]
+        if not live.size:
             break
-    return 100.0 * _avg_fidelity_from_trace(float(best.max()))
+    fid = 100.0 * _avg_fidelity_from_trace(best.max(axis=-1))
+    return fid if u_actual.ndim == 3 else float(fid[0])

@@ -12,9 +12,10 @@ converged potential plus the noise field (no self-consistent re-loop: the
 noise scale is micro-eV against a many-meV landscape, and re-running the
 loop for every sample would dominate the Monte Carlo cost), then maps the
 perturbed solution to its spin parameters with `Device.spin_params`.
-`perturbed_spin_params` does this for one noise field on a converged
-solution (`Device.solution_at`); `NoisyTableFactory` does it at every V_M
-node of a gate and returns the sample's parameter table.
+`perturbed_spin_params` does this for one noise field, or a stack of
+them, on a converged solution (`Device.solution_at`);
+`NoisyTableFactory.table_for` does it at every V_M node of a gate and
+returns each sample's parameter table.
 
 The per-sample eigensolve is a block inverse iteration warm-started from
 the clean solution's states (subspace iteration with a Rayleigh-Ritz step,
@@ -37,10 +38,17 @@ shift-invert solve `solve_eigenstates` and logs the reason at DEBUG on
 the `dqdsim` logger.
 
 Every Monte Carlo run is one loop, `_monte_carlo`, entered through
-`fluctuation_stats` or `fidelity_samples`: each sample is drawn and solved
-once and every quantity or gate of the run is evaluated on it. A sample
-that fails (`SampleFailures`) is counted once and dropped for every gate
-it serves.
+`fluctuation_stats` or `fidelity_samples` with the configs of a run: the
+sigmas of a sweep, sharing seed and n_samples. Sample indices run in
+chunks whose fields, every sigma's of every index, form one stack of at
+most `MC_STACK_SAMPLES` members (a bound on memory only). Each index's unit
+field is drawn once per run and scaled to every sigma. Each member's
+eigensolve runs alone; the spin map (`Device.spin_params`), `evolve` and
+`gate_fidelity` run once per stack, operating point and gate, and give
+each member the value it gets alone, bit for bit, so a row does not
+depend on which sigmas share its run. A sample that fails
+(`SampleFailures`) is counted once against its sigma and dropped for
+every gate it serves; the rest of its stack proceeds.
 """
 
 from __future__ import annotations
@@ -81,6 +89,12 @@ SHIFT_BELOW_GROUND_EV = 1e-6
 RESIDUAL_TOL_EV = 1e-12
 MAX_BLOCK_ITERATIONS = 10
 
+# Most noise fields in one stack of a Monte Carlo run, over all its sigmas.
+# Only bounds memory: a stack holds one field (the whole grid) per member
+# and, per operating point, one perturbed solution per member, and a
+# sample's results do not depend on its stack.
+MC_STACK_SAMPLES = 64
+
 # Most per-sample failures a Monte Carlo run tolerates, as a fraction of its
 # samples; one failure is always tolerated unless no sample would be left.
 MAX_FAILURE_FRACTION = 0.01
@@ -112,14 +126,18 @@ def standard_normal_field(grid: Grid, seed: int, sample_index: int) -> np.ndarra
     return np.random.Generator(bits).standard_normal((grid.ny, grid.nx))
 
 
+def _scaled(unit: np.ndarray, cfg: NoiseConfig, sample_index: int
+            ) -> NoiseField:
+    """The unit field `unit` scaled to `cfg`'s sigma, in eV."""
+    if cfg.sigma_uev == 0.0:
+        return NoiseField(np.zeros_like(unit), sample_index)
+    return NoiseField((cfg.sigma_uev * UEV_EV) * unit, sample_index)
+
+
 def sample_noise(grid: Grid, cfg: NoiseConfig, sample_index: int) -> NoiseField:
     """One noise realization in eV; sigma = 0 yields the exact zero field."""
-    if cfg.sigma_uev == 0.0:
-        vals = np.zeros((grid.ny, grid.nx))
-    else:
-        vals = (cfg.sigma_uev * UEV_EV) * standard_normal_field(
-            grid, cfg.seed, sample_index)
-    return NoiseField(values_ev=vals, sample_index=sample_index)
+    return _scaled(standard_normal_field(grid, cfg.seed, sample_index), cfg,
+                   sample_index)
 
 
 def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
@@ -167,8 +185,31 @@ def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
 
 
 def perturbed_spin_params(device: Device, solution: ConvergedSolution,
-                          noise: NoiseField) -> SpinParams:
-    """Spin parameters of `solution`'s potential disturbed by `noise`."""
+                          noise):
+    """Spin parameters of `solution`'s potential disturbed by `noise`.
+
+    For a sequence of fields (a stack of samples) the result is a list
+    with each sample's SpinParams or, in its place, the DqdError that
+    dropped it: each sample's eigensolve runs alone, then the spin map
+    runs once over the stack (`Device.spin_params`).
+    """
+    if isinstance(noise, NoiseField):
+        return device.spin_params(_perturbed_solution(device, solution, noise))
+    out, perturbed = [], []
+    for field in noise:
+        try:
+            perturbed.append(_perturbed_solution(device, solution, field))
+            out.append(None)
+        except DqdError as exc:
+            out.append(exc)
+    params = iter(device.spin_params(perturbed))
+    return [next(params) if exc is None else exc for exc in out]
+
+
+def _perturbed_solution(device: Device, solution: ConvergedSolution,
+                        noise: NoiseField) -> ConvergedSolution:
+    """`solution` with its potential disturbed by `noise` and the lowest
+    states of the disturbed potential."""
     if noise.values_ev.shape != solution.potential_ev.shape:
         raise ConfigurationError("noise field shape does not match the grid")
     u = solution.potential_ev + noise.values_ev
@@ -181,8 +222,7 @@ def perturbed_spin_params(device: Device, solution: ConvergedSolution,
     except NumericalError as exc:
         exc.diagnostics["sample_index"] = noise.sample_index
         raise
-    return device.spin_params(
-        replace(solution, potential_ev=u, spectrum=spectrum))
+    return replace(solution, potential_ev=u, spectrum=spectrum)
 
 
 class SampleFailures:
@@ -214,18 +254,40 @@ class SampleFailures:
             ) from exc
 
 
-def _monte_carlo(cfg: NoiseConfig, draw, evaluate):
-    """The rows `evaluate(draw(i))`, i = 1..n, as an (n_ok, k) array, and the
-    failure counts by class. A `DqdError` from either call drops sample i
-    for every column under `SampleFailures`, which keeps one row or raises."""
-    failures = SampleFailures(cfg.n_samples)
-    rows = []
-    for i in range(1, cfg.n_samples + 1):
-        try:
-            rows.append(evaluate(draw(i)))
-        except DqdError as exc:
-            failures.add(exc)
-    return np.asarray(rows, dtype=float), dict(failures.by_class)
+def _monte_carlo(grid: Grid, cfgs, evaluate) -> list:
+    """For each config of a run, the rows that `evaluate` gives its
+    samples, as an (n_ok, k) array, and the failure counts by class.
+
+    The configs share (seed, n_samples) and differ in sigma. Sample
+    indices 1..n run in chunks of at most `MC_STACK_SAMPLES` fields (every
+    config's field of every index in the chunk); each index's unit field
+    is drawn once and scaled to every config's sigma. `evaluate` maps the
+    chunk's stack of fields to one row, or the DqdError that dropped the
+    sample, per field; a dropped sample counts against its config's
+    `SampleFailures`, which keeps one row or raises.
+    """
+    cfgs = list(cfgs)
+    if len({(c.seed, c.n_samples) for c in cfgs}) != 1:
+        raise ConfigurationError(
+            "the configs of a Monte Carlo run share one seed and n_samples")
+    seed, n = cfgs[0].seed, cfgs[0].n_samples
+    failures = [SampleFailures(n) for _ in cfgs]
+    rows = [[] for _ in cfgs]
+    per_chunk = max(MC_STACK_SAMPLES // len(cfgs), 1)
+    for start in range(1, n + 1, per_chunk):
+        indices = range(start, min(start + per_chunk, n + 1))
+        units = [standard_normal_field(grid, seed, i) for i in indices]
+        fields = [_scaled(z, cfg, i) for cfg in cfgs
+                  for z, i in zip(units, indices)]
+        results = iter(evaluate(fields))
+        for fails, out in zip(failures, rows):
+            for row in (next(results) for _ in indices):
+                if isinstance(row, DqdError):
+                    fails.add(row)
+                else:
+                    out.append(row)
+    return [(np.asarray(r, dtype=float), dict(f.by_class))
+            for r, f in zip(rows, failures)]
 
 
 def _std(col: np.ndarray) -> float:
@@ -254,24 +316,53 @@ class NoisyTableFactory:
         return self._table([self.device.spin_params(self.solutions[v])
                             for v in self.v_m_nodes])
 
-    def table_for(self, cfg: NoiseConfig, sample_index: int) -> ParamsTable:
-        noise = sample_noise(self.device.grid, cfg, sample_index)
-        return self._table([perturbed_spin_params(self.device,
-                                                  self.solutions[v], noise)
-                            for v in self.v_m_nodes])
+    def table_for(self, fields) -> list:
+        """The tables of a stack of samples, one noise field each: per
+        sample its ParamsTable or, in its place, the DqdError that dropped
+        it (at the lowest node that failed)."""
+        per_node = [perturbed_spin_params(self.device, self.solutions[v],
+                                          fields) for v in self.v_m_nodes]
+        out = []
+        for params in zip(*per_node):
+            failed = [p for p in params if isinstance(p, DqdError)]
+            try:
+                out.append(failed[0] if failed else self._table(params))
+            except DqdError as exc:
+                out.append(exc)
+        return out
 
 
-def fidelity_samples(factory: NoisyTableFactory, cfg: NoiseConfig, gates,
-                     integrator: str):
-    """One (mean, std, n) of the fidelity (percent) per (schedule, ideal)
-    of `gates`, all evolved on each sample's `factory.table_for` table, and
-    the failure counts by class."""
-    arr, failures = _monte_carlo(
-        cfg, lambda i: factory.table_for(cfg, i),
-        lambda table: [gate_fidelity(evolve(s, table, integrator=integrator).u,
-                                     ideal) for s, ideal in gates])
-    stats = [(float(col.mean()), _std(col), col.size) for col in arr.T]
-    return stats, failures
+def fidelity_samples(factory: NoisyTableFactory, cfgs, gates,
+                     integrator: str) -> list:
+    """Per config of a run (configs that share seed and n_samples): one
+    (mean, std, n) of the fidelity (percent) per (schedule, ideal) of
+    `gates`, all evolved on each sample's `factory.table_for` table, and
+    the failure counts by class.
+
+    Each gate is evolved, and its fidelity taken, once per stack of
+    samples; a sample that fails at one gate is dropped for all.
+    """
+    def evaluate(fields):
+        tables = factory.table_for(fields)
+        out = [t if isinstance(t, DqdError) else [] for t in tables]
+        for schedule, ideal in gates:
+            live = [k for k, o in enumerate(out)
+                    if not isinstance(o, DqdError)]
+            if not live:
+                break
+            res = evolve(schedule, [tables[k] for k in live], integrator)
+            for j, exc in res.failures.items():
+                out[live[j]] = exc
+            ok = [j for j in range(len(live)) if j not in res.failures]
+            if ok:
+                for j, fid in zip(ok, gate_fidelity(res.u[ok], ideal)):
+                    out[live[j]].append(float(fid))
+        return out
+
+    return [([(float(col.mean()), _std(col), col.size) for col in arr.T],
+             failures)
+            for arr, failures in _monte_carlo(factory.device.grid, cfgs,
+                                              evaluate)]
 
 
 @dataclass
@@ -290,21 +381,28 @@ class FluctStats:
 
 
 def fluctuation_stats(device: Device, solution: ConvergedSolution,
-                      cfg: NoiseConfig) -> FluctStats:
-    """Per-quantity {mean, std, min, max} over n noise samples of a
+                      cfgs) -> list:
+    """Per config of a run (configs that share seed and n_samples), the
+    per-quantity {mean, std, min, max} over its n noise samples of a
     converged solution on `device`.
 
     Per-sample failures are counted and skipped under the `SampleFailures`
     rule. Deterministic for a fixed (seed, n_samples).
     """
-    if cfg.n_samples < 2:
+    cfgs = list(cfgs)
+    if any(cfg.n_samples < 2 for cfg in cfgs):
         raise ConfigurationError("fluctuation statistics need n_samples >= 2")
-    arr, failures = _monte_carlo(
-        cfg, lambda i: perturbed_spin_params(device, solution,
-                                             sample_noise(device.grid, cfg, i)),
-        lambda p: (p.e_zl_hz, p.e_zr_hz, p.j_hz))
-    stats = {q: {"mean": float(col.mean()), "std": _std(col),
-                 "min": float(col.min()), "max": float(col.max())}
-             for q, col in zip(("E_ZL", "E_ZR", "J"), arr.T)}
-    return FluctStats(cfg.sigma_uev, solution.biases.v_m * 1e3, cfg.n_samples,
-                      failures, stats, arr)
+
+    def evaluate(fields):
+        return [p if isinstance(p, DqdError) else (p.e_zl_hz, p.e_zr_hz, p.j_hz)
+                for p in perturbed_spin_params(device, solution, fields)]
+
+    out = []
+    for cfg, (arr, failures) in zip(cfgs, _monte_carlo(device.grid, cfgs,
+                                                       evaluate)):
+        stats = {q: {"mean": float(col.mean()), "std": _std(col),
+                     "min": float(col.min()), "max": float(col.max())}
+                 for q, col in zip(("E_ZL", "E_ZR", "J"), arr.T)}
+        out.append(FluctStats(cfg.sigma_uev, solution.biases.v_m * 1e3,
+                              cfg.n_samples, failures, stats, arr))
+    return out

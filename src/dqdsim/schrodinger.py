@@ -73,6 +73,17 @@ MIXING = 0.1
 TOL_EV = 1e-6
 MAX_ITER = 600
 
+# Every constant above that a solve reads at call time.
+SCF_SETTINGS = ("N_STATES", "MIXING", "TOL_EV", "MAX_ITER", "ANDERSON_DEPTH",
+                "ANDERSON_START_EV", "SEED_TOL_EV", "STALL_WINDOW",
+                "WARM_SHIFT_BELOW_GROUND_EV")
+
+
+def scf_settings() -> tuple:
+    """(name, value) of each of `SCF_SETTINGS` as they stand now: what a
+    memo of solutions must key on besides the solve's arguments."""
+    return tuple((name, globals()[name]) for name in SCF_SETTINGS)
+
 
 @dataclass
 class Spectrum:

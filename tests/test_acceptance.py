@@ -141,7 +141,8 @@ class TestCriterion5:
 def _noise_fidelity_curve(device, protocols, sigmas, n_samples, seed,
                           v_strong=408.0, tau_tr=5.0):
     """(means, stds) over `sigmas` for each protocol; every protocol is
-    evaluated on the same noise tables, built once per sample."""
+    evaluated on the same noise tables, built once per sample and sigma
+    from one draw per sample."""
     factory = NoisyTableFactory(device, (400.0, v_strong))
     table = factory.clean_table()
     gates = [(cnot_single_schedule(table(v_strong)), CNOT_UP)
@@ -150,9 +151,9 @@ def _noise_fidelity_curve(device, protocols, sigmas, n_samples, seed,
               CNOT_DOWN)
              for protocol in protocols]
     means, stds = [], []
-    for sg in sigmas:
-        cfg = NoiseConfig(sigma_uev=sg, seed=seed, n_samples=n_samples)
-        stats, _ = fidelity_samples(factory, cfg, gates, "rwa")
+    cfgs = [NoiseConfig(sigma_uev=sg, seed=seed, n_samples=n_samples)
+            for sg in sigmas]
+    for stats, _ in fidelity_samples(factory, cfgs, gates, "rwa"):
         assert [n for _, _, n in stats] == [n_samples] * len(gates)
         means.append([mean for mean, _, _ in stats])
         stds.append([std for _, std, _ in stats])
@@ -169,8 +170,8 @@ class TestCriterion6:
         details = []
         for v_m in (0.400, 0.408):
             cfg = NoiseConfig(sigma_uev=5.0, seed=11, n_samples=self.N_SAMPLES)
-            st = fluctuation_stats(
-                shipped_device, shipped_device.solution_at(v_m * 1e3), cfg)
+            [st] = fluctuation_stats(
+                shipped_device, shipped_device.solution_at(v_m * 1e3), [cfg])
             rel_ez = max(st.stats["E_ZL"]["std"] / st.stats["E_ZL"]["mean"],
                          st.stats["E_ZR"]["std"] / st.stats["E_ZR"]["mean"])
             rel_j = st.stats["J"]["std"] / st.stats["J"]["mean"]

@@ -3,9 +3,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dqdsim import cli
+from dqdsim import cli, dots
 from dqdsim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -14,7 +15,8 @@ from dqdsim.cli import (
     main,
     write_outputs,
 )
-from dqdsim.dots import exchange_energy, zeeman_splittings
+from dqdsim.device import device_config_text
+from dqdsim.dots import StabilityDiagram, exchange_energy, zeeman_splittings
 from dqdsim.errors import ConfigurationError
 from dqdsim.noise import NoisyTableFactory
 
@@ -28,6 +30,16 @@ DIRECT_TABLE = ("400 18.309e9 18.453e9 75.6e3; "
 
 def write_cfg(path, body):
     path.write_text(body)
+    return str(path)
+
+
+def tiny_device_file(path):
+    """`tiny_model` as a device file; it solves in milliseconds."""
+    dev = tiny_model()
+    path.write_text(device_config_text(dev.spec, dev.mat, dev.biases, {
+        "field_map": {"profile": "linear", "b0_tesla": 0.65,
+                      "gradient_tesla_per_nm": 5e-5},
+        "exchange": {"coulomb_length_nm": dev.coulomb_length_nm}}))
     return str(path)
 
 
@@ -223,8 +235,10 @@ protocol = ry_pi_left
             "coulomb_length_nm = 420.0", ""),
         re.sub(r"\[field_map\][^[]*", "",
                Path(cli.default_device_path()).read_text()),
+        Path(cli.default_device_path()).read_text().replace(
+            "profile = plateaus", "profile = plateau"),
     ], ids=["no-section-header", "no-layer-thickness", "no-field-map-file",
-            "no-coulomb-length", "no-field-map"])
+            "no-coulomb-length", "no-field-map", "unknown-profile"])
     def test_malformed_device_file_is_config_error(self, tmp_path, capsys,
                                                     device):
         (tmp_path / "device.cfg").write_text(device)
@@ -245,7 +259,70 @@ protocol = ry_pi_left
             main(["teleport", "--config", "x"])
 
 
+class TestDeviceBiasDefaults:
+    """Without the experiment's own bias keys, the stability map and the
+    fluctuation statistics run at the device file's biases."""
+
+    @pytest.fixture
+    def device_404(self, tmp_path):
+        text = Path(cli.default_device_path()).read_text()
+        assert "v_m = 0.4\n" in text
+        (tmp_path / "device.cfg").write_text(
+            text.replace("v_m = 0.4\n", "v_m = 0.404\n"))
+        return tmp_path / "device.cfg"
+
+    def test_stability_map(self, tmp_path, monkeypatch, device_404):
+        asked = []
+
+        def fake(device, v_l, v_r, v_m, v_b):
+            asked.append((v_m, v_b))
+            occ = np.ones((len(v_r), len(v_l)), dtype=int)
+            return StabilityDiagram(v_l, v_r, occ, occ)
+
+        monkeypatch.setattr(cli, "charge_stability", fake)
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""
+[device]
+file = {device_404}
+[stability]
+v_l_mv = 540
+v_r_mv = 570
+""")
+        assert main(["stability", "--config", cfg,
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert asked == [(404.0, 200.0)]
+
+    def test_fluctuation_stats(self, tmp_path, monkeypatch, device_404):
+        asked = []
+        monkeypatch.setattr(dots.Device, "solution_at",
+                            lambda dev, v_m: asked.append(v_m))
+        monkeypatch.setattr(cli, "fluctuation_stats",
+                            lambda dev, sol, cfgs: [])
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""
+[device]
+file = {device_404}
+[fluct-stats]
+sigma_uev = 1
+n_samples = 2
+""")
+        out = tmp_path / "f.csv"
+        assert main(["fluct-stats", "--config", cfg,
+                     "--out", str(out)]) == EXIT_OK
+        assert asked == [404.0]
+        assert "# v_m_mv = 404.0" in out.read_text().splitlines()
+
+
 class TestWriteOutputs:
+    def test_sidecar_writes_numpy_scalars_as_numbers(self, tmp_path):
+        row = (np.float64(0.1), np.float32(0.5), np.int64(3), float("nan"),
+               np.float64("nan"), "E_ZL")
+        write_outputs(str(tmp_path / "r.csv"), list("abcdef"), [row],
+                      {"seed": 1})
+        want = json.dumps({"meta": {"seed": 1}, "columns": list("abcdef"),
+                           "rows": [[0.1, 0.5, 3, float("nan"),
+                                     float("nan"), "E_ZL"]]},
+                          indent=1, sort_keys=True)
+        assert (tmp_path / "r.csv.json").read_text() == want
+
     def _rewrite_fails(self, tmp_path, rows, error, arm=lambda: None):
         out = tmp_path / "r.csv"
         write_outputs(str(out), ["a", "b"], [(1.0, 2.0)], {"seed": 1})
@@ -304,6 +381,35 @@ sigma_uev = 0
         body_resumed = [l for l in partial.read_text().splitlines()
                         if not l.startswith("#")]
         assert body_resumed == body
+
+    def test_resume_recomputes_a_deleted_noise_row_exactly(self, tmp_path):
+        # the row is computed again in a run of one sigma, where the full
+        # run stacked its samples with those of every sigma
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""
+[experiment]
+seed = 5
+[device]
+file = {tiny_device_file(tmp_path / "device.cfg")}
+[noise-sweep]
+protocol = cz
+sigma_uev = 0.1,1,5
+n_samples = 3
+v_m_weak_mv = 340
+v_m_strong_mv = 350
+tau_tr_ns = 0.1
+""")
+        out = tmp_path / "noise.csv"
+        assert main(["noise-sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        full = out.read_text()
+        full_rows = json.loads((tmp_path / "noise.csv.json").read_text())["rows"]
+        lines = full.splitlines()
+        assert lines[-2].startswith("1,")
+        out.write_text("\n".join(lines[:-2] + lines[-1:]) + "\n")
+        assert main(["noise-sweep", "--config", cfg, "--out", str(out),
+                     "--resume"]) == EXIT_OK
+        assert out.read_text() == full
+        rows = json.loads((tmp_path / "noise.csv.json").read_text())["rows"]
+        assert rows[1] == full_rows[1]
 
     @pytest.mark.parametrize("flag, value", [("--seed", "10"),
                                              ("--integrator", "lab")])

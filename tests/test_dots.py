@@ -16,6 +16,7 @@ from dqdsim.dots import (
 )
 from dqdsim.errors import ConfigurationError, GeometryError, ModelValidityError
 
+from dqdsim import schrodinger
 from dqdsim.schrodinger import self_consistent_solve
 
 from conftest import quartic_double_well, synthetic_solution, tiny_model
@@ -249,3 +250,21 @@ class TestFieldMapCalibration:
         fmap2 = field_map_from_config(params, spec.width_nm)
         x = np.linspace(0, spec.width_nm, 23)
         assert np.allclose(fmap(x), fmap2(x), rtol=0, atol=1e-9)
+
+
+class TestSolutionMemo:
+    def test_field_map_profile_must_be_known(self):
+        with pytest.raises(ConfigurationError, match="'plateau'"):
+            dots.field_map_from_config({"profile": "plateau"}, 240.0)
+
+    def test_solution_is_solved_again_under_other_scf_constants(
+            self, monkeypatch):
+        # a grid that already holds the operating point must not return
+        # the solution of another tolerance
+        dev = tiny_model()
+        first = dev.solution_at(350.0)
+        assert dev.solution_at(350.0) is first
+        monkeypatch.setattr(schrodinger, "TOL_EV", 1e-7)
+        again = dev.solution_at(350.0)
+        assert again is not first
+        assert again.final_update_norm_ev <= 1e-7

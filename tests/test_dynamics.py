@@ -30,7 +30,7 @@ from dqdsim.dynamics import (
     static_hamiltonian,
 )
 from dqdsim.kernels import propagate_affine
-from dqdsim.errors import ConfigurationError, ScheduleError
+from dqdsim.errors import ConfigurationError, GeometryError, ScheduleError
 from dqdsim.params import ParamsTable, SpinParams, paper_table
 from dqdsim.protocols import (
     PulseSchedule,
@@ -255,7 +255,8 @@ def cf4_product(h_base, h_coef, gamma, t0_s, dt_s, n_steps):
         coefs = np.empty(2 * k.size)
         coefs[0::2] = 2.0 * (a1 * g1 + a2 * g2)
         coefs[1::2] = 2.0 * (a2 * g1 + a1 * g2)
-        u = propagate_affine(h_base, h_coef, coefs, 0.5 * dt_s) @ u
+        u = propagate_affine(h_base[None], h_coef, coefs, [0.5 * dt_s],
+                             [coefs.size])[0] @ u
     return u
 
 
@@ -509,3 +510,69 @@ class TestConditionalResonances:
         res = evolve(sched, src_const(p400), integrator="rwa")
         u_lab = rot_to_lab(res.u, res.total_time_ns * 1e-9, res.frame_freq_hz)
         assert np.abs(u_lab.conj().T @ u_lab - np.eye(4)).max() < 1e-10
+
+
+def scaled_tables(table, n):
+    """`table` with J scaled by 1 + k/40 for k < n: the ramps of a stack of
+    them take different step counts."""
+    return [ParamsTable(table.v_m_mv, table.e_zl_hz * (1.0 + 1e-7 * k),
+                        table.e_zr_hz, table.j_hz * (1.0 + k / 40.0))
+            for k in range(n)]
+
+
+class TestStacks:
+    """A stack of parameter sources evolves, and a stack of unitaries is
+    scored, member by member bit for bit as each member alone."""
+
+    @pytest.mark.parametrize("integrator, gate", [
+        ("rwa", "cnot_multi"), ("lab", "cnot_multi"), ("rwa", "cnot_single"),
+        ("lab", "cnot_single")])
+    def test_evolve_and_fidelity_equal_members_alone(self, table, integrator,
+                                                     gate):
+        tables = scaled_tables(table, 4)
+        if gate == "cnot_multi":
+            # at 412 mV J sets the ramps' step
+            sched, ideal = (cnot_multi_schedule(table(400.0), table(412.0),
+                                                1.0), CNOT_DOWN)
+        else:
+            sched, ideal = cnot_single_schedule(table(408.0)), CNOT_UP
+        alone = [evolve(sched, t, integrator) for t in tables]
+        stack = evolve(sched, tables, integrator)
+        assert stack.failures == {}
+        assert stack.u.shape == (4, 4, 4)
+        for k, res in enumerate(alone):
+            assert stack.u[k].tobytes() == res.u.tobytes()
+        assert stack.n_exponentials == sum(r.n_exponentials for r in alone)
+        if gate == "cnot_multi":
+            # the ramps' step counts differ, so the stack pads its members
+            assert len({r.n_exponentials for r in alone}) > 1
+        fids = gate_fidelity(stack.u, ideal)
+        assert fids.tolist() == [gate_fidelity(r.u, ideal) for r in alone]
+
+    def test_failed_member_leaves_the_others(self, table):
+        sched = cnot_multi_schedule(table(400.0), table(408.0), 1.0)
+        tables = scaled_tables(table, 3)
+
+        def fails(v_m_mv):
+            raise GeometryError("no dots")
+
+        stack = evolve(sched, [tables[0], fails, tables[2]])
+        assert list(stack.failures) == [1]
+        assert isinstance(stack.failures[1], GeometryError)
+        assert np.isnan(stack.u[1]).all()
+        for k in (0, 2):
+            assert np.array_equal(stack.u[k], evolve(sched, tables[k]).u)
+        with pytest.raises(GeometryError):
+            evolve(sched, fails)
+
+    def test_trajectory_is_for_one_source(self, table):
+        sched = schedule_ry("L", math.pi, table(400.0))
+        with pytest.raises(ConfigurationError):
+            evolve(sched, scaled_tables(table, 2), sample_every_ns=1.0)
+
+    def test_fidelity_ascent_stops_member_by_member(self):
+        # members that converge in different numbers of sweeps
+        us = [unitary_group.rvs(4, random_state=s) for s in range(6)]
+        us.append(CNOT_DOWN)
+        stack = gate_fidelity(np.stack(us), CNOT_DOWN)
+        assert stack.tolist() == [gate_fidelity(u, CNOT_DOWN) for u in us]

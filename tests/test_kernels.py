@@ -4,6 +4,12 @@ from dqdsim import kernels
 from dqdsim.kernels import ordered_product, propagate_affine, step_exponentials
 
 
+def propagate_one(h_base, h_coef, coefs, dt_s):
+    """`propagate_affine` for a stack of one member."""
+    return propagate_affine(h_base[None], h_coef, coefs, [dt_s],
+                            [len(coefs)])[0]
+
+
 def random_hermitian(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return (m + m.conj().T) / 2
@@ -13,19 +19,19 @@ class TestKernels:
     def test_unitary_product(self):
         rng = np.random.default_rng(4)
         a, b = random_hermitian(rng), random_hermitian(rng)
-        u = propagate_affine(a, b, rng.normal(size=20000), 1e-3)
+        u = propagate_one(a, b, rng.normal(size=20000), 1e-3)
         assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-10
 
     def test_empty_sequence_is_identity(self):
         a = np.zeros((4, 4), dtype=complex)
-        u = propagate_affine(a, a, np.array([]), 1.0)
+        u = propagate_one(a, a, np.array([]), 1.0)
         assert np.array_equal(u, np.eye(4, dtype=complex))
 
     def test_single_step_matches_expm(self):
         rng = np.random.default_rng(8)
         a, b = random_hermitian(rng), random_hermitian(rng)
         dt, c = 3e-3, 0.7
-        u = propagate_affine(a, b, np.array([c]), dt)
+        u = propagate_one(a, b, np.array([c]), dt)
         w, v = np.linalg.eigh(a + c * b)
         expect = (v * np.exp(-2j * np.pi * dt * w)) @ v.conj().T
         assert np.abs(u - expect).max() < 1e-13
@@ -48,7 +54,7 @@ class TestKernels:
         state = u0
         for step in step_exponentials(a, b, coefs, 1e-3):
             state = step @ state
-        u = propagate_affine(a, b, coefs, 1e-3)
+        u = propagate_one(a, b, coefs, 1e-3)
         assert np.abs(u @ u0 - state).max() < 1e-12
 
     def test_chunked_product_matches_single_batch(self, monkeypatch):
@@ -57,7 +63,23 @@ class TestKernels:
         coefs = rng.normal(size=4 * 37 + 11)
         single = ordered_product(step_exponentials(a, b, coefs, 1e-2))
         monkeypatch.setattr(kernels, "CHUNK_STEPS", 37)
-        assert np.abs(propagate_affine(a, b, coefs, 1e-2) - single).max() < 1e-13
+        assert np.abs(propagate_one(a, b, coefs, 1e-2) - single).max() < 1e-13
+
+    def test_stack_equals_members_alone(self, monkeypatch):
+        # members of different step counts, in batches of several padded
+        # members and in chunks of one member
+        rng = np.random.default_rng(17)
+        h_coef = random_hermitian(rng)
+        for counts in ([5, 12, 0, 9], [40, 3, 81]):
+            h_base = np.stack([random_hermitian(rng) for _ in counts])
+            dts = rng.uniform(1e-3, 1e-2, size=len(counts))
+            seqs = [rng.normal(size=n) for n in counts]
+            monkeypatch.setattr(kernels, "CHUNK_STEPS", 37)
+            stack = propagate_affine(h_base, h_coef, np.concatenate(seqs),
+                                     dts, counts)
+            for k, coefs in enumerate(seqs):
+                alone = propagate_one(h_base[k], h_coef, coefs, dts[k])
+                assert stack[k].tobytes() == alone.tobytes()
 
 
 def eigh_exponentials(h_base, h_coef, coefs, dt_s):

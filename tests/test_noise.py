@@ -1,12 +1,13 @@
 import logging
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dqdsim.noise as noise_mod
-from dqdsim.device import build_grid
+from dqdsim.device import DeviceSpec, Layer, build_grid
 from dqdsim.dots import (
     Device,
     MagnetFieldMap,
@@ -15,11 +16,12 @@ from dqdsim.dots import (
     exchange_energy,
     zeeman_splittings,
 )
-from dqdsim.dynamics import CNOT_UP, ry_matrix
+from dqdsim.dynamics import CNOT_DOWN, CNOT_UP, ry_matrix
 from dqdsim.errors import ConfigurationError, GeometryError, NumericalError
 from dqdsim.noise import (
     NoiseConfig,
     NoiseField,
+    NoisyTableFactory,
     fidelity_samples,
     fluctuation_stats,
     perturbed_spin_params,
@@ -27,7 +29,8 @@ from dqdsim.noise import (
     standard_normal_field,
 )
 from dqdsim.params import ParamsTable, SpinParams, paper_table
-from dqdsim.protocols import cnot_single_schedule, schedule_ry
+from dqdsim.protocols import (cnot_multi_schedule, cnot_single_schedule,
+                              schedule_ry)
 from dqdsim.schrodinger import solve_eigenstates
 
 from conftest import SHIPPED_BIASES, quartic_double_well, synthetic_solution
@@ -147,6 +150,28 @@ class TestPerturbedSpinParams:
         s2 = j_std(0.1)
         # common random numbers: the ratio isolates the scaling exponent
         assert s2 / s1 == pytest.approx(2.0, rel=0.2)
+
+    def test_stack_equals_members_alone(self, flat_device, well_solution):
+        # the eigensolve runs per sample, the spin map once over the stack
+        fields = [sample_noise(flat_device.grid, NoiseConfig(5.0, 2, 4), i)
+                  for i in range(1, 5)]
+        alone = [perturbed_spin_params(flat_device, well_solution, f)
+                 for f in fields]
+        assert perturbed_spin_params(flat_device, well_solution,
+                                     fields) == alone
+        assert flat_device.spin_params([well_solution] * 2) == [
+            flat_device.spin_params(well_solution)] * 2
+
+    def test_failed_member_of_a_stack_keeps_its_error(self, flat_device,
+                                                      well_solution):
+        fields = [sample_noise(flat_device.grid, NoiseConfig(5.0, 2, 3), i)
+                  for i in range(1, 4)]
+        fields[1] = NoiseField(fields[1].values_ev[:-1], 2)
+        got = perturbed_spin_params(flat_device, well_solution, fields)
+        assert isinstance(got[1], ConfigurationError)
+        assert [got[0], got[2]] == [
+            perturbed_spin_params(flat_device, well_solution, fields[k])
+            for k in (0, 2)]
 
     def test_shape_mismatch_rejected(self, flat_well, flat_device,
                                      well_solution):
@@ -286,30 +311,43 @@ class TestCoulombIntegrals:
 
 
 def failing_at(indices, exc_cls=GeometryError):
-    """A `perturbed_spin_params` stand-in that raises at `indices`."""
-    def fake(device, solution, noise):
-        if noise.sample_index in indices:
-            raise exc_cls(f"sample {noise.sample_index}")
-        k = noise.sample_index
-        return SpinParams(e_zl_hz=1e9 + k, e_zr_hz=2e9 + k, j_hz=1e6 + k,
-                          v_m_mv=400.0)
+    """A `perturbed_spin_params` stand-in for a stack of fields: the
+    samples at `indices` fail with `exc_cls`."""
+    def fake(device, solution, fields):
+        out = []
+        for noise in fields:
+            k = noise.sample_index
+            out.append(exc_cls(f"sample {k}") if k in indices else
+                       SpinParams(e_zl_hz=1e9 + k, e_zr_hz=2e9 + k,
+                                  j_hz=1e6 + k, v_m_mv=400.0))
+        return out
     return fake
 
 
 class FakeFactory:
     """A `NoisyTableFactory` stand-in: sample i's table is `paper_table`
-    with J scaled by 1 + i/100; `table_for` raises at `failing`, and the
-    table raises at V_M > 404 mV for samples in `failing_strong`."""
+    with J scaled by 1 + i/100; `table_for` fails the samples in
+    `failing`, and the table raises at V_M > 404 mV for samples in
+    `failing_strong`. `calls` counts the tables asked for, one per
+    sample."""
 
     def __init__(self, failing=(), exc_cls=GeometryError, failing_strong=()):
         self.failing, self.exc_cls = failing, exc_cls
         self.failing_strong = failing_strong
         self.calls = 0
+        # the Monte Carlo loop draws its fields on the device's grid
+        self.device = SimpleNamespace(grid=build_grid(
+            DeviceSpec(layers=(Layer("Si", 2.0),), electrodes=(),
+                       width_nm=4.0, dx_nm=1.0, dy_nm=1.0,
+                       temperature_k=1.5)))
 
-    def table_for(self, cfg, i):
+    def table_for(self, fields):
+        return [self._table(noise.sample_index) for noise in fields]
+
+    def _table(self, i):
         self.calls += 1
         if i in self.failing:
-            raise self.exc_cls(f"sample {i}")
+            return self.exc_cls(f"sample {i}")
         t = paper_table()
         table = ParamsTable(t.v_m_mv, t.e_zl_hz, t.e_zr_hz,
                             t.j_hz * (1.0 + i / 100.0))
@@ -339,8 +377,9 @@ class FluctEntry:
         """(n_ok, failures by class, result) of one run."""
         self.monkeypatch.setattr(noise_mod, "perturbed_spin_params",
                                  failing_at(failing, exc_cls))
-        st = fluctuation_stats(self.device, self.solution,
-                               NoiseConfig(sigma_uev=1.0, seed=1, n_samples=n))
+        [st] = fluctuation_stats(self.device, self.solution,
+                                 [NoiseConfig(sigma_uev=1.0, seed=1,
+                                              n_samples=n)])
         return len(st.samples), st.failures, st
 
     @staticmethod
@@ -355,8 +394,8 @@ class FidelityEntry:
 
     def run(self, failing, exc_cls=GeometryError, n=100):
         cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=n)
-        (stats,), failures = fidelity_samples(FakeFactory(failing, exc_cls),
-                                              cfg, [RY_L], "rwa")
+        [((stats,), failures)] = fidelity_samples(
+            FakeFactory(failing, exc_cls), [cfg], [RY_L], "rwa")
         return stats[2], failures, stats
 
     @staticmethod
@@ -395,26 +434,66 @@ class TestSampleFailures:
         # one failure is always tolerated, so n = 1 can lose every sample
         cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=1)
         with pytest.raises(NumericalError) as info:
-            fidelity_samples(FakeFactory({1}), cfg, [RY_L], "rwa")
+            fidelity_samples(FakeFactory({1}), [cfg], [RY_L], "rwa")
         assert info.value.diagnostics["failures"] == {"GeometryError": 1}
 
     def test_two_gates_equal_two_one_gate_calls(self):
         cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=5)
         factory = FakeFactory({2})
-        both, failures = fidelity_samples(factory, cfg, [RY_L, CNOT], "rwa")
+        [(both, failures)] = fidelity_samples(factory, [cfg], [RY_L, CNOT],
+                                              "rwa")
         assert factory.calls == 5
-        alone = [fidelity_samples(FakeFactory({2}), cfg, [gate], "rwa")
+        alone = [fidelity_samples(FakeFactory({2}), [cfg], [gate], "rwa")[0]
                  for gate in (RY_L, CNOT)]
         assert both == [stats for (stats,), _ in alone]
         assert all(f == failures == {"GeometryError": 1} for _, f in alone)
         assert both[1][1] > 0.0        # the samples' tables differ
 
+    def test_unit_draws_once_per_sample_index(self, monkeypatch):
+        # three sigmas over several stacks: each index is drawn once
+        drawn = []
+        draw = noise_mod.standard_normal_field
+
+        def counting(grid, seed, sample_index):
+            drawn.append(sample_index)
+            return draw(grid, seed, sample_index)
+
+        monkeypatch.setattr(noise_mod, "standard_normal_field", counting)
+        n = noise_mod.MC_STACK_SAMPLES
+        cfgs = [NoiseConfig(sigma_uev=sg, seed=1, n_samples=n)
+                for sg in (0.1, 1.0, 5.0)]
+        results = fidelity_samples(FakeFactory(), cfgs, [RY_L], "rwa")
+        assert sorted(drawn) == list(range(1, n + 1))
+        assert [stats[0][2] for stats, _ in results] == [n] * 3
+
+    def test_run_configs_share_seed_and_samples(self):
+        cfgs = [NoiseConfig(1.0, 1, 5), NoiseConfig(2.0, 2, 5)]
+        with pytest.raises(ConfigurationError):
+            fidelity_samples(FakeFactory(), cfgs, [RY_L], "rwa")
+
     def test_second_gate_failure_drops_the_sample_for_both(self):
         cfg = NoiseConfig(sigma_uev=1.0, seed=1, n_samples=5)
-        (ry, cnot), failures = fidelity_samples(
-            FakeFactory(failing_strong={4}), cfg, [RY_L, CNOT], "rwa")
+        [((ry, cnot), failures)] = fidelity_samples(
+            FakeFactory(failing_strong={4}), [cfg], [RY_L, CNOT], "rwa")
         assert failures == {"GeometryError": 1}
         assert ry[2] == cnot[2] == 4
-        (ry_without_4,), _ = fidelity_samples(FakeFactory({4}), cfg, [RY_L],
-                                              "rwa")
+        [((ry_without_4,), _)] = fidelity_samples(FakeFactory({4}), [cfg],
+                                                  [RY_L], "rwa")
         assert ry == ry_without_4
+
+
+@pytest.mark.slow
+def test_two_sigma_run_equals_two_one_sigma_runs(shipped_device):
+    # each sigma's samples share their stacks with the other sigma's in
+    # the joint run; every statistic is still the one-sigma run's, bit
+    # for bit, and both runs draw each sample once
+    factory = NoisyTableFactory(shipped_device, (400.0, 408.0))
+    table = factory.clean_table()
+    gates = [(cnot_multi_schedule(table(400.0), table(408.0), 5.0),
+              CNOT_DOWN)]
+    cfgs = [NoiseConfig(sigma_uev=sg, seed=23, n_samples=3)
+            for sg in (0.1, 5.0)]
+    both = fidelity_samples(factory, cfgs, gates, "rwa")
+    assert both == [fidelity_samples(factory, [cfg], gates, "rwa")[0]
+                    for cfg in cfgs]
+    assert both[1][0][0][1] > 0.0
