@@ -126,10 +126,10 @@ class Experiment:
         """Previously written rows of `experiment`, parsed as floats and
         keyed by their first column.
 
-        Rows are deterministic functions of (config, seed, integrator), so
-        reusing them reproduces the uninterrupted run exactly. A file
-        written by another experiment, or under another config hash, seed
-        or integrator, raises ConfigurationError.
+        Rows are deterministic functions of (config, seed, integrator,
+        version), so reusing them reproduces the uninterrupted run exactly.
+        A file written by another experiment, or under another config hash,
+        seed, integrator or package version, raises ConfigurationError.
         """
         if not self.resume:
             return {}
@@ -143,7 +143,8 @@ class Experiment:
         for key, want in (("experiment", experiment),
                           ("config_hash", self.config_hash),
                           ("seed", str(self.seed)),
-                          ("integrator", self.integrator)):
+                          ("integrator", self.integrator),
+                          ("version", __version__)):
             if header.get(key) != want:
                 raise ConfigurationError(
                     f"cannot resume from {self.out}: its {key} is "

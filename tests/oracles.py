@@ -19,6 +19,46 @@ def fermi_integral_quadrature(eta: float, order: float) -> float:
     return val / math.gamma(order + 1.0)
 
 
+def poisson_matrix(grid, mat, top_weight=None, dirichlet_all=False):
+    """The operator -div(eps grad u) that `device.PoissonProblem` solves,
+    as a CSR matrix assembled face by face from the five-point stencil
+    with harmonic face permittivities; each Dirichlet face couples at
+    half a cell. `top_weight` is the Dirichlet fraction of each top face
+    (default: the electrode cover); `dirichlet_all` makes every face
+    Dirichlet."""
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    eps = grid.cell_permittivity(mat)
+    if top_weight is None:
+        top_weight = sum(grid.electrode_cover.values())
+    idx = np.arange(nx * ny).reshape(ny, nx)
+    rows, cols, vals = [], [], []
+    diag = np.zeros((ny, nx))
+
+    def harmonic(a, b):
+        return 2.0 * a * b / (a + b)
+
+    for a, b, w in ((idx[:, :-1], idx[:, 1:],
+                     harmonic(eps[:, :-1], eps[:, 1:]) / dx**2),
+                    (idx[:-1], idx[1:], harmonic(eps[:-1], eps[1:]) / dy**2)):
+        rows += [a.ravel(), b.ravel()]
+        cols += [b.ravel(), a.ravel()]
+        vals += [-w.ravel(), -w.ravel()]
+        np.add.at(diag.ravel(), a.ravel(), w.ravel())
+        np.add.at(diag.ravel(), b.ravel(), w.ravel())
+    diag[0, :] += np.clip(top_weight, 0.0, 1.0) * 2.0 * eps[0, :] / dy**2
+    sides = np.ones(ny, dtype=bool) if dirichlet_all else grid.sd_mask
+    diag[sides, 0] += 2.0 * eps[sides, 0] / dx**2
+    diag[sides, -1] += 2.0 * eps[sides, -1] / dx**2
+    if dirichlet_all:
+        diag[-1, :] += 2.0 * eps[-1, :] / dy**2
+    rows.append(idx.ravel())
+    cols.append(idx.ravel())
+    vals.append(diag.ravel())
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nx * ny, nx * ny))
+
+
 def row_major_well_kinetic(grid, mat):
     """Hard-wall kinetic operator on the well block, cells in row-major
     order, assembled pair by pair from the five-point stencil; a boundary

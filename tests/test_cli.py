@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqdsim import cli, dots
+from dqdsim import __version__, cli, dots
 from dqdsim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -434,6 +434,27 @@ sigma_uev = 0
         assert main(["transition-sweep", "--config", other, "--out", str(out),
                      "--resume"]) == EXIT_CONFIG
         assert out.read_text() == written
+
+    def test_refuses_rows_of_another_version(self, tmp_path):
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""
+[experiment]
+seed = 9
+[params]
+table = {DIRECT_TABLE}
+[transition-sweep]
+tau_tr_ns = 1,2
+v_m_strong_mv = 410
+sigma_uev = 0
+""")
+        out = tmp_path / "tr.csv"
+        assert main(["transition-sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        older = out.read_text().replace(f"# version = {__version__}\n",
+                                        "# version = 0.0.1\n")
+        assert older != out.read_text()
+        out.write_text(older)
+        assert main(["transition-sweep", "--config", cfg, "--out", str(out),
+                     "--resume"]) == EXIT_CONFIG
+        assert out.read_text() == older
 
     def test_refuses_rows_of_another_experiment(self, tmp_path):
         # one `out` for both sections: the gate's t_ns rows 1.0 and 2.0

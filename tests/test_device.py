@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from dqdsim.cli import default_device_path
@@ -23,8 +24,8 @@ from dqdsim.device import (
 )
 from dqdsim.errors import ConfigurationError
 
-from conftest import SHIPPED_BIASES
-from oracles import fermi_integral_quadrature
+from conftest import SHIPPED_BIASES, tiny_device
+from oracles import fermi_integral_quadrature, poisson_matrix
 
 REF_LAYERS = (Layer("Si", 2.0), Layer("SiGe", 30.0), Layer("Si", 8.0),
               Layer("SiGe", 20.0))
@@ -83,19 +84,52 @@ class TestSolvePoisson:
         u = prob.solve_rhs(b)
         assert np.abs(u - v0).max() < 1e-12
 
-    def test_symmetric_factor_matches_spsolve(self):
-        # the shipped device's operator on a random charge of ~1e18 cm^-3
-        spec, mat, biases, _ = load_device_config(default_device_path())
+    @pytest.mark.parametrize("case", ["shipped", "tiny", "dirichlet-all"])
+    def test_matches_spsolve_of_the_stencil(self, case):
+        # the separable solve with its capacitance correction against a
+        # sparse direct solve of the face-by-face operator, on a random
+        # charge of ~1e18 cm^-3; the shipped and tiny grids differ in
+        # their electrode cover and source/drain rows
+        if case == "tiny":
+            spec, mat = tiny_device()
+        else:
+            spec, mat, _, _ = load_device_config(default_device_path())
         grid = build_grid(spec)
-        prob = PoissonProblem(grid, mat)
+        top, every = ((np.ones(grid.nx), True) if case == "dirichlet-all"
+                      else (None, False))
+        prob = PoissonProblem(grid, mat, dirichlet_top_weight=top,
+                              dirichlet_all=every)
         rng = np.random.default_rng(5)
         charge_nm3 = 1e-3 * rng.random((grid.ny, grid.nx))
         b = prob.rhs(charge_nm3, np.full(grid.nx, 0.2), np.zeros(grid.ny),
-                     np.zeros(grid.ny))
+                     np.full(grid.ny, -0.1),
+                     np.full(grid.nx, 0.3) if every else None)
         u = prob.solve_rhs(b)
-        ref = spla.spsolve(prob.matrix.tocsc(), b).reshape(grid.ny, grid.nx)
+        ref = spla.spsolve(poisson_matrix(grid, mat, top, every).tocsc(),
+                           b).reshape(grid.ny, grid.nx)
         assert np.abs(ref).max() > 0.1
         assert np.abs(u - ref).max() <= 1e-12
+
+    def test_holds_no_factor(self):
+        # a sparse LU of the shipped operator held ~12 MB per problem
+        spec, mat, _, _ = load_device_config(default_device_path())
+        grid = build_grid(spec)
+        prob = PoissonProblem(grid, mat)
+        prob.solve_rhs(np.ones(grid.n_cells))
+
+        def nbytes(v):
+            if isinstance(v, np.ndarray):
+                return v.nbytes
+            if sp.issparse(v):
+                v = v.tocsr()
+                return v.data.nbytes + v.indices.nbytes + v.indptr.nbytes
+            if isinstance(v, spla.SuperLU):
+                return nbytes(v.L) + nbytes(v.U)
+            if isinstance(v, (tuple, list)):
+                return sum(nbytes(x) for x in v)
+            return 0
+
+        assert sum(nbytes(v) for v in vars(prob).values()) < 2e6
 
     def test_linear_ramp_between_side_dirichlet(self):
         layers = (Layer("SiGe", 20.0), Layer("SiGe", 20.0))
