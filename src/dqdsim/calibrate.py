@@ -50,7 +50,7 @@ from .dots import (
     find_dots,
     localized_pair,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, raise_first
 
 ANCHOR_E_ZL_HZ = 18.309e9
 ANCHOR_E_ZR_HZ = 18.453e9
@@ -101,7 +101,7 @@ def calibrate_field_map(solution, grid, transition_width_nm: float):
     """
     x_mid = find_dots(solution, grid).barrier_x_nm
     s_x = 0.5 * (1.0 + np.tanh((grid.x - x_mid) / transition_width_nm))
-    phi_l, phi_r, _ = localized_pair(solution, grid)
+    (phi_l,), (phi_r,), _ = localized_pair([solution], grid)
     s_l, s_r = (float((w / w.sum() * s_x).sum())
                 for w in ((phi**2).sum(axis=0) for phi in (phi_l, phi_r)))
     b_targets = np.array([ANCHOR_E_ZL_HZ, ANCHOR_E_ZR_HZ]) / ZEEMAN_HZ_PER_T
@@ -173,7 +173,7 @@ def calibrate(spec, mat, biases, extra):
 
     def detuning_uev(edge_nm):
         dev = device(with_right_edge(spec, edge_nm), mat)
-        _, _, h2 = localized_pair(dev.solution_at(v_m_mv), dev.grid)
+        _, _, (h2,) = localized_pair([dev.solution_at(v_m_mv)], dev.grid)
         return (h2[0, 0] - h2[1, 1]) * 1e6
 
     r0, r1 = right_gate_span(spec)
@@ -190,8 +190,7 @@ def calibrate(spec, mat, biases, extra):
     _, fm_params = calibrate_field_map(sol400, grid_for(spec), width_nm)
     extra = {**extra, "field_map": fm_params}
     dev = device(spec, mat, field_map_from_config(fm_params, spec.width_nm))
-    p400 = dev.spin_params(sol400)
-    j408 = dev.spin_params(dev.solution_at(408.0)).j_hz
+    p400, p408 = raise_first(dev.spin_params([sol400, dev.solution_at(408.0)]))
 
     report = [f"Phi_B {phi_b!r} eV: filling {n_e:.4f} electrons "
               f"(target {FILLING_ELECTRONS} +- {FILLING_TOL})",
@@ -202,7 +201,7 @@ def calibrate(spec, mat, biases, extra):
             ("E_ZL(400 mV)", p400.e_zl_hz, ANCHOR_E_ZL_HZ, E_Z_REL_TOL),
             ("E_ZR(400 mV)", p400.e_zr_hz, ANCHOR_E_ZR_HZ, E_Z_REL_TOL),
             ("J(400 mV)", p400.j_hz, ANCHOR_J400_HZ, J_REL_TOL),
-            ("J(408 mV)", j408, ANCHOR_J408_HZ, J_REL_TOL)):
+            ("J(408 mV)", p408.j_hz, ANCHOR_J408_HZ, J_REL_TOL)):
         met = abs(got - want) <= rel_tol * want
         ok &= met
         report.append(f"[{'PASS' if met else 'FAIL'}] {name} = {got:.2f} Hz "

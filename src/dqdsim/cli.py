@@ -51,7 +51,7 @@ import numpy as np
 from . import __version__
 from .dots import charge_stability, load_device
 from .dynamics import CNOT_DOWN, CNOT_UP, cz_matrix, evolve, gate_fidelity, ry_matrix
-from .errors import ConfigurationError, DqdError, NumericalError
+from .errors import ConfigurationError, DqdError, NumericalError, raise_first
 from .noise import (NoiseConfig, NoisyTableFactory, fidelity_samples,
                     fluctuation_stats)
 from .params import ParamsTable, SpinParams, paper_table
@@ -76,6 +76,25 @@ def _parse_range(txt: str) -> np.ndarray:
         n = int(math.floor((b - a) / s + 0.5)) + 1
         return a + s * np.arange(n)
     return np.array([float(t) for t in txt.split(",")])
+
+
+def _nonnegative(parse):
+    """`parse` for durations in ns, which must be >= 0 (a tau_TR of 0 is
+    the sudden limit)."""
+    def checked(txt: str):
+        value = parse(txt)
+        if not np.all(np.asarray(value) >= 0.0):
+            raise ValueError("durations must be >= 0")
+        return value
+    return checked
+
+
+def _positive(txt: str) -> float:
+    """A trajectory stride in ns, which must be > 0."""
+    stride = float(txt)
+    if not stride > 0.0:
+        raise ValueError("the stride must be > 0")
+    return stride
 
 
 def default_device_path() -> str:
@@ -123,41 +142,38 @@ class Experiment:
                 f"[{section}] {key} = {txt!r}: {exc}") from exc
 
     def resume_rows(self, experiment: str) -> dict:
-        """Previously written rows of `experiment`, parsed as floats and
-        keyed by their first column.
+        """Previously written rows of `experiment`, keyed by their first
+        column, read from the JSON sidecar, which holds them exactly.
 
         Rows are deterministic functions of (config, seed, integrator,
-        version), so reusing them reproduces the uninterrupted run exactly.
-        A file written by another experiment, or under another config hash,
-        seed, integrator or package version, raises ConfigurationError.
+        version), so reusing them reproduces both files of the
+        uninterrupted run byte for byte. A sidecar that is not JSON, or
+        that was written by another experiment or under another config
+        hash, seed, integrator or package version, raises
+        ConfigurationError.
         """
         if not self.resume:
             return {}
+        path = self.out + ".json"
         try:
-            with open(self.out) as fh:
-                text = fh.read().splitlines()
+            with open(path) as fh:
+                sidecar = json.load(fh)
         except OSError:
             return {}
-        header = dict(l[1:].strip().split(" = ", 1) for l in text
-                      if l.startswith("#") and " = " in l)
+        except ValueError as exc:
+            raise ConfigurationError(f"cannot resume from {path}: {exc}"
+                                     ) from exc
+        meta = sidecar.get("meta", {}) if isinstance(sidecar, dict) else {}
         for key, want in (("experiment", experiment),
                           ("config_hash", self.config_hash),
-                          ("seed", str(self.seed)),
+                          ("seed", self.seed),
                           ("integrator", self.integrator),
                           ("version", __version__)):
-            if header.get(key) != want:
+            if meta.get(key) != want:
                 raise ConfigurationError(
-                    f"cannot resume from {self.out}: its {key} is "
-                    f"{header.get(key)!r}, this run's is {want!r}")
-        lines = [l for l in text if l and not l.startswith("#")]
-        out = {}
-        for line in lines[1:]:
-            try:
-                row = tuple(float(p) for p in line.split(","))
-            except ValueError:
-                continue
-            out[row[0]] = row
-        return out
+                    f"cannot resume from {path}: its {key} is "
+                    f"{meta.get(key)!r}, this run's is {want!r}")
+        return {row[0]: tuple(row) for row in sidecar["rows"]}
 
     # -- direct-mode parameter table ---------------------------------------
     def params_table(self) -> ParamsTable:
@@ -189,15 +205,16 @@ class Experiment:
         return self.device().solution_at(v_m_mv)
 
     def device_spin_params(self, v_m_mv: float) -> SpinParams:
-        return self.device().spin_params(self.solution_at(v_m_mv))
+        return raise_first(self.device().spin_params(
+            [self.solution_at(v_m_mv)]))[0]
 
 
 def write_outputs(out_path: str, header_cols: list, rows: list, meta: dict):
     """CSV with '#' metadata header + machine-readable JSON sidecar.
 
     Both files are written to temporary files beside their targets and
-    renamed into place only once both are complete: the JSON sidecar first,
-    then the CSV, which `--resume` reads. A failed write or a failed first
+    renamed into place only once both are complete: the JSON sidecar, which
+    `--resume` reads, first, then the CSV. A failed write or a failed first
     rename leaves the previous outputs intact; any failure leaves no
     temporary file behind. Only when the CSV's own rename fails is the new
     sidecar already in place beside the previous CSV.
@@ -310,13 +327,14 @@ def run_gate(exp: Experiment) -> int:
     protocol = exp.value("gate", "protocol", kind=str)
     v_w = exp.value("gate", "v_m_weak_mv", "400")
     v_s = exp.value("gate", "v_m_strong_mv", "408")
-    tau_tr = exp.value("gate", "tau_tr_ns", "5")
-    sample_ns = exp.value("gate", "sample_ns", "0.25")
+    tau_tr = exp.value("gate", "tau_tr_ns", "5", _nonnegative(float))
+    sample_ns = exp.value("gate", "sample_ns", "0.25", _positive)
     table = exp.params_table()
     schedule, ideal = build_protocol(protocol, table, v_w, v_s, tau_tr)
-    res = evolve(schedule, table, integrator=exp.integrator,
+    res = evolve(schedule, [table], integrator=exp.integrator,
                  sample_every_ns=sample_ns)
-    fid = gate_fidelity(res.u, ideal)
+    raise_first(res.failures)
+    fid = gate_fidelity(res.u, ideal)[0]
     amps = np.ascontiguousarray(res.trajectory_amps)
     # t, the four populations, then (re, im) of each amplitude
     rows = np.column_stack([res.trajectory_t_ns, np.abs(amps) ** 2,
@@ -359,8 +377,9 @@ def _fidelity_sweep(exp: Experiment, name: str, column: str, keys: list,
             factory, cfgs, list(gates.values()), exp.integrator)))
     for key, ((schedule, ideal), cfg) in pending.items():
         if cfg is None:
-            res = evolve(schedule, table, integrator=exp.integrator)
-            rows[key] = (key, gate_fidelity(res.u, ideal), 0.0, 1)
+            res = evolve(schedule, [table], integrator=exp.integrator)
+            raise_first(res.failures)
+            rows[key] = (key, float(gate_fidelity(res.u, ideal)[0]), 0.0, 1)
             continue
         stats, failures = results[cfg]
         _report_failures(column, key, cfg.n_samples, failures)
@@ -377,7 +396,7 @@ def run_noise_sweep(exp: Experiment) -> int:
     n_samples = exp.value("noise-sweep", "n_samples", "1000", int)
     v_w = exp.value("noise-sweep", "v_m_weak_mv", "400")
     v_s = exp.value("noise-sweep", "v_m_strong_mv", "408")
-    tau_tr = exp.value("noise-sweep", "tau_tr_ns", "5")
+    tau_tr = exp.value("noise-sweep", "tau_tr_ns", "5", _nonnegative(float))
     factory = NoisyTableFactory(exp.device(), (v_w, v_s))
     table = factory.clean_table()
     gate = build_protocol(protocol, table, v_w, v_s, tau_tr)
@@ -388,7 +407,8 @@ def run_noise_sweep(exp: Experiment) -> int:
 
 
 def run_transition_sweep(exp: Experiment) -> int:
-    taus = exp.value("transition-sweep", "tau_tr_ns", kind=_parse_range)
+    taus = exp.value("transition-sweep", "tau_tr_ns",
+                     kind=_nonnegative(_parse_range))
     v_w = exp.value("transition-sweep", "v_m_weak_mv", "400")
     v_s = exp.value("transition-sweep", "v_m_strong_mv", "412")
     n_samples = exp.value("transition-sweep", "n_samples", "20", int)

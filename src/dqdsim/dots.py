@@ -13,7 +13,9 @@ model, which reduces to 4 t^2/(U - V) at zero detuning.
 
 `load_device` returns a `Device`: the device file's model, which gives the
 converged solution at a middle-gate bias (`Device.solution_at`) and maps a
-solution to its spin parameters (`Device.spin_params`).
+stack of solutions to their spin parameters (`Device.spin_params`). Every
+function of the spin map takes a stack and returns values that line up
+with it.
 """
 
 from __future__ import annotations
@@ -164,37 +166,31 @@ class Device(NamedTuple):
                 self.spec, self.mat, biases, grid=self.grid)
         return self.grid._cache[key]
 
-    def spin_params(self, solution):
-        """(E_ZL, E_ZR, J) of a solution on this device.
+    def spin_params(self, solutions) -> list:
+        """(E_ZL, E_ZR, J) of each solution of a stack on this device.
 
-        For a sequence of solutions (a stack: noise samples of one
-        operating point) the spin map runs once over the stack and the
-        result is a list with each member's SpinParams, bit for bit the
-        ones it gets alone, or, in its place, the DqdError it raises alone:
-        a stack that raises is mapped again member by member.
+        The spin map runs once over the stack (noise samples of one
+        operating point, say). The result lines up with it: each member's
+        SpinParams, bit for bit the ones it gets in a stack of one, or, in
+        its place, the DqdError that drops it: a GeometryError when
+        `find_dots` does not see two dots, a ModelValidityError when
+        U - V <= 0. A field map that does not cover the device raises
+        ConfigurationError for the whole call once any member has two dots.
         """
-        if isinstance(solution, ConvergedSolution):
-            return self._spin_params([solution])[0]
-        try:
-            return self._spin_params(solution)
-        except DqdError:
-            out = []
-            for sol in solution:
-                try:
-                    out.append(self._spin_params([sol])[0])
-                except DqdError as exc:
-                    out.append(exc)
+        out = [_geometry_error(sol, self.grid) for sol in solutions]
+        live = [k for k, exc in enumerate(out) if exc is None]
+        if not live:
             return out
-
-    def _spin_params(self, solutions) -> list:
-        pair = localized_pair(solutions, self.grid)
-        e_zl, e_zr = zeeman_splittings(solutions, self.field_map, self.grid,
-                                       pair)
-        j_hz = exchange_energy(solutions, self.grid, self.mat,
-                               self.coulomb_length_nm, pair)
-        return [SpinParams(e_zl_hz=float(a), e_zr_hz=float(b), j_hz=float(j),
-                           v_m_mv=sol.biases.v_m * 1e3)
-                for a, b, j, sol in zip(e_zl, e_zr, j_hz, solutions)]
+        sols = [solutions[k] for k in live]
+        pair = localized_pair(sols, self.grid)
+        e_zl, e_zr = zeeman_splittings(pair, self.field_map, self.grid)
+        j_hz = exchange_energy(pair, self.grid, self.mat,
+                               self.coulomb_length_nm)
+        for k, a, b, j, sol in zip(live, e_zl, e_zr, j_hz, sols):
+            out[k] = j if isinstance(j, DqdError) else SpinParams(
+                e_zl_hz=float(a), e_zr_hz=float(b), j_hz=j,
+                v_m_mv=sol.biases.v_m * 1e3)
+        return out
 
 
 def load_device(path) -> Device:
@@ -265,47 +261,34 @@ def find_dots(solution: ConvergedSolution, grid: Grid) -> DotRegions:
     )
 
 
-def _stack(solution):
-    """(solutions, whether `solution` was one): a ConvergedSolution is a
-    stack of one."""
-    if isinstance(solution, ConvergedSolution):
-        return [solution], True
-    return list(solution), False
+def _geometry_error(solution: ConvergedSolution, grid: Grid):
+    """None when `find_dots` sees two dots in `solution`, else the
+    GeometryError that keeps it from the spin map."""
+    try:
+        n_dots = find_dots(solution, grid).n_dots
+    except GeometryError as exc:
+        return exc
+    return None if n_dots == 2 else GeometryError(
+        f"the spin map needs two dots, not {n_dots}")
 
 
-def _stacked_pair(sols: list, one: bool, pair, grid: Grid):
-    """The stack's `localized_pair`, with its leading axis: `pair` when
-    given (one solution's gets the axis), else computed."""
-    if pair is None:
-        return localized_pair(sols, grid)
-    return tuple(np.asarray(a)[None] for a in pair) if one else pair
-
-
-def zeeman_splittings(solution, field_map: MagnetFieldMap, grid: Grid,
-                      pair=None):
-    """(E_ZL, E_ZR) in Hz: g mu_B / h times the density-weighted B_Z.
+def zeeman_splittings(pair, field_map: MagnetFieldMap, grid: Grid):
+    """(E_ZL, E_ZR) in Hz, arrays over a stack of solutions whose
+    `localized_pair` is `pair`: g mu_B / h times the density-weighted B_Z.
 
     The ground orbital of each dot is the maximally localized combination of
     the two lowest well states, which reduces to the eigenstates themselves
     once the dots are detuned and handles the symmetric case where both
     eigenstates straddle the barrier; `localized_pair` orders them left to
-    right. `pair` is the solution's `localized_pair`, when the caller
-    already has it. For a sequence of solutions (a stack) E_ZL and E_ZR are
-    arrays over it, and GeometryError names the first member without two
-    dots.
+    right.
     """
-    sols, one = _stack(solution)
-    for k, sol in enumerate(sols):
-        if find_dots(sol, grid).n_dots != 2:
-            raise GeometryError("Zeeman splittings need two dots"
-                                + ("" if one else f" (stack member {k})"))
     if not field_map.covers(grid.x[0], grid.x[-1]):
         raise ConfigurationError("field map does not cover the device extent")
-    phi_l, phi_r, _ = _stacked_pair(sols, one, pair, grid)
+    phi_l, phi_r, _ = pair
     b_x = field_map(grid.x)
     e_zl, e_zr = (ZEEMAN_HZ_PER_T * ((phi**2).sum(axis=-2) * b_x).sum(axis=-1)
                   * grid.dx * grid.dy for phi in (phi_l, phi_r))
-    return (float(e_zl[0]), float(e_zr[0])) if one else (e_zl, e_zr)
+    return e_zl, e_zr
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +355,20 @@ def coulomb_integrals(kernel: np.ndarray, fields, grid: Grid) -> np.ndarray:
     return gram * (da * da / (shape[0] * shape[1]))
 
 
-def localized_pair(solution, grid: Grid):
+def localized_pair(solutions, grid: Grid):
     """Maximally localized (left, right) combinations of the two lowest well
-    orbitals.
+    orbitals of each solution of a stack.
 
     Diagonalizes the lateral position operator in the two-state subspace;
     returns (phi_l, phi_r, h2) with phi on the well block and h2 the
-    effective 2x2 Hamiltonian in the localized basis (eV). The pair is
-    ordered by the position eigenvalue, which is each orbital's centroid,
-    so left to right. For a sequence of solutions (a stack) each of the
-    three has a leading axis over it.
+    effective 2x2 Hamiltonian in the localized basis (eV), each with a
+    leading axis over the stack. The pair is ordered by the position
+    eigenvalue, which is each orbital's centroid, so left to right.
     """
-    sols, one = _stack(solution)
-    psi = np.stack([sol.spectrum.wavefunctions[:2] for sol in sols])
-    energies = np.stack([sol.spectrum.energies_ev[:2] for sol in sols])
+    psi = np.stack([sol.spectrum.wavefunctions[:2] for sol in solutions])
+    energies = np.stack([sol.spectrum.energies_ev[:2] for sol in solutions])
     da = grid.dx * grid.dy
-    x_op = np.empty((len(sols), 2, 2))
+    x_op = np.empty((len(solutions), 2, 2))
     for a in range(2):
         for b in range(2):
             x_op[:, a, b] = (psi[:, a] * psi[:, b]
@@ -396,27 +377,24 @@ def localized_pair(solution, grid: Grid):
     w = np.take_along_axis(w, np.argsort(pos, axis=-1)[:, None, :], axis=-1)
     phi = [w[:, 0, c, None, None] * psi[:, 0] + w[:, 1, c, None, None] * psi[:, 1]
            for c in range(2)]
-    diag = np.zeros((len(sols), 2, 2))
+    diag = np.zeros((len(solutions), 2, 2))
     diag[:, [0, 1], [0, 1]] = energies
     h2 = np.swapaxes(w, -1, -2) @ diag @ w
-    if one:
-        return phi[0][0], phi[1][0], h2[0]
     return phi[0], phi[1], h2
 
 
-def exchange_energy(solution, grid: Grid, mat: MaterialParams,
-                    coulomb_length_nm: float, pair=None):
-    """Two-site singlet-triplet exchange J in Hz (>= 0).
+def exchange_energy(pair, grid: Grid, mat: MaterialParams,
+                    coulomb_length_nm: float) -> list:
+    """Two-site singlet-triplet exchange J in Hz (>= 0) of each solution of
+    a stack, from the stack's `localized_pair` `pair`.
 
     Singlet sector {S(1,1), S(2,0), S(0,2)} of the two-site model:
         diag(V, U_L + eps, U_R - eps) + sqrt(2) t off-diagonal couplings,
     with eps the localized-orbital detuning; J = E_T - E_S with E_T = V.
-    `pair` is the solution's `localized_pair`, when the caller already has
-    it. For a sequence of solutions (a stack) J is an array over it.
-    Raises ModelValidityError when U - V <= 0 (for a stack, in any member).
+    The result lines up with the stack: a member whose U - V <= 0 holds,
+    in place of its J, a ModelValidityError.
     """
-    sols, one = _stack(solution)
-    phi_l, phi_r, h2 = _stacked_pair(sols, one, pair, grid)
+    phi_l, phi_r, h2 = pair
     t_ev = np.abs(h2[..., 0, 1])
     eps_ev = h2[..., 0, 0] - h2[..., 1, 1]
     kern = coulomb_kernel(grid, mat, coulomb_length_nm)
@@ -424,12 +402,6 @@ def exchange_energy(solution, grid: Grid, mat: MaterialParams,
                              grid)
     u_l, v, u_r = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
     u = 0.5 * (u_l + u_r)
-    if np.any(u - v <= 0.0):
-        k = int(np.argmax(u - v <= 0.0))
-        raise ModelValidityError(
-            f"two-site model invalid: U - V = {(u - v).flat[k] * 1e3:.3f} meV"
-            " <= 0" + ("" if one else f" (stack member {k})")
-        )
     s2t = np.sqrt(2.0) * t_ev
     h_s = np.zeros(np.shape(t_ev) + (3, 3))
     h_s[..., 0, 1] = h_s[..., 0, 2] = h_s[..., 1, 0] = h_s[..., 2, 0] = s2t
@@ -437,7 +409,9 @@ def exchange_energy(solution, grid: Grid, mat: MaterialParams,
     h_s[..., 2, 2] = (u_r - v) - eps_ev
     e_s = np.linalg.eigvalsh(h_s)[..., 0]
     j_hz = np.maximum(-e_s, 0.0) * EV_TO_HZ
-    return float(j_hz[0]) if one else j_hz
+    return [ModelValidityError(
+                f"two-site model invalid: U - V = {d * 1e3:.3f} meV <= 0")
+            if d <= 0.0 else float(j) for j, d in zip(j_hz, u - v)]
 
 
 # ---------------------------------------------------------------------------

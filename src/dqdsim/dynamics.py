@@ -149,11 +149,10 @@ def rot_to_lab(u_rot: np.ndarray, total_time_s: float, frame_freq_hz: float) -> 
     return phases[:, None] * u_rot
 
 
-def unitarity_defect(u: np.ndarray):
-    """max |U^+ U - I|: a float for one matrix, an array for a stack."""
-    d = np.abs(np.swapaxes(u.conj(), -1, -2) @ u
-               - np.eye(u.shape[-1])).max(axis=(-2, -1))
-    return float(d) if d.ndim == 0 else d
+def unitarity_defect(u: np.ndarray) -> np.ndarray:
+    """max |U^+ U - I| of each matrix of a stack u (..., n, n)."""
+    return np.abs(np.swapaxes(u.conj(), -1, -2) @ u
+                  - np.eye(u.shape[-1])).max(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +164,7 @@ PS = 1e-12
 
 @dataclass
 class UnitaryResult:
-    u: np.ndarray                    # (4, 4); (B, 4, 4) for a stack
+    u: np.ndarray                    # (B, 4, 4): one per member of the stack
     frame: str                       # "lab" or "rwa"
     frame_freq_hz: float
     total_time_ns: float
@@ -174,9 +173,10 @@ class UnitaryResult:
     # constant segment, two per CF4 step (a drive's whole periods each
     # count their 2m, though P^N computes them once); summed over a stack
     n_exponentials: int
-    unitarity_defect: float | np.ndarray     # per member for a stack
-    # stack position -> the DqdError that dropped that member (its u is NaN)
-    failures: dict
+    unitarity_defect: np.ndarray     # (B,)
+    # lines up with the stack: None, or the DqdError that dropped the
+    # member (its u is NaN)
+    failures: list
     trajectory_t_ns: np.ndarray | None = None
     trajectory_amps: np.ndarray | None = None   # (n_samples, 4) amplitudes
 
@@ -375,23 +375,23 @@ def _stepped(gen: _Affine, t0_s: float, dur_s: float, dt_factor: float,
     return u, n_exp, dt_max, rows
 
 
-def evolve(schedule, params_source, integrator: str = "rwa",
+def evolve(schedule, sources: list, integrator: str = "rwa",
            dt_factor: float = 200.0, sample_every_ns: float | None = None
            ) -> UnitaryResult:
-    """Integrate a pulse schedule into a 4x4 propagator, or into one per
-    member of a stack of parameter sources.
+    """Integrate a pulse schedule into a 4x4 propagator per member of a
+    stack of parameter sources.
 
     Parameters
     ----------
     schedule : PulseSchedule (duck-typed: segments, vz_events, frame_freq_hz)
-    params_source : callable V_M[mV] -> SpinParams; a schedule with bias
-        ramps also needs its vectorized `j_of_vm(v_m_mv_array)`, as a
-        ParamsTable provides, for J along the ramp. A list of them is a
-        stack (noise samples of one schedule), evolved at once: `u` is
-        then (B, 4, 4), each member's the `u` it gives alone, bit for bit.
-        A member whose parameter lookup raises a DqdError or whose
-        unitarity drifts is dropped into `failures` (its `u` is NaN)
-        instead of raising.
+    sources : list of callables V_M[mV] -> SpinParams (noise samples of one
+        schedule, say), evolved at once: `u` is (B, 4, 4), each member's
+        the `u` it gives in a stack of one, bit for bit. A schedule with
+        bias ramps also needs each source's vectorized
+        `j_of_vm(v_m_mv_array)`, as a ParamsTable provides, for J along
+        the ramp. A member whose parameter lookup raises a DqdError or
+        whose unitarity drifts holds that error in its place in `failures`
+        (its `u` is NaN).
     integrator : "rwa" (production) or "lab" (reference oracle)
     sample_every_ns : if set, record the state trajectory from |dd>
         (`STATE_DD`) at the stride marks k * sample_every_ns from t = 0
@@ -399,7 +399,7 @@ def evolve(schedule, params_source, integrator: str = "rwa",
         step end at or after it: the mark itself in a constant segment,
         the next step end in a stepped one, or the segment's end. Rows do
         not enter the propagator: sampled and unsampled `u` are equal.
-        Not for a stack.
+        For a stack of one.
 
     Ramp steps (both frames) are capped at 1/(dt_factor max(J, detunings
     from the frame)), lab-frame drive steps at 1/(dt_factor max(E_ZL, E_ZR,
@@ -411,11 +411,9 @@ def evolve(schedule, params_source, integrator: str = "rwa",
     """
     if integrator not in ("rwa", "lab"):
         raise ConfigurationError(f"unknown integrator {integrator!r}")
-    stacked = isinstance(params_source, list)
-    sources = params_source if stacked else [params_source]
     sampling = sample_every_ns is not None
-    if sampling and stacked:
-        raise ConfigurationError("a trajectory is sampled for one source")
+    if sampling and len(sources) != 1:
+        raise ConfigurationError("a trajectory is sampled for a stack of one")
     segments = list(schedule.segments)
     if not segments:
         raise ScheduleError("empty schedule")
@@ -437,15 +435,14 @@ def evolve(schedule, params_source, integrator: str = "rwa",
     v_nodes = list(dict.fromkeys(v for seg in segments
                                  for v in (seg.v_m_mv, seg.ramp_from_mv)
                                  if v is not None))
-    failures, params = {}, []
-    for k, src in enumerate(sources):
+    failures, params = [], []
+    for src in sources:
         try:
             params.append({v: src(v) for v in v_nodes})
+            failures.append(None)
         except DqdError as exc:
-            if not stacked:
-                raise
-            failures[k] = exc
-    alive = [k for k in range(len(sources)) if k not in failures]
+            failures.append(exc)
+    alive = [k for k, exc in enumerate(failures) if exc is None]
     live_sources = [sources[k] for k in alive]
 
     generators, t_ps = [], 0
@@ -530,24 +527,20 @@ def evolve(schedule, params_source, integrator: str = "rwa",
     defect = unitarity_defect(u)
     for k, d in zip(alive, defect):
         if d > UNITARITY_TOL:
-            exc = NumericalError(
+            failures[k] = NumericalError(
                 f"unitarity drift {d:.2e} exceeds {UNITARITY_TOL}",
                 diagnostics={"defect": float(d)})
-            if not stacked:
-                raise exc
-            failures[k] = exc
     out = np.full((len(sources), 4, 4), np.nan, dtype=complex)
     out[alive] = u
-    out[list(failures)] = np.nan
+    out[[k for k, exc in enumerate(failures) if exc is not None]] = np.nan
     defects = np.full(len(sources), np.nan)
     defects[alive] = defect
     total_ns = t_ps * 1e-3
     return UnitaryResult(
-        u=out if stacked else out[0], frame=integrator,
+        u=out, frame=integrator,
         frame_freq_hz=frame_freq, total_time_ns=total_ns,
         dt_ns=dt_max_s * 1e9, n_exponentials=n_exp,
-        unitarity_defect=defects if stacked else float(defects[0]),
-        failures=failures,
+        unitarity_defect=defects, failures=failures,
         trajectory_t_ns=np.array(traj_t) if sampling else None,
         trajectory_amps=np.array(traj_a) if sampling else None,
     )
@@ -632,8 +625,9 @@ def _best_angle(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.angle(q) - np.angle(p)
 
 
-def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray):
-    """Frame-optimized average gate fidelity in percent.
+def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray) -> np.ndarray:
+    """Frame-optimized average gate fidelity in percent of each unitary of
+    a stack `u_actual` (B, 4, 4).
 
     F_avg = (|Tr(U_ideal^+ U)|^2 / d + 1) / (d + 1), d = 4, globally phase
     invariant. The ideal gate is pre- and post-composed with
@@ -645,13 +639,12 @@ def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray):
     angles and seven fixed random points, against local maxima) until no
     start gains more than `FRAME_TOL` in |Tr| per sweep.
 
-    A stack `u_actual` of shape (B, 4, 4) gives an array of B fidelities:
-    the members ascend together, and each stops at the sweep where it
-    would stop alone, so its value is the one it has alone.
+    The members ascend together, and each stops at the sweep where it
+    would stop in a stack of one, so its value is the one it has there.
     """
     _check_unitary(u_actual, "u_actual")
     _check_unitary(u_ideal, "u_ideal")
-    a = (np.conj(u_ideal) * u_actual).reshape(-1, 4, 4)
+    a = np.conj(u_ideal) * u_actual
     # angles (post L, post R, pre L, pre R) per member and start
     x = np.broadcast_to(FRAME_STARTS, (a.shape[0],) + FRAME_STARTS.shape
                         ).copy()
@@ -681,5 +674,4 @@ def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray):
         live = live[gain > FRAME_TOL]
         if not live.size:
             break
-    fid = 100.0 * _avg_fidelity_from_trace(best.max(axis=-1))
-    return fid if u_actual.ndim == 3 else float(fid[0])
+    return 100.0 * _avg_fidelity_from_trace(best.max(axis=-1))

@@ -35,3 +35,12 @@ class GeometryError(DqdError):
 
 class ScheduleError(DqdError):
     """Inconsistent pulse schedule (gaps, frame mismatch, bad durations)."""
+
+
+def raise_first(results: list) -> list:
+    """`results`, a list that lines up with a stack, unless a member holds
+    a DqdError in its place: then the first one is raised."""
+    for r in results:
+        if isinstance(r, DqdError):
+            raise r
+    return results

@@ -12,8 +12,8 @@ converged potential plus the noise field (no self-consistent re-loop: the
 noise scale is micro-eV against a many-meV landscape, and re-running the
 loop for every sample would dominate the Monte Carlo cost), then maps the
 perturbed solution to its spin parameters with `Device.spin_params`.
-`perturbed_spin_params` does this for one noise field, or a stack of
-them, on a converged solution (`Device.solution_at`);
+`perturbed_spin_params` does this for a stack of noise fields on a
+converged solution (`Device.solution_at`);
 `NoisyTableFactory.table_for` does it at every V_M node of a gate and
 returns each sample's parameter table.
 
@@ -44,9 +44,10 @@ chunks whose fields, every sigma's of every index, form one stack of at
 most `MC_STACK_SAMPLES` members (a bound on memory only). Each index's unit
 field is drawn once per run and scaled to every sigma. Each member's
 eigensolve runs alone; the spin map (`Device.spin_params`), `evolve` and
-`gate_fidelity` run once per stack, operating point and gate, and give
-each member the value it gets alone, bit for bit, so a row does not
-depend on which sigmas share its run. A sample that fails
+`gate_fidelity` take only stacks and run once per stack, operating point
+and gate. Each gives every member the value it gets in a stack of one,
+bit for bit, or, in its place, the DqdError that drops it, so a row does
+not depend on which sigmas share its run. A sample that fails
 (`SampleFailures`) is counted once against its sigma and dropped for
 every gate it serves; the rest of its stack proceeds.
 """
@@ -63,7 +64,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, qr
 from .device import Grid, MaterialParams
 from .dots import Device
 from .dynamics import evolve, gate_fidelity
-from .errors import ConfigurationError, DqdError, NumericalError
+from .errors import ConfigurationError, DqdError, NumericalError, raise_first
 from .params import ParamsTable, SpinParams
 from .schrodinger import (
     ConvergedSolution,
@@ -185,18 +186,17 @@ def _perturbed_spectrum(solution: ConvergedSolution, u: np.ndarray,
 
 
 def perturbed_spin_params(device: Device, solution: ConvergedSolution,
-                          noise):
-    """Spin parameters of `solution`'s potential disturbed by `noise`.
+                          fields) -> list:
+    """Spin parameters of `solution`'s potential disturbed by each noise
+    field of a stack.
 
-    For a sequence of fields (a stack of samples) the result is a list
-    with each sample's SpinParams or, in its place, the DqdError that
-    dropped it: each sample's eigensolve runs alone, then the spin map
-    runs once over the stack (`Device.spin_params`).
+    The result lines up with `fields`: each sample's SpinParams or, in its
+    place, the DqdError that dropped it. Each sample's eigensolve runs
+    alone, then the spin map runs once over the stack
+    (`Device.spin_params`).
     """
-    if isinstance(noise, NoiseField):
-        return device.spin_params(_perturbed_solution(device, solution, noise))
     out, perturbed = [], []
-    for field in noise:
+    for field in fields:
         try:
             perturbed.append(_perturbed_solution(device, solution, field))
             out.append(None)
@@ -313,8 +313,8 @@ class NoisyTableFactory:
         return ParamsTable(self.v_m_nodes, *cols)
 
     def clean_table(self) -> ParamsTable:
-        return self._table([self.device.spin_params(self.solutions[v])
-                            for v in self.v_m_nodes])
+        return self._table(raise_first(self.device.spin_params(
+            [self.solutions[v] for v in self.v_m_nodes])))
 
     def table_for(self, fields) -> list:
         """The tables of a stack of samples, one noise field each: per
@@ -351,9 +351,10 @@ def fidelity_samples(factory: NoisyTableFactory, cfgs, gates,
             if not live:
                 break
             res = evolve(schedule, [tables[k] for k in live], integrator)
-            for j, exc in res.failures.items():
-                out[live[j]] = exc
-            ok = [j for j in range(len(live)) if j not in res.failures]
+            for k, exc in zip(live, res.failures):
+                if exc is not None:
+                    out[k] = exc
+            ok = [j for j, exc in enumerate(res.failures) if exc is None]
             if ok:
                 for j, fid in zip(ok, gate_fidelity(res.u[ok], ideal)):
                     out[live[j]].append(float(fid))

@@ -10,7 +10,8 @@ from dqdsim.device import (
     MaterialParams,
     build_grid,
 )
-from dqdsim.dots import Device, MagnetFieldMap, load_device
+from dqdsim.dots import (Device, MagnetFieldMap, exchange_energy, load_device,
+                         localized_pair, zeeman_splittings)
 from dqdsim.params import SpinParams, paper_table
 from dqdsim.schrodinger import ConvergedSolution, solve_eigenstates, subband_line_density
 
@@ -79,6 +80,21 @@ def synthetic_solution(grid, mat, potential, n_states=4, temperature_k=1.5):
         spectrum=spectrum, biases=SHIPPED_BIASES, iterations=1,
         final_update_norm_ev=0.0, occupancies_per_nm=occ,
     )
+
+
+def zeeman_of(solution, field_map, grid):
+    """`zeeman_splittings` of `solution` as a stack of one: (E_ZL, E_ZR)."""
+    (e_zl,), (e_zr,) = zeeman_splittings(localized_pair([solution], grid),
+                                         field_map, grid)
+    return e_zl, e_zr
+
+
+def exchange_of(solution, grid, mat, coulomb_length_nm):
+    """`exchange_energy` of `solution` as a stack of one: J in Hz, or the
+    ModelValidityError in its place."""
+    (j,) = exchange_energy(localized_pair([solution], grid), grid, mat,
+                           coulomb_length_nm)
+    return j
 
 
 @pytest.fixture(scope="session")

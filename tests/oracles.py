@@ -111,7 +111,7 @@ def ci_singlet_triplet_j(solution, grid, mat, coulomb_length_nm):
     (direct, exchange and density-assisted terms), independent of the
     runtime Hubbard truncation.
     """
-    phi_l, phi_r, h2 = localized_pair(solution, grid)
+    (phi_l,), (phi_r,), (h2,) = localized_pair([solution], grid)
     kern = dense_coulomb_kernel(grid, mat, coulomb_length_nm)
     rl, rr, lr = phi_l**2, phi_r**2, phi_l * phi_r
     ull = dense_two_body_integral(kern, rl, rl, grid)

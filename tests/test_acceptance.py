@@ -61,8 +61,8 @@ class TestCriterion2:
         details = []
         for target in ("L", "R"):
             sched = schedule_ry(target, math.pi, p)
-            res = evolve(sched, table, integrator="rwa")
-            fid = gate_fidelity(res.u, ry_matrix(target, math.pi))
+            res = evolve(sched, [table], integrator="rwa")
+            fid = gate_fidelity(res.u, ry_matrix(target, math.pi))[0]
             t_ns = sched.total_time_ns
             ok &= abs(t_ns - 100.0) <= 1.0 and fid >= 99.9
             details.append(f"{target}: {t_ns:.2f}ns F={fid:.3f}%")
@@ -74,8 +74,8 @@ class TestCriterion3:
     def test_single_step_cnot(self, table):
         p = table(408.0)
         sched = cnot_single_schedule(p)
-        res = evolve(sched, table, integrator="rwa")
-        fid = gate_fidelity(res.u, CNOT_UP)
+        res = evolve(sched, [table], integrator="rwa")
+        fid = gate_fidelity(res.u, CNOT_UP)[0]
         t_ns = sched.total_time_ns
         ok = abs(t_ns - 100.4) <= 2.0 and abs(fid - 98.34) <= 0.5
         report("criterion 3 (single-step CNOT: 100.4 +- 2 ns, F = 98.34 +- 0.5%)",
@@ -105,7 +105,7 @@ class TestCriterion4:
             return p_weak if abs(v_m - 400.0) < 1e-9 else p_strong
 
         sched = cnot_multi_schedule(p_weak, p_strong, tau_tr_ns=0.0)
-        fid = gate_fidelity(evolve(sched, source).u, CNOT_DOWN)
+        fid = gate_fidelity(evolve(sched, [source]).u, CNOT_DOWN)[0]
         ok = fid >= 99.9
         report("criterion 4b (tau_TR = 0 decomposition >= 99.9%)", ok,
                f"F={fid:.4f}%")
@@ -115,9 +115,10 @@ class TestCriterion4:
 class TestCriterion5:
     def test_device_anchors(self, shipped_device):
         dev = shipped_device
-        p400 = dev.spin_params(dev.solution_at(400.0))
+        p400, p408 = dev.spin_params([dev.solution_at(400.0),
+                                      dev.solution_at(408.0)])
         e_zl, e_zr, j400 = p400.e_zl_hz, p400.e_zr_hz, p400.j_hz
-        j408 = dev.spin_params(dev.solution_at(408.0)).j_hz
+        j408 = p408.j_hz
         ok = (abs(e_zl - 18.309e9) <= 0.01 * 18.309e9
               and abs(e_zr - 18.453e9) <= 0.01 * 18.453e9
               and abs(j400 - 75.6e3) <= 0.2 * 75.6e3
@@ -222,7 +223,7 @@ class TestCriterion8:
         fids = {}
         for tau in (1.0, 2.0, 3.0, 5.0):
             sched = cnot_multi_schedule(p400, p412, tau_tr_ns=tau)
-            fids[tau] = gate_fidelity(evolve(sched, table).u, CNOT_DOWN)
+            fids[tau] = gate_fidelity(evolve(sched, [table]).u, CNOT_DOWN)[0]
         losses = [100.0 - fids[t] for t in (1.0, 2.0, 3.0, 5.0)]
         mono = all(a <= b + 0.05 for a, b in zip(losses, losses[1:]))
         ok = (abs(fids[5.0] - 75.1) <= 5.0) and fids[1.0] >= 98.52 - 5.0 and mono
@@ -235,15 +236,16 @@ class TestCriterion9:
     def test_unitarity_and_step_halving(self, table):
         p = table(400.0)
         sched = schedule_ry("L", math.pi, p)
-        res = evolve(sched, table, integrator="lab", dt_factor=300.0)
-        ok1 = res.n_exponentials >= 1_000_000 and res.unitarity_defect <= 1e-8
-        u_half = evolve(sched, table, integrator="lab", dt_factor=400.0).u
-        u_full = evolve(sched, table, integrator="lab", dt_factor=200.0).u
+        res = evolve(sched, [table], integrator="lab", dt_factor=300.0)
+        (defect,) = res.unitarity_defect
+        ok1 = res.n_exponentials >= 1_000_000 and defect <= 1e-8
+        u_half = evolve(sched, [table], integrator="lab", dt_factor=400.0).u[0]
+        u_full = evolve(sched, [table], integrator="lab", dt_factor=200.0).u[0]
         drift = float(np.linalg.norm(u_full - u_half, 2))
         ok2 = drift <= 1e-6
         report("criterion 9a (unitarity <= 1e-8 over >= 1e6 steps; "
                "step-halving <= 1e-6)", ok1 and ok2,
-               f"defect={res.unitarity_defect:.1e} ({res.n_exponentials} exps), "
+               f"defect={defect:.1e} ({res.n_exponentials} exps), "
                f"halving drift={drift:.1e}")
 
     def test_lab_vs_rwa_agreement(self, table):
@@ -254,8 +256,8 @@ class TestCriterion9:
             ("cnot_single", cnot_single_schedule(table(408.0))),
             ("cnot_multi", cnot_multi_schedule(table(400.0), table(408.0), 5.0)),
         ):
-            u_rwa = evolve(sched, table, integrator="rwa").to_lab()
-            u_lab = evolve(sched, table, integrator="lab").u
+            u_rwa = evolve(sched, [table], integrator="rwa").to_lab()[0]
+            u_lab = evolve(sched, [table], integrator="lab").u[0]
             phase = np.vdot(u_rwa.ravel(), u_lab.ravel())
             phase /= abs(phase)
             diff = float(np.linalg.norm(u_lab - phase * u_rwa, 2))

@@ -16,11 +16,11 @@ from dqdsim.cli import (
     write_outputs,
 )
 from dqdsim.device import device_config_text
-from dqdsim.dots import StabilityDiagram, exchange_energy, zeeman_splittings
+from dqdsim.dots import StabilityDiagram
 from dqdsim.errors import ConfigurationError
 from dqdsim.noise import NoisyTableFactory
 
-from conftest import tiny_model
+from conftest import exchange_of, tiny_model, zeeman_of
 
 DIRECT_TABLE = ("400 18.309e9 18.453e9 75.6e3; "
                 "408 18.312e9 18.448e9 19.3e6; "
@@ -31,6 +31,20 @@ DIRECT_TABLE = ("400 18.309e9 18.453e9 75.6e3; "
 def write_cfg(path, body):
     path.write_text(body)
     return str(path)
+
+
+def keep_rows(out, keep):
+    """Keep only the rows of output `out` (CSV and JSON sidecar) whose
+    index `keep(k)` accepts: an interrupted or edited earlier run."""
+    lines = out.read_text().splitlines()
+    head = [l for l in lines if l.startswith("#")]
+    cols, *body = [l for l in lines if not l.startswith("#")]
+    out.write_text("\n".join(head + [cols] + [r for k, r in enumerate(body)
+                                             if keep(k)]) + "\n")
+    sidecar = Path(f"{out}.json")
+    data = json.loads(sidecar.read_text())
+    data["rows"] = [r for k, r in enumerate(data["rows"]) if keep(k)]
+    sidecar.write_text(json.dumps(data, indent=1, sort_keys=True))
 
 
 def tiny_device_file(path):
@@ -168,7 +182,7 @@ protocol = ry_pi_left
 
     def test_failed_sidecar_rename_keeps_the_csv(self, tmp_path, capsys):
         # the sidecar is renamed into place first, so when that fails the
-        # CSV that `--resume` reads is still the earlier run's
+        # CSV is still the earlier run's
         cfg = write_cfg(tmp_path / "exp.cfg", f"""
 [params]
 table = {DIRECT_TABLE}
@@ -182,6 +196,47 @@ protocol = ry_pi_left
         assert "i/o error" in capsys.readouterr().err
         assert out.read_text() == "earlier\n"
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("gate", "sample_ns", "-0.5"),
+        ("gate", "sample_ns", "0"),
+        ("gate", "tau_tr_ns", "-1"),
+        ("noise-sweep", "tau_tr_ns", "-1"),
+        ("transition-sweep", "tau_tr_ns", "1,-2"),
+    ])
+    def test_negative_duration_is_config_error(self, tmp_path, capsys,
+                                               experiment, key, value):
+        # noise-sweep needs a device and a noise level; the others run in
+        # direct mode
+        source, extra = f"[params]\ntable = {DIRECT_TABLE}", ""
+        if experiment == "noise-sweep":
+            source = f"[device]\nfile = {tiny_device_file(tmp_path / 'd.cfg')}"
+            extra = "sigma_uev = 1\nv_m_weak_mv = 340\nv_m_strong_mv = 350"
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""{source}
+[{experiment}]
+protocol = cnot_multi
+{extra}
+{key} = {value}
+""")
+        out = tmp_path / "o.csv"
+        assert main([experiment, "--config", cfg,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"{key} = '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_transition_time_is_the_sudden_limit(self, tmp_path):
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""
+[params]
+table = {DIRECT_TABLE}
+[gate]
+protocol = cnot_multi
+tau_tr_ns = 0
+sample_ns = 10
+""")
+        out = tmp_path / "o.csv"
+        assert main(["gate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        meta = json.loads((tmp_path / "o.csv.json").read_text())["meta"]
+        assert float(meta["fidelity_percent"]) > 99.0
 
     def test_unreadable_config_is_config_error(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -370,17 +425,21 @@ sigma_uev = 0
 """)
         full = tmp_path / "full.csv"
         assert main(["transition-sweep", "--config", cfg, "--out", str(full)]) == EXIT_OK
-        # simulate an interrupted run: only the first row exists
+        body = [l for l in full.read_text().splitlines()
+                if not l.startswith("#")]
+        # simulate an interrupted run: only the first row exists, in both
+        # files
         partial = tmp_path / "part.csv"
-        lines = full.read_text().splitlines()
-        head = [l for l in lines if l.startswith("#")]
-        body = [l for l in lines if not l.startswith("#")]
-        partial.write_text("\n".join(head + body[:2]) + "\n")
+        partial.write_text(full.read_text())
+        Path(f"{partial}.json").write_text(Path(f"{full}.json").read_text())
+        keep_rows(partial, lambda k: k < 1)
         assert main(["transition-sweep", "--config", cfg, "--out", str(partial),
                      "--resume"]) == EXIT_OK
         body_resumed = [l for l in partial.read_text().splitlines()
                         if not l.startswith("#")]
         assert body_resumed == body
+        assert (Path(f"{partial}.json").read_text()
+                == Path(f"{full}.json").read_text())
 
     def test_resume_recomputes_a_deleted_noise_row_exactly(self, tmp_path):
         # the row is computed again in a run of one sigma, where the full
@@ -399,16 +458,18 @@ v_m_strong_mv = 350
 tau_tr_ns = 0.1
 """)
         out = tmp_path / "noise.csv"
+        sidecar = tmp_path / "noise.csv.json"
         assert main(["noise-sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        full = out.read_text()
-        full_rows = json.loads((tmp_path / "noise.csv.json").read_text())["rows"]
+        full, full_json = out.read_text(), sidecar.read_text()
+        full_rows = json.loads(full_json)["rows"]
         lines = full.splitlines()
         assert lines[-2].startswith("1,")
-        out.write_text("\n".join(lines[:-2] + lines[-1:]) + "\n")
+        keep_rows(out, lambda k: k != 1)
         assert main(["noise-sweep", "--config", cfg, "--out", str(out),
                      "--resume"]) == EXIT_OK
         assert out.read_text() == full
-        rows = json.loads((tmp_path / "noise.csv.json").read_text())["rows"]
+        assert sidecar.read_text() == full_json
+        rows = json.loads(sidecar.read_text())["rows"]
         assert rows[1] == full_rows[1]
 
     @pytest.mark.parametrize("flag, value", [("--seed", "10"),
@@ -447,14 +508,20 @@ v_m_strong_mv = 410
 sigma_uev = 0
 """)
         out = tmp_path / "tr.csv"
+        sidecar = tmp_path / "tr.csv.json"
         assert main(["transition-sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
         older = out.read_text().replace(f"# version = {__version__}\n",
                                         "# version = 0.0.1\n")
         assert older != out.read_text()
         out.write_text(older)
+        older_json = sidecar.read_text().replace(
+            f'"version": "{__version__}"', '"version": "0.0.1"')
+        assert older_json != sidecar.read_text()
+        sidecar.write_text(older_json)
         assert main(["transition-sweep", "--config", cfg, "--out", str(out),
                      "--resume"]) == EXIT_CONFIG
         assert out.read_text() == older
+        assert sidecar.read_text() == older_json
 
     def test_refuses_rows_of_another_experiment(self, tmp_path):
         # one `out` for both sections: the gate's t_ns rows 1.0 and 2.0
@@ -488,9 +555,9 @@ class TestNoisyTableFactory:
         assert all(factory.solutions[v] is sol for v, sol in sols.items())
         table = factory.clean_table()
         for v, sol in sols.items():
-            e_zl, e_zr = zeeman_splittings(sol, dev.field_map, dev.grid)
-            j = exchange_energy(sol, dev.grid, dev.mat, 420.0)
-            p = dev.spin_params(sol)
+            e_zl, e_zr = zeeman_of(sol, dev.field_map, dev.grid)
+            j = exchange_of(sol, dev.grid, dev.mat, 420.0)
+            (p,) = dev.spin_params([sol])
             assert (p.e_zl_hz, p.e_zr_hz, p.j_hz) == (e_zl, e_zr, j)
             assert p.v_m_mv == sol.biases.v_m * 1e3
             q = table(v)

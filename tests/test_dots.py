@@ -7,19 +7,19 @@ from dqdsim.constants import ZEEMAN_HZ_PER_T
 from dqdsim.device import build_grid
 from dqdsim import dots
 from dqdsim.dots import (
+    Device,
     MagnetFieldMap,
     charge_stability,
-    exchange_energy,
     find_dots,
     localized_pair,
-    zeeman_splittings,
 )
 from dqdsim.errors import ConfigurationError, GeometryError, ModelValidityError
 
 from dqdsim import schrodinger
 from dqdsim.schrodinger import self_consistent_solve
 
-from conftest import quartic_double_well, synthetic_solution, tiny_model
+from conftest import (SHIPPED_BIASES, exchange_of, quartic_double_well,
+                      synthetic_solution, tiny_model, zeeman_of)
 
 from oracles import ci_singlet_triplet_j
 
@@ -128,7 +128,7 @@ class TestZeeman:
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 6.0))
         b0 = 0.6585
         fm = MagnetFieldMap.from_gradient(b0, 0.0, -1.0, 241.0)
-        e_zl, e_zr = zeeman_splittings(sol, fm, grid)
+        e_zl, e_zr = zeeman_of(sol, fm, grid)
         expect = ZEEMAN_HZ_PER_T * b0
         assert e_zl == pytest.approx(expect, rel=1e-12)
         assert e_zr == pytest.approx(expect, rel=1e-12)
@@ -137,7 +137,7 @@ class TestZeeman:
         _, grid, mat = flat_well
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 6.0))
         fm = MagnetFieldMap.from_gradient(0.64, 6e-5, -1.0, 241.0)
-        e_zl, e_zr = zeeman_splittings(sol, fm, grid)
+        e_zl, e_zr = zeeman_of(sol, fm, grid)
         assert e_zl < e_zr
         b = fm(grid.x)
         assert ZEEMAN_HZ_PER_T * b.min() <= e_zl <= ZEEMAN_HZ_PER_T * b.max()
@@ -148,7 +148,7 @@ class TestZeeman:
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 6.0))
         fm = MagnetFieldMap.from_gradient(0.65, 0.0, 50.0, 150.0)
         with pytest.raises(ConfigurationError):
-            zeeman_splittings(sol, fm, grid)
+            zeeman_of(sol, fm, grid)
 
     def test_single_dot_rejected(self, flat_well):
         _, grid, mat = flat_well
@@ -156,15 +156,17 @@ class TestZeeman:
         u = np.tile(1e-5 * (grid.x - xc) ** 2, (grid.ny, 1))
         sol = synthetic_solution(grid, mat, u)
         fm = MagnetFieldMap.from_gradient(0.65, 0.0, -1.0, 241.0)
-        with pytest.raises(GeometryError):
-            zeeman_splittings(sol, fm, grid)
+        # the spin map checks each member's geometry before its splittings
+        dev = Device(grid.spec, mat, SHIPPED_BIASES, grid, fm, 60.0)
+        (got,) = dev.spin_params([sol])
+        assert isinstance(got, GeometryError)
 
 
 class TestExchange:
     def test_decoupled_limit(self, flat_well):
         _, grid, mat = flat_well
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 30.0))
-        j = exchange_energy(sol, grid, mat, 60.0)
+        j = exchange_of(sol, grid, mat, 60.0)
         assert j < 1.0  # Hz: infinite-barrier limit, J -> 0
 
     def test_monotone_in_barrier(self, flat_well):
@@ -172,7 +174,7 @@ class TestExchange:
         js = []
         for barrier in (10.0, 12.0, 14.0, 16.0):
             sol = synthetic_solution(grid, mat, quartic_double_well(grid, barrier))
-            js.append(exchange_energy(sol, grid, mat, 60.0))
+            js.append(exchange_of(sol, grid, mat, 60.0))
         assert all(a > b for a, b in zip(js, js[1:]))
         # near log-linear over the window: successive ratios within 2x
         ratios = [np.log(a / b) for a, b in zip(js, js[1:])]
@@ -182,10 +184,10 @@ class TestExchange:
         # micro-eV scale detuning barely moves J (it enters quadratically
         # against U - V), even though the raw splitting is dominated by it
         _, grid, mat = flat_well
-        j0 = exchange_energy(
+        j0 = exchange_of(
             synthetic_solution(grid, mat, quartic_double_well(grid, 14.0)),
             grid, mat, 60.0)
-        j1 = exchange_energy(
+        j1 = exchange_of(
             synthetic_solution(grid, mat,
                                quartic_double_well(grid, 14.0, tilt_uev=60.0)),
             grid, mat, 60.0)
@@ -194,7 +196,7 @@ class TestExchange:
     def test_localized_pair_reproduces_splitting(self, flat_well):
         _, grid, mat = flat_well
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 12.0))
-        _, _, h2 = localized_pair(sol, grid)
+        _, _, (h2,) = localized_pair([sol], grid)
         split = sol.spectrum.energies_ev[1] - sol.spectrum.energies_ev[0]
         eps = h2[0, 0] - h2[1, 1]
         assert np.hypot(eps, 2 * h2[0, 1]) == pytest.approx(split, rel=1e-9)
@@ -206,7 +208,7 @@ class TestExchange:
         # sector itself
         _, grid, mat = flat_well
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 12.0))
-        j_hub = exchange_energy(sol, grid, mat, 60.0)
+        j_hub = exchange_of(sol, grid, mat, 60.0)
         j_ci = ci_singlet_triplet_j(sol, grid, mat, 60.0)
         # the CI includes the ferromagnetic direct exchange, so it lower-bounds
         # the Hubbard value; the hybridization scale must still agree
@@ -224,8 +226,58 @@ class TestExchange:
             return val * (1.0 - 2.0 * np.eye(len(fields)))
 
         monkeypatch.setattr(dots_mod, "coulomb_integrals", fake)
-        with pytest.raises(ModelValidityError):
-            exchange_energy(sol, grid, mat, 60.0)
+        assert isinstance(exchange_of(sol, grid, mat, 60.0),
+                          ModelValidityError)
+
+
+class TestSpinMapStack:
+    """`Device.spin_params` gives each member of a stack its SpinParams,
+    or the DqdError that drops it in its place, bit for bit as the member
+    gets them in a stack of one."""
+
+    @pytest.fixture
+    def device(self, flat_well):
+        spec, grid, mat = flat_well
+        fm = MagnetFieldMap.from_gradient(0.64, 6e-5, -1.0, 241.0)
+        return Device(spec, mat, SHIPPED_BIASES, grid, fm, 60.0)
+
+    def double_wells(self, device, barriers_mev):
+        return [synthetic_solution(device.grid, device.mat,
+                                   quartic_double_well(device.grid, b))
+                for b in barriers_mev]
+
+    def test_geometry_failure_keeps_its_place(self, device):
+        grid = device.grid
+        xc = grid.spec.width_nm / 2
+        one_valley = synthetic_solution(
+            grid, device.mat, np.tile(1e-5 * (grid.x - xc) ** 2, (grid.ny, 1)))
+        first, last = self.double_wells(device, (12.0, 14.0))
+        stack = [first, one_valley, last]
+        got = device.spin_params(stack)
+        alone = [device.spin_params([sol])[0] for sol in stack]
+        assert isinstance(got[1], GeometryError)
+        assert isinstance(alone[1], GeometryError)
+        assert str(got[1]) == str(alone[1])
+        assert [got[0], got[2]] == [alone[0], alone[2]]
+        assert all(np.isfinite(p.j_hz) and p.j_hz > 0 for p in alone[::2])
+
+    def test_model_validity_failure_keeps_its_place(self, device,
+                                                     monkeypatch):
+        stack = self.double_wells(device, (12.0, 13.0, 14.0))
+        alone = [device.spin_params([sol])[0] for sol in stack]
+        real = dots.coulomb_integrals
+
+        def fake(kernel, fields, grid_):
+            # member 1 of a stack of three: U - V changes sign
+            val = real(kernel, fields, grid_)
+            if len(val) == 3:
+                val[1] = -val[1]
+            return val
+
+        monkeypatch.setattr(dots, "coulomb_integrals", fake)
+        got = device.spin_params(stack)
+        assert isinstance(got[1], ModelValidityError)
+        assert [got[0], got[2]] == [alone[0], alone[2]]
 
 
 class TestFieldMapCalibration:
@@ -235,7 +287,7 @@ class TestFieldMapCalibration:
         sol = synthetic_solution(grid, mat, quartic_double_well(grid, 10.0))
         fmap, params = calibrate_field_map(sol, grid, 15.0)
         assert params["profile"] == "plateaus"
-        e_zl, e_zr = zeeman_splittings(sol, fmap, grid)
+        e_zl, e_zr = zeeman_of(sol, fmap, grid)
         # sampled-curve interpolation leaves a sub-kHz residual, far
         # inside the 1% anchor tolerance
         assert e_zl == pytest.approx(ANCHOR_E_ZL_HZ, abs=5e3)

@@ -49,8 +49,6 @@ KNOBS = {
         "kept: criterion 9c's manufactured solution",
     "device.parse_device_config(source)": "device.load_device_config",
     "device.device_config_text(extra)": "calibrate.calibrate",
-    "dots.zeeman_splittings(pair)": "dots.Device.spin_params",
-    "dots.exchange_energy(pair)": "dots.Device.spin_params",
     "dots.dot_occupations(length_nm)":
         "perfbench.workloads.NoiseMC.setup_failures",
     "dynamics.DrivePulse.phase_rad": "protocols.ry_pulse",

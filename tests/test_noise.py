@@ -13,8 +13,6 @@ from dqdsim.dots import (
     MagnetFieldMap,
     coulomb_integrals,
     coulomb_kernel,
-    exchange_energy,
-    zeeman_splittings,
 )
 from dqdsim.dynamics import CNOT_DOWN, CNOT_UP, ry_matrix
 from dqdsim.errors import ConfigurationError, GeometryError, NumericalError
@@ -33,7 +31,8 @@ from dqdsim.protocols import (cnot_multi_schedule, cnot_single_schedule,
                               schedule_ry)
 from dqdsim.schrodinger import solve_eigenstates
 
-from conftest import SHIPPED_BIASES, quartic_double_well, synthetic_solution
+from conftest import (SHIPPED_BIASES, exchange_of, quartic_double_well,
+                      synthetic_solution, zeeman_of)
 from oracles import dense_coulomb_kernel, dense_two_body_integral
 
 
@@ -111,9 +110,9 @@ class TestPerturbedSpinParams:
         _, grid, mat = flat_well
         cfg = NoiseConfig(sigma_uev=0.0, seed=5, n_samples=1)
         noise = sample_noise(grid, cfg, 1)
-        p = perturbed_spin_params(flat_device, well_solution, noise)
-        e_zl, e_zr = zeeman_splittings(well_solution, field_map, grid)
-        j = exchange_energy(well_solution, grid, mat, 60.0)
+        (p,) = perturbed_spin_params(flat_device, well_solution, [noise])
+        e_zl, e_zr = zeeman_of(well_solution, field_map, grid)
+        j = exchange_of(well_solution, grid, mat, 60.0)
         assert p.e_zl_hz == pytest.approx(e_zl, rel=1e-12)
         assert p.e_zr_hz == pytest.approx(e_zr, rel=1e-12)
         assert p.j_hz == pytest.approx(j, rel=1e-9)
@@ -122,12 +121,12 @@ class TestPerturbedSpinParams:
                                    well_solution, field_map):
         _, grid, mat = flat_well
         cfg = NoiseConfig(sigma_uev=5.0, seed=11, n_samples=1)
-        e_zl0, e_zr0 = zeeman_splittings(well_solution, field_map, grid)
-        j0 = exchange_energy(well_solution, grid, mat, 60.0)
+        e_zl0, e_zr0 = zeeman_of(well_solution, field_map, grid)
+        j0 = exchange_of(well_solution, grid, mat, 60.0)
         rel_ez, rel_j = [], []
-        for i in range(1, 9):
-            p = perturbed_spin_params(flat_device, well_solution,
-                                      sample_noise(grid, cfg, i))
+        for p in perturbed_spin_params(
+                flat_device, well_solution,
+                [sample_noise(grid, cfg, i) for i in range(1, 9)]):
             rel_ez.append(abs(p.e_zl_hz - e_zl0) / e_zl0)
             rel_j.append(abs(p.j_hz - j0) / j0)
         # relative J fluctuation exceeds relative E_Z fluctuation by far
@@ -137,13 +136,13 @@ class TestPerturbedSpinParams:
                                     well_solution):
         # for sigma <= 0.1 ueV, std(J) tracks the first-order sensitivity
         _, grid, mat = flat_well
-        j0 = exchange_energy(well_solution, grid, mat, 60.0)
+        j0 = exchange_of(well_solution, grid, mat, 60.0)
 
         def j_std(sigma, n=14):
             cfg = NoiseConfig(sigma_uev=sigma, seed=3, n_samples=n)
-            vals = [perturbed_spin_params(flat_device, well_solution,
-                                          sample_noise(grid, cfg, i)).j_hz
-                    for i in range(1, n + 1)]
+            vals = [p.j_hz for p in perturbed_spin_params(
+                flat_device, well_solution,
+                [sample_noise(grid, cfg, i) for i in range(1, n + 1)])]
             return np.std(np.array(vals) - j0, ddof=1)
 
         s1 = j_std(0.05)
@@ -155,12 +154,12 @@ class TestPerturbedSpinParams:
         # the eigensolve runs per sample, the spin map once over the stack
         fields = [sample_noise(flat_device.grid, NoiseConfig(5.0, 2, 4), i)
                   for i in range(1, 5)]
-        alone = [perturbed_spin_params(flat_device, well_solution, f)
+        alone = [perturbed_spin_params(flat_device, well_solution, [f])[0]
                  for f in fields]
         assert perturbed_spin_params(flat_device, well_solution,
                                      fields) == alone
-        assert flat_device.spin_params([well_solution] * 2) == [
-            flat_device.spin_params(well_solution)] * 2
+        assert flat_device.spin_params([well_solution] * 2) == (
+            flat_device.spin_params([well_solution]) * 2)
 
     def test_failed_member_of_a_stack_keeps_its_error(self, flat_device,
                                                       well_solution):
@@ -170,7 +169,7 @@ class TestPerturbedSpinParams:
         got = perturbed_spin_params(flat_device, well_solution, fields)
         assert isinstance(got[1], ConfigurationError)
         assert [got[0], got[2]] == [
-            perturbed_spin_params(flat_device, well_solution, fields[k])
+            perturbed_spin_params(flat_device, well_solution, [fields[k]])[0]
             for k in (0, 2)]
 
     def test_shape_mismatch_rejected(self, flat_well, flat_device,
@@ -178,8 +177,8 @@ class TestPerturbedSpinParams:
         _, grid, mat = flat_well
         bad = sample_noise(grid, NoiseConfig(1.0, 1, 1), 1)
         bad.values_ev = bad.values_ev[:-1]
-        with pytest.raises(ConfigurationError):
-            perturbed_spin_params(flat_device, well_solution, bad)
+        (got,) = perturbed_spin_params(flat_device, well_solution, [bad])
+        assert isinstance(got, ConfigurationError)
 
 
 def arpack_spin_params(device, solution, noise):
@@ -189,10 +188,10 @@ def arpack_spin_params(device, solution, noise):
     u = solution.potential_ev + noise.values_ev
     spectrum = solve_eigenstates(u, grid, mat, solution.spectrum.n_states)
     sol = replace(solution, potential_ev=u, spectrum=spectrum)
-    e_zl, e_zr = zeeman_splittings(sol, device.field_map, grid)
-    return SpinParams(e_zl_hz=e_zl, e_zr_hz=e_zr,
-                      j_hz=exchange_energy(sol, grid, mat,
-                                           device.coulomb_length_nm),
+    e_zl, e_zr = zeeman_of(sol, device.field_map, grid)
+    return SpinParams(e_zl_hz=float(e_zl), e_zr_hz=float(e_zr),
+                      j_hz=exchange_of(sol, grid, mat,
+                                       device.coulomb_length_nm),
                       v_m_mv=solution.biases.v_m * 1e3)
 
 
@@ -212,7 +211,7 @@ class TestBlockIterationFallback:
         monkeypatch.setattr(noise_mod, setting, value)
         noise = sample_noise(flat_device.grid, NoiseConfig(5.0, 4, 1), 1)
         with caplog.at_level(logging.DEBUG, logger="dqdsim"):
-            p = perturbed_spin_params(flat_device, well_solution, noise)
+            (p,) = perturbed_spin_params(flat_device, well_solution, [noise])
         records = fallbacks(caplog)
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
@@ -231,9 +230,9 @@ class TestWeylShift:
         sol = shipped_device.solution_at(v_m)
         noise = NoiseField(np.full(sol.potential_ev.shape, -5e-4), 1)
         with caplog.at_level(logging.DEBUG, logger="dqdsim"):
-            p = perturbed_spin_params(shipped_device, sol, noise)
+            (p,) = perturbed_spin_params(shipped_device, sol, [noise])
         assert fallbacks(caplog) == []
-        clean = shipped_device.spin_params(sol)
+        (clean,) = shipped_device.spin_params([sol])
         for got, want in ((p.e_zl_hz, clean.e_zl_hz),
                           (p.e_zr_hz, clean.e_zr_hz), (p.j_hz, clean.j_hz)):
             assert got == pytest.approx(want, rel=1e-9)
@@ -255,8 +254,9 @@ class TestWeylShift:
         with caplog.at_level(logging.DEBUG, logger="dqdsim"):
             for i in range(1, cfg.n_samples + 1):
                 calls.clear()
-                perturbed_spin_params(shipped_device, sol,
-                                      sample_noise(shipped_device.grid, cfg, i))
+                perturbed_spin_params(
+                    shipped_device, sol,
+                    [sample_noise(shipped_device.grid, cfg, i)])
                 assert 1 <= len(calls) <= 4
         assert fallbacks(caplog) == []
 
@@ -273,7 +273,7 @@ class TestBlockIterationOracle:
         with caplog.at_level(logging.DEBUG, logger="dqdsim"):
             for i in range(1, cfg.n_samples + 1):
                 noise = sample_noise(dev.grid, cfg, i)
-                p = perturbed_spin_params(dev, sol, noise)
+                (p,) = perturbed_spin_params(dev, sol, [noise])
                 ref = arpack_spin_params(dev, sol, noise)
                 assert abs(p.e_zl_hz - ref.e_zl_hz) <= 10.0
                 assert abs(p.e_zr_hz - ref.e_zr_hz) <= 10.0
