@@ -219,15 +219,8 @@ def write_outputs(out_path: str, header_cols: list, rows: list, meta: dict):
     temporary file behind. Only when the CSV's own rename fails is the new
     sidecar already in place beside the previous CSV.
     """
-    lines = [f"# {k} = {v}" for k, v in meta.items()]
-    lines.append(",".join(header_cols))
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in r))
-    body = "\n".join(lines) + "\n"
-    sidecar = {"meta": meta, "columns": header_cols, "rows": rows}
-    texts = ((out_path + ".json", json.dumps(sidecar, indent=1, sort_keys=True,
-                                             default=_json_scalar)),
-             (out_path, body))
+    texts = ((out_path + ".json", _sidecar_text(header_cols, rows, meta)),
+             (out_path, _csv_text(header_cols, rows, meta)))
     pending = []
     try:
         for path, text in texts:
@@ -248,6 +241,40 @@ def _fmt(v):
     if isinstance(v, float):
         return f"{v:.10g}"
     return str(v)
+
+
+def _csv_text(header_cols: list, rows: list, meta: dict) -> str:
+    """The CSV: '#' metadata lines, the header, then each row's values as
+    `_fmt` writes them, through one %-format per row signature (the types
+    of its values)."""
+    lines = [f"# {k} = {v}" for k, v in meta.items()]
+    lines.append(",".join(header_cols))
+    formats = {}
+    for r in rows:
+        r = tuple(r)
+        sig = tuple(map(type, r))
+        fmt = formats.get(sig)
+        if fmt is None:
+            fmt = formats[sig] = ",".join(
+                "%.10g" if issubclass(t, float) else "%s" for t in sig)
+        lines.append(fmt % r)
+    return "\n".join(lines) + "\n"
+
+
+def _sidecar_text(header_cols: list, rows: list, meta: dict) -> str:
+    """`json.dumps({"meta", "columns", "rows"}, indent=1, sort_keys=True,
+    default=_json_scalar)`, with each row (a flat sequence of scalars)
+    encoded by the C encoder: its separators give the values the indented
+    layout of a list two levels deep."""
+    head = json.dumps({"meta": meta, "columns": header_cols}, indent=1,
+                      sort_keys=True, default=_json_scalar)
+    encode = json.JSONEncoder(separators=(",\n   ", ": "),
+                              default=_json_scalar).encode
+    body = ",\n  ".join("[\n   " + encode(r)[1:-1] + "\n  ]" if len(r) else "[]"
+                         for r in rows)
+    # "rows" sorts after "columns" and "meta": it closes the object
+    return (head[:-2] + ',\n "rows": '
+            + ("[\n  " + body + "\n ]" if rows else "[]") + "\n}")
 
 
 def _json_scalar(v):

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .constants import COULOMB_EV_NM, EV_TO_HZ, ZEEMAN_HZ_PER_T
 from .device import (
@@ -60,11 +59,48 @@ GRADIENT_SAMPLES = 33
 PLATEAU_SAMPLES = 401
 
 
+def _pchip_edge(h0, h1, m0, m1):
+    """End-point derivative of PCHIP: the one-sided three-point estimate,
+    kept in shape (Moler, Numerical Computing with MATLAB, pchiptx.m)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-form coefficients (4, n - 1) of the monotone cubic (PCHIP)
+    through (x, y), x strictly increasing: on [x_i, x_i+1] the curve is
+    sum_k c[k, i] s^(3-k), s = x - x_i. Interior derivatives are the
+    Fritsch-Butland weighted harmonic mean of the neighbouring slopes, or
+    0 where those differ in sign or one is 0; the scheme and the
+    floating-point operations are scipy's `PchipInterpolator`'s."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full_like(y, m[0])
+    if y.size > 2:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        flat = ((np.sign(m[1:]) != np.sign(m[:-1]))
+                | (m[1:] == 0) | (m[:-1] == 0))
+        d[1:-1] = 0.0
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        d[0] = _pchip_edge(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_edge(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
 class MagnetFieldMap:
     """Lateral profile B_Z(x) of the micromagnet field, tesla.
 
-    Tabulated samples with monotone cubic interpolation; must cover the
-    device extent with positive values.
+    Tabulated samples with monotone cubic (PCHIP) interpolation, extended
+    beyond the samples by the end intervals' cubics; must cover the device
+    extent with positive values.
     """
 
     def __init__(self, x_nm, b_tesla):
@@ -77,7 +113,11 @@ class MagnetFieldMap:
         self.b_tesla = b[order]
         if not np.all(np.isfinite(self.b_tesla)) or np.any(self.b_tesla <= 0):
             raise ConfigurationError("B_Z must be finite and positive")
-        self._interp = PchipInterpolator(self.x_nm, self.b_tesla)
+        if not (np.all(np.isfinite(self.x_nm))
+                and np.all(np.diff(self.x_nm) > 0)):
+            raise ConfigurationError(
+                "field map x must be finite and without repeats")
+        self._coefs = _pchip_coefficients(self.x_nm, self.b_tesla)
 
     @classmethod
     def from_gradient(cls, b0_tesla: float, gradient_t_per_nm: float,
@@ -107,7 +147,14 @@ class MagnetFieldMap:
         return self.x_nm[0] <= x0 and self.x_nm[-1] >= x1
 
     def __call__(self, x_nm):
-        return self._interp(np.asarray(x_nm, dtype=float))
+        x = np.asarray(x_nm, dtype=float)
+        # the interval [x_i, x_i+1) holding x (the last one closed), or the
+        # end interval of an x outside
+        i = np.clip(np.searchsorted(self.x_nm, x, side="right") - 1,
+                    0, self.x_nm.size - 2)
+        s = x - self.x_nm[i]
+        c = self._coefs[:, i]
+        return c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
 
 
 def field_map_from_config(section: dict, device_width_nm: float) -> MagnetFieldMap:

@@ -24,6 +24,15 @@ Two integrators:
                 drive and hold segments cost one exponential each.
 So in the lab frame a drive costs O(one drive period) of step exponentials
 and a ramp its rotating-frame steps, not O(duration x E_Z).
+
+A sampled trajectory takes its rows from batched stacks. The kernel returns
+the prefix products of a stepped stretch with its propagator, from the same
+step exponentials. A row's map is R_i Q_j P^n (i steps of the rest, j of a
+period, n whole periods), gathered for all rows at once, with P^n by binary
+powering over the stack of rows, as `np.linalg.matrix_power` gives the
+segment's P^N; the lab frame's phases multiply the stack in one broadcast,
+and each segment's rows are one (k, 4, 4) @ psi. Rows are assembled in
+chunks of at most `kernels.CHUNK_STEPS`.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DqdError, NumericalError, ScheduleError
-from .kernels import propagate_affine, step_exponentials
+from .kernels import CHUNK_STEPS, propagate_affine
 from .params import SpinParams
 
 SQRT3 = math.sqrt(3.0)
@@ -142,11 +151,13 @@ CNOT_DOWN = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]],
                      dtype=complex)
 
 
-def rot_to_lab(u_rot: np.ndarray, total_time_s: float, frame_freq_hz: float) -> np.ndarray:
+def rot_to_lab(u_rot: np.ndarray, total_time_s, frame_freq_hz: float) -> np.ndarray:
     """Transform a rotating-frame propagator (frame at t=0 aligned with the
-    lab) back to the lab frame."""
-    phases = np.exp(-2j * np.pi * frame_freq_hz * total_time_s * SZ_TOT_DIAG)
-    return phases[:, None] * u_rot
+    lab) back to the lab frame: one time for a propagator or a stack of
+    them, or one time per propagator of a stack (k, 4, 4)."""
+    phases = np.exp(-2j * np.pi * frame_freq_hz * np.asarray(total_time_s)[..., None]
+                    * SZ_TOT_DIAG)
+    return phases[..., :, None] * u_rot
 
 
 def unitarity_defect(u: np.ndarray) -> np.ndarray:
@@ -273,48 +284,56 @@ def _compile_segment(seg, t0_s: float, params: list, sources: list,
                    period_s=1.0 / abs(d.freq_hz) if d.freq_hz else None)
 
 
-def _prefix_products(h_base: np.ndarray, h_coef: np.ndarray,
-                     coefs: np.ndarray, dt_s: float, ends) -> dict:
-    """{k: product of the first k CF4 steps of `coefs`} for k in `ends`,
-    from one stack of step exponentials scanned in log-depth."""
-    out = {0: np.eye(4, dtype=complex)}
-    last = max(ends, default=0)
-    if last:
-        scan = step_exponentials(h_base, h_coef, coefs[:2 * last],
-                                 0.5 * dt_s)
-        shift = 1
-        while shift < scan.shape[0]:
-            scan[shift:] = scan[shift:] @ scan[:-shift]
-            shift *= 2
-        out.update((k, scan[2 * k - 1]) for k in ends if k)
-    return out
-
-
-def _propagate(gen: _Affine, seqs: list) -> np.ndarray:
-    """The members' products of their (coefficients, step) CF4 sequences."""
+def _propagate(gen: _Affine, seqs: list, ends: np.ndarray):
+    """The members' products of their (coefficients, step) CF4 sequences,
+    and the products of the first k CF4 steps for each k of `ends` (empty
+    but for a stack of one)."""
     coefs = [c for c, _ in seqs]
     return propagate_affine(gen.h_base, gen.h_coef, np.concatenate(coefs),
                             [0.5 * dt for _, dt in seqs],
-                            [c.size for c in coefs])
+                            [c.size for c in coefs], 2 * ends)
+
+
+def _matrix_powers(p: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """p^n for each entry of the integer array `n`, (n.size, 4, 4): binary
+    powering over the stack, the scheme of `np.linalg.matrix_power`."""
+    out = np.broadcast_to(np.eye(4, dtype=complex), (n.size, 4, 4)).copy()
+    n = n.copy()
+    while n.any():
+        odd = np.flatnonzero(n & 1)
+        # a stack times one matrix is one (4k, 4) x (4, 4) product
+        out[odd] = (out[odd].reshape(-1, 4) @ p).reshape(-1, 4, 4)
+        n >>= 1
+        p = p @ p
+    return out
+
+
+def _chunks(n: int):
+    """Slices of at most `CHUNK_STEPS` over n rows."""
+    return (slice(c, c + CHUNK_STEPS) for c in range(0, n, CHUNK_STEPS))
 
 
 def _stepped(gen: _Affine, t0_s: float, dur_s: float, dt_factor: float,
-             marks_s: np.ndarray):
+             marks_s: np.ndarray, psi: np.ndarray | None):
     """Propagate a stepped segment that starts at `t0_s`, for each member.
 
     Returns the members' propagators (B, 4, 4), their number of CF4
     exponential factors (summed), their largest step, and, for a stack of
-    one, a row (time, map) for each stride mark in `marks_s` (seconds from
-    the segment start): the first step end at or after the mark, if it
-    lies before the segment's end, and the map from the segment's initial
-    state to the state there.
+    one, the rows of the stride marks `marks_s` (seconds from the segment
+    start): for each mark, the first step end at or after it, if it lies
+    before the segment's end, once, as its time (s) and the state there
+    from the state `psi` at the segment's start, (k,) and (k, 4).
 
     A periodic drive takes m equal steps per period, the fewest within the
     member's cap, so every period has the same coefficients: its N whole
     periods are the period product P raised to the N-th power (binary
     powering), and the rest of the segment takes the fewest equal steps no
     longer than the period's. Any other segment is that rest alone, within
-    the cap.
+    the cap. A row after n whole periods, j steps of the next and i steps
+    of the rest maps the state by R_i Q_j P^n, of which R_i or Q_j is the
+    identity: the prefix products R_i and Q_j come from the kernel with
+    the segment's propagator, and P^n by binary powering over the stack of
+    rows.
     """
     period = gen.period_s or 0.0
     n_per = int(dur_s // period) if gen.period_s is not None else 0
@@ -335,15 +354,10 @@ def _stepped(gen: _Affine, t0_s: float, dur_s: float, dt_factor: float,
                                  n_rest), dt_rest))
         if n_per:
             periods.append((_cf4_coefs(gamma, t0_s, dt_s, m), dt_s))
-    u = _propagate(gen, rests)
-    if n_per:
-        p = _propagate(gen, periods)
-        u = u @ np.linalg.matrix_power(p, n_per)
-    if gen.frame_hz:
-        u = rot_to_lab(u, dur_s, gen.frame_hz)
 
-    rows = []
-    if marks_s.size:
+    sampled = marks_s.size > 0
+    ends_i = ends_j = np.empty(0, dtype=int)
+    if sampled:
         # global index of the first step end at or after each mark, split
         # into whole periods n, steps j into the next period, and steps i
         # into the rest
@@ -357,22 +371,34 @@ def _stepped(gen: _Affine, t0_s: float, dur_s: float, dt_factor: float,
         steps = np.unique(steps[steps < n_p + n_rest])
         n_of, j_of = np.divmod(np.minimum(steps, n_p), max(m, 1))
         i_of = np.maximum(steps - n_p, 0)
-        pre_p = _prefix_products(gen.h_base[0], gen.h_coef,
-                                 periods[0][0] if n_per else None, dt_s,
-                                 j_of.tolist())
-        pre_r = _prefix_products(gen.h_base[0], gen.h_coef, rests[0][0],
-                                 dt_rest, i_of.tolist())
-        powers = [pre_p[0]]
-        for _ in range(int(n_of.max(initial=0))):
-            powers.append(p[0] @ powers[-1])
-        for n, j, i in zip(n_of, j_of, i_of):
-            t_s = n * period + j * dt_s + i * dt_rest
-            mat = pre_r[i] @ pre_p[j] @ powers[n]
-            rows.append((t_s, rot_to_lab(mat, t_s, gen.frame_hz)
-                         if gen.frame_hz else mat))
+        ends_j, j_row = np.unique(j_of, return_inverse=True)
+        ends_i, i_row = np.unique(i_of, return_inverse=True)
+    u, pre_i = _propagate(gen, rests, ends_i)
+    pre_j = np.eye(4, dtype=complex)[None]
+    if n_per:
+        p, pre_j = _propagate(gen, periods, ends_j)
+        u = u @ np.linalg.matrix_power(p, n_per)
+    if gen.frame_hz:
+        u = rot_to_lab(u, dur_s, gen.frame_hz)
+
+    rows_s, states = np.empty(0), np.empty((0, 4), dtype=complex)
+    if sampled:
+        rows_s = n_of * period + j_of * dt_s + i_of * dt_rest
+        # a row is in the rest (i > 0, j = 0, n = N) or not (i = 0): its
+        # left factor, R_i or Q_j, from one stack of both
+        lefts = np.concatenate([pre_j, pre_i])
+        left_row = np.where(i_of > 0, pre_j.shape[0] + i_row, j_row)
+        states = np.empty((steps.size, 4), dtype=complex)
+        for rows in _chunks(steps.size):
+            maps = lefts[left_row[rows]]
+            if n_per:
+                maps = maps @ _matrix_powers(p[0], n_of[rows])
+            if gen.frame_hz:
+                maps = rot_to_lab(maps, rows_s[rows], gen.frame_hz)
+            states[rows] = maps @ psi
     n_exp = sum(2 * (n_per * m + n_rest) for m, _, n_rest, _ in plans)
     dt_max = max(dt_s if n_per else dt_rest for _, dt_s, _, dt_rest in plans)
-    return u, n_exp, dt_max, rows
+    return u, n_exp, dt_max, rows_s, states
 
 
 def evolve(schedule, sources: list, integrator: str = "rwa",
@@ -399,7 +425,8 @@ def evolve(schedule, sources: list, integrator: str = "rwa",
         step end at or after it: the mark itself in a constant segment,
         the next step end in a stepped one, or the segment's end. Rows do
         not enter the propagator: sampled and unsampled `u` are equal.
-        For a stack of one.
+        For a stack of one; a stride that rounds to 0 ps raises
+        ConfigurationError.
 
     Ramp steps (both frames) are capped at 1/(dt_factor max(J, detunings
     from the frame)), lab-frame drive steps at 1/(dt_factor max(E_ZL, E_ZR,
@@ -461,24 +488,19 @@ def evolve(schedule, sources: list, integrator: str = "rwa",
     t_ps = 0
 
     psi = None
-    traj_t: list[float] = []
-    traj_a: list[np.ndarray] = []
+    traj_t, traj_a = [], []
     marks_ps = np.empty(0, dtype=int)
     if sampling:
+        stride_ps = int(round(sample_every_ns * 1000.0))
+        if stride_ps < 1:
+            raise ConfigurationError(
+                f"trajectory stride {sample_every_ns!r} ns rounds to 0 ps")
         psi = np.zeros(4, dtype=complex)
         psi[STATE_DD] = 1.0
-        traj_t.append(0.0)
-        traj_a.append(psi.copy())
-        stride_ps = max(int(round(sample_every_ns * 1000.0)), 1)
-        next_sample_ps = stride_ps
-
-    def record(time_ps: int, state: np.ndarray):
-        nonlocal next_sample_ps
-        if time_ps >= next_sample_ps:
-            traj_t.append(time_ps * 1e-3)
-            traj_a.append(state)
-            while next_sample_ps <= time_ps:
-                next_sample_ps += stride_ps
+        traj_t.append(np.zeros(1))
+        traj_a.append(psi[None])
+        # the stride bucket (time // stride) of the last row offered
+        bucket = 0
 
     def apply_events_at(time_ps: int):
         nonlocal ev_idx, u, psi
@@ -498,30 +520,42 @@ def evolve(schedule, sources: list, integrator: str = "rwa",
             marks_ps = np.arange(first_ps, t_ps + seg.duration_ps,
                                  stride_ps) - t_ps
         if isinstance(gen, _Affine):
-            mat, n, dt_s, rows = _stepped(gen, t_ps * PS, seg.duration_ps * PS,
-                                          dt_factor, marks_ps * PS)
+            mat, n, dt_s, rows_s, states = _stepped(
+                gen, t_ps * PS, seg.duration_ps * PS, dt_factor,
+                marks_ps * PS, psi)
             dt_max_s = max(dt_max_s, dt_s)
         else:
             mat, n = _expm_h(gen, seg.duration_ps * PS), len(gen)
-            rows = (zip(marks_ps * PS, _expm_h(gen[0], marks_ps * PS))
-                    if sampling else ())
+            rows_s = marks_ps * PS
+            states = np.empty((rows_s.size, 4), dtype=complex)
+            for rows in _chunks(rows_s.size):
+                states[rows] = _expm_h(gen[0], rows_s[rows]) @ psi
         n_exp += n
-        if sampling:
-            for row_s, m in rows:
-                # the clock is the row's time within the segment, rounded,
-                # so rounding does not accumulate
-                record(t_ps + int(round(row_s / PS)), m @ psi)
-            psi = mat[0] @ psi
         u = mat @ u
-        t_ps += seg.duration_ps
         if sampling:
-            record(t_ps, psi)
+            psi = mat[0] @ psi
+            # the clock is each row's time within the segment, rounded, so
+            # rounding does not accumulate; the segment's end closes it
+            times_ps = np.append(t_ps + np.round(rows_s / PS).astype(int),
+                                 t_ps + seg.duration_ps)
+            # a row is kept if a stride mark lies after the row offered
+            # before it and at or before its own time: its bucket is newer
+            # (offered times never decrease)
+            buckets = times_ps // stride_ps
+            keep = np.diff(buckets, prepend=bucket) > 0
+            bucket = buckets[-1]
+            traj_t.append(times_ps[keep] * 1e-3)
+            traj_a.append(np.vstack([states, psi])[keep])
+        t_ps += seg.duration_ps
 
     t_ps = sum(seg.duration_ps for seg in segments)
-    if sampling and traj_t[-1] < t_ps * 1e-3:
-        # the gate time is not a multiple of the stride: end on the final state
-        traj_t.append(t_ps * 1e-3)
-        traj_a.append(psi.copy())
+    if sampling:
+        traj_t, traj_a = np.concatenate(traj_t), np.concatenate(traj_a)
+        if traj_t[-1] < t_ps * 1e-3:
+            # the gate time is not a multiple of the stride: end on the
+            # final state
+            traj_t = np.append(traj_t, t_ps * 1e-3)
+            traj_a = np.vstack([traj_a, psi])
     apply_events_at(t_ps)
 
     defect = unitarity_defect(u)
@@ -541,8 +575,8 @@ def evolve(schedule, sources: list, integrator: str = "rwa",
         frame_freq_hz=frame_freq, total_time_ns=total_ns,
         dt_ns=dt_max_s * 1e9, n_exponentials=n_exp,
         unitarity_defect=defects, failures=failures,
-        trajectory_t_ns=np.array(traj_t) if sampling else None,
-        trajectory_amps=np.array(traj_a) if sampling else None,
+        trajectory_t_ns=traj_t if sampling else None,
+        trajectory_amps=traj_a if sampling else None,
     )
 
 

@@ -10,6 +10,13 @@ pairwise product exactly as it is alone. The lab-frame integrator computes
 O(10^3) such exponentials per gate: one drive period, the rest of each
 drive segment, and each bias ramp at the rotating frame's step.
 
+For a stack of one, the kernel can also return the products of the first
+e exponentials for a set of even e (the rows of a sampled trajectory). It
+takes them from a blocked prefix scan over the pair products
+E_{2k+1} E_{2k} of each chunk, which are the first level of the chunk's
+pairwise product: every exponential is computed once, and U is bit for
+bit the one computed without them.
+
 How a step is exponentiated depends on the generator alone. When neither
 H_base nor H_coef has an entry coupling two total-S_z sectors, {uu},
 {ud, du} and {dd} (every bias ramp, in either frame: Zeeman terms and the
@@ -19,6 +26,8 @@ drive) takes a batched 4x4 Hermitian eigendecomposition.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -73,23 +82,47 @@ def step_exponentials(h_base: np.ndarray, h_coef: np.ndarray,
     return out
 
 
+def _halve(mats: np.ndarray) -> np.ndarray:
+    """One level of the pairwise product along the third-last axis:
+    mats[2k+1] @ mats[2k], and an odd last matrix kept as it is."""
+    n = mats.shape[-3]
+    half = n // 2
+    paired = np.matmul(mats[..., 1 : 2 * half : 2, :, :],
+                       mats[..., 0 : 2 * half : 2, :, :])
+    if n % 2:
+        return np.concatenate([paired, mats[..., -1:, :, :]], axis=-3)
+    return paired
+
+
 def ordered_product(mats: np.ndarray) -> np.ndarray:
     """Product mats[..., n-1, :, :] @ ... @ mats[..., 0, :, :] by pairwise
     halving along the third-last axis, for each leading index."""
     while mats.shape[-3] > 1:
-        n = mats.shape[-3]
-        half = n // 2
-        paired = np.matmul(mats[..., 1 : 2 * half : 2, :, :],
-                           mats[..., 0 : 2 * half : 2, :, :])
-        if n % 2:
-            mats = np.concatenate([paired, mats[..., -1:, :, :]], axis=-3)
-        else:
-            mats = paired
+        mats = _halve(mats)
     return mats[..., 0, :, :]
 
 
+def _prefix_scan(mats: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products mats[k] @ ... @ mats[0] of a stack
+    (n, 4, 4), in blocks of about sqrt(n): each block's own prefixes,
+    batched over the blocks, then each block times the product of all
+    before it, as one matrix product per block."""
+    n = mats.shape[0]
+    size = max(math.isqrt(n), 1)
+    blocks = -(-n // size)
+    out = np.empty((blocks * size, 4, 4), dtype=complex)
+    out[:n] = mats
+    out[n:] = np.eye(4)
+    grid = out.reshape(blocks, size, 4, 4)
+    for k in range(1, size):
+        grid[:, k] = grid[:, k] @ grid[:, k - 1]
+    for b in range(1, blocks):
+        grid[b] = (grid[b].reshape(-1, 4) @ grid[b - 1, -1]).reshape(size, 4, 4)
+    return out[:n]
+
+
 def propagate_affine(h_base: np.ndarray, h_coef: np.ndarray,
-                     coefs: np.ndarray, dt_s, counts) -> np.ndarray:
+                     coefs: np.ndarray, dt_s, counts, ends=None):
     """U_b = prod_k expm(-i 2 pi dt_b (h_base[b] + c_bk h_coef)), applied in
     order, for each member b of a stack: (B, 4, 4).
 
@@ -98,6 +131,11 @@ def propagate_affine(h_base: np.ndarray, h_coef: np.ndarray,
     after another (length sum(counts)); c_bk multiplies h_coef in member
     b's k-th exponential, and index 0 acts first. A member's product does
     not depend on the other members of its stack.
+
+    `ends` asks also for the products of the first e exponentials, for
+    each e of `ends` (even, at most the count; for a stack of one unless
+    empty): the call then returns (U, their (len(ends), 4, 4) stack), with
+    U as without `ends`.
     """
     coefs = np.ascontiguousarray(coefs, dtype=float)
     h_base = np.asarray(h_base, dtype=complex)
@@ -106,6 +144,13 @@ def propagate_affine(h_base: np.ndarray, h_coef: np.ndarray,
     counts = np.asarray(counts, dtype=int)
     first = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(int)
     u = np.broadcast_to(np.eye(4, dtype=complex), h_base.shape).copy()
+    if ends is not None:
+        ends = np.asarray(ends, dtype=int)
+        if ends.size and (h_base.shape[0] != 1 or np.any(ends % 2)
+                          or np.any(ends < 0) or np.any(ends > counts[0])):
+            raise ValueError("ends are even counts within a stack of one")
+        prefixes = np.broadcast_to(np.eye(4, dtype=complex),
+                                   (ends.size, 4, 4)).copy()
     for start in range(0, int(counts.max(initial=0)), CHUNK_STEPS):
         active = np.flatnonzero(counts > start)
         span = np.minimum(counts[active] - start, CHUNK_STEPS)
@@ -128,6 +173,16 @@ def propagate_affine(h_base: np.ndarray, h_coef: np.ndarray,
                 padded = np.broadcast_to(np.eye(4, dtype=complex),
                                          (members.size, longest, 4, 4)).copy()
                 padded[np.arange(longest) < steps[:, None]] = exps
-            chunk = ordered_product(padded)
+            # the first level of the pairwise product: E_{2k+1} E_{2k}
+            pairs = _halve(padded)
+            if ends is not None:
+                # the ends that fall in this chunk, as its pairs before them
+                before = (ends - start) // 2
+                hit = (before > 0) & (ends <= start + longest)
+                if hit.any():
+                    scan = _prefix_scan(pairs[0, :before[hit].max()])
+                    prefixes[hit] = (scan[before[hit] - 1] if start == 0
+                                     else scan[before[hit] - 1] @ u[0])
+            chunk = ordered_product(pairs)
             u[members] = chunk if start == 0 else chunk @ u[members]
-    return u
+    return u if ends is None else (u, prefixes)

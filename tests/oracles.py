@@ -5,11 +5,18 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize
 
 from dqdsim.constants import COULOMB_EV_NM, EV_TO_HZ, HBAR2_OVER_2M0
 from dqdsim.dots import _segment_coulomb, localized_pair
 from dqdsim.schrodinger import well_rows
+
+
+def pchip_field(fmap, x_nm) -> np.ndarray:
+    """B_Z of a `MagnetFieldMap` at x_nm by scipy's PchipInterpolator
+    through the map's samples."""
+    return PchipInterpolator(fmap.x_nm, fmap.b_tesla)(x_nm)
 
 
 def fermi_integral_quadrature(eta: float, order: float) -> float:
@@ -200,3 +207,122 @@ def frame_optimized_fidelity_nelder_mead(u_actual: np.ndarray,
                        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000})
         best = min(best, res.fun)
     return 100.0 * ((best**2 / 4 + 1.0) / 5.0)
+
+
+def sequential_trajectory(schedule, source, integrator: str, stride_ns: float,
+                          dt_factor: float = 200.0):
+    """(t_ns, amplitudes) of `evolve(schedule, [source], integrator,
+    dt_factor, sample_every_ns=stride_ns)`, rebuilt row by row with the
+    products taken one factor at a time.
+
+    Each segment is compiled and stepped on the grid `evolve` uses. A mark
+    in a stepped segment maps the state by R_i Q_j P^n: n whole drive
+    periods, j steps into the next period and i steps into the rest, where
+    Q_j and R_i multiply the step exponentials one by one and P^n is a
+    chain of n products. P itself is the kernel's period product, as in
+    `evolve`: a P multiplied out one factor at a time differs from it at
+    round-off, which ~900 powers amplify past 1e-12. A mark in a constant segment takes the exact
+    exponential to the mark. Each segment starts from the state its
+    predecessors' propagators, as `evolve` computes them, give. A row is
+    kept when its time reaches the next mark after the last kept row; the
+    final state closes the trajectory.
+    """
+    from dqdsim.dynamics import (PS, STATE_DD, _Affine, _cf4_coefs,
+                                 _compile_segment, _expm_h, _stepped,
+                                 rot_to_lab, rz_matrix)
+    from dqdsim.kernels import propagate_affine, step_exponentials
+
+    def prefixes(gen, coefs, dt_s, last):
+        exps = step_exponentials(gen.h_base[0], gen.h_coef, coefs[:2 * last],
+                                 0.5 * dt_s)
+        out = [np.eye(4, dtype=complex)]
+        for e in exps:
+            out.append(e @ out[-1])
+        return out[::2]              # after each whole CF4 step
+
+    stride_ps = int(round(stride_ns * 1000.0))
+    segments = list(schedule.segments)
+    nodes = {v for s in segments for v in (s.v_m_mv, s.ramp_from_mv)
+             if v is not None}
+    params = [{v: source(v) for v in nodes}]
+    events = sorted(schedule.vz_events, key=lambda e: e[0])
+    psi = np.zeros(4, dtype=complex)
+    psi[STATE_DD] = 1.0
+    times, amps = [0.0], [psi]
+    next_ps = stride_ps
+
+    def record(time_ps, state):
+        nonlocal next_ps
+        if time_ps >= next_ps:
+            times.append(time_ps * 1e-3)
+            amps.append(state)
+            while next_ps <= time_ps:
+                next_ps += stride_ps
+
+    t_ps = 0
+    for seg in segments:
+        while events and events[0][0] <= t_ps:
+            _, target, angle = events.pop(0)
+            psi = rz_matrix(target, angle) @ psi
+        gen = _compile_segment(seg, t_ps * PS, params, [source], integrator,
+                               schedule.frame_freq_hz)
+        dur_s = seg.duration_ps * PS
+        first_ps = (t_ps // stride_ps + 1) * stride_ps
+        marks_s = (np.arange(first_ps, t_ps + seg.duration_ps, stride_ps)
+                   - t_ps) * PS
+        if not isinstance(gen, _Affine):
+            for mark_s in marks_s:
+                record(t_ps + int(round(mark_s / PS)),
+                       _expm_h(gen[0], mark_s) @ psi)
+            psi = _expm_h(gen[0], dur_s) @ psi
+            t_ps += seg.duration_ps
+            record(t_ps, psi)
+            continue
+        f_cap, gamma = gen.f_cap[0], gen.gammas[0]
+        period = gen.period_s or 0.0
+        n_per, m = 0, 0
+        dt_s = 1.0 / (dt_factor * f_cap)
+        if gen.period_s is None:
+            n_rest = max(int(math.ceil(dur_s / dt_s)), 1)
+        else:
+            n_per = int(dur_s // period)
+            m = int(math.ceil(dt_factor * f_cap * period))
+            dt_s = period / m
+            n_rest = int(math.ceil(max(dur_s - n_per * period, 0.0) / dt_s))
+        dt_rest = (dur_s - n_per * period) / n_rest if n_rest else 0.0
+        pre_r = prefixes(gen, _cf4_coefs(gamma, t_ps * PS + n_per * period,
+                                         dt_rest, n_rest), dt_rest, n_rest)
+        pre_p = [np.eye(4, dtype=complex)]
+        powers = [np.eye(4, dtype=complex)]
+        if n_per:
+            coefs = _cf4_coefs(gamma, t_ps * PS, dt_s, m)
+            pre_p = prefixes(gen, coefs, dt_s, m)
+            p = propagate_affine(gen.h_base, gen.h_coef, coefs,
+                                 [0.5 * dt_s], [coefs.size])[0]
+            for _ in range(n_per):
+                powers.append(p @ powers[-1])
+
+        def lab(mat, t_s):
+            return rot_to_lab(mat, t_s, gen.frame_hz) if gen.frame_hz else mat
+
+        n_p = n_per * m
+        for step in sorted({min(math.ceil(mark / dt_s), n_p)
+                            if mark <= n_per * period
+                            else n_p + min(max(math.ceil(
+                                (mark - n_per * period) / dt_rest), 1), n_rest)
+                            for mark in marks_s}):
+            if step >= n_p + n_rest:
+                continue
+            n, j = divmod(min(step, n_p), max(m, 1))
+            i = max(step - n_p, 0)
+            t_s = n * period + j * dt_s + i * dt_rest
+            record(t_ps + int(round(t_s / PS)),
+                   lab(pre_r[i] @ pre_p[j] @ powers[n], t_s) @ psi)
+        psi = _stepped(gen, t_ps * PS, dur_s, dt_factor, np.empty(0),
+                       None)[0][0] @ psi
+        t_ps += seg.duration_ps
+        record(t_ps, psi)
+    if times[-1] < t_ps * 1e-3:
+        times.append(t_ps * 1e-3)
+        amps.append(psi)
+    return np.array(times), np.array(amps)

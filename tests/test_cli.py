@@ -224,6 +224,20 @@ protocol = cnot_multi
         assert f"{key} = '{value}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_stride_below_half_a_picosecond_is_config_error(self, tmp_path,
+                                                             capsys):
+        cfg = write_cfg(tmp_path / "exp.cfg", f"""
+[params]
+table = {DIRECT_TABLE}
+[gate]
+protocol = cnot_multi
+sample_ns = 0.0004
+""")
+        out = tmp_path / "o.csv"
+        assert main(["gate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "rounds to 0 ps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_transition_time_is_the_sudden_limit(self, tmp_path):
         cfg = write_cfg(tmp_path / "exp.cfg", f"""
 [params]
@@ -377,6 +391,32 @@ class TestWriteOutputs:
                                      float("nan"), "E_ZL"]]},
                           indent=1, sort_keys=True)
         assert (tmp_path / "r.csv.json").read_text() == want
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(0.1, 2, 10**10, 12345678901234567890, np.float64(1 / 3),
+          np.int64(-7), 1e22, 2.5e-300, -0.0, True)],
+        [(float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+          np.float64("-inf"))],
+        [("a, b", "]", "[x]", 'say "hi"', "two\nlines", "tab\t", "µeV"),
+         [1.0, "E_ZL", 3], ()],
+        np.random.default_rng(3).normal(size=(40, 13)).tolist(),
+    ], ids=["empty", "numbers", "non_finite", "strings", "gate_rows"])
+    def test_bytes_match_json_dumps_and_fmt(self, tmp_path, rows):
+        # the one-pass writers against the per-value definitions
+        meta = {"experiment": "gate", "seed": 3, "fidelity_percent": "99.5",
+                "sigma_uev": 1e-3, "nested": {"b": [1, 2], "a": None}}
+        cols = ["t_ns", "p, q", "r"]
+        write_outputs(str(tmp_path / "r.csv"), cols, rows, meta)
+        want_json = json.dumps({"meta": meta, "columns": cols, "rows": rows},
+                               indent=1, sort_keys=True,
+                               default=cli._json_scalar)
+        want_csv = "\n".join([f"# {k} = {v}" for k, v in meta.items()]
+                              + [",".join(cols)]
+                              + [",".join(cli._fmt(v) for v in r)
+                                 for r in rows]) + "\n"
+        assert (tmp_path / "r.csv.json").read_text() == want_json
+        assert (tmp_path / "r.csv").read_text() == want_csv
 
     def _rewrite_fails(self, tmp_path, rows, error, arm=lambda: None):
         out = tmp_path / "r.csv"

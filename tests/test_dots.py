@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +24,7 @@ from dqdsim.schrodinger import self_consistent_solve
 from conftest import (SHIPPED_BIASES, exchange_of, quartic_double_well,
                       synthetic_solution, tiny_model, zeeman_of)
 
-from oracles import ci_singlet_triplet_j
+from oracles import ci_singlet_triplet_j, pchip_field
 
 
 class TestFieldMap:
@@ -42,6 +45,44 @@ class TestFieldMap:
     def test_nonpositive_field_rejected(self):
         with pytest.raises(ConfigurationError):
             MagnetFieldMap([0.0, 1.0], [0.5, -0.1])
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0, 1.0], [0.0, np.nan, 2.0],
+                                   [0.0, np.inf, 2.0]])
+    def test_repeated_or_nonfinite_x_rejected(self, x):
+        with pytest.raises(ConfigurationError):
+            MagnetFieldMap(x, [0.5, 0.6, 0.7])
+
+    def test_shipped_map_is_scipy_pchip_bit_for_bit(self, shipped_device):
+        # the grid's x, then random points: knots, inside and beyond both
+        # ends (the end cubics extrapolate)
+        fmap, grid = shipped_device.field_map, shipped_device.grid
+        assert np.array_equal(fmap(grid.x), pchip_field(fmap, grid.x))
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            rng.choice(fmap.x_nm, 50),
+            rng.uniform(fmap.x_nm[0] - 20.0, fmap.x_nm[-1] + 20.0, 2000)])
+        assert np.array_equal(fmap(x), pchip_field(fmap, x))
+
+    @pytest.mark.parametrize("fmap", [
+        MagnetFieldMap.from_gradient(0.64, 6e-5, -1.0, 241.0),
+        MagnetFieldMap([0.0, 3.0], [0.5, 0.7]),
+        MagnetFieldMap([0.0, 1.0, 2.5, 3.0, 7.0, 8.0],
+                       [0.5, 0.9, 0.9, 0.4, 0.45, 1.2])],
+        ids=["gradient", "two_samples", "flat_and_turning"])
+    def test_maps_are_scipy_pchip_bit_for_bit(self, fmap):
+        x = np.concatenate([fmap.x_nm, np.linspace(fmap.x_nm[0] - 5.0,
+                                                   fmap.x_nm[-1] + 5.0, 997)])
+        assert np.array_equal(fmap(x), pchip_field(fmap, x))
+
+    def test_cli_import_leaves_scipy_interpolate_unloaded(self):
+        code = ("import sys, dqdsim.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy.interpolate')))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                 sys.path)})
+        assert out.stdout.strip() == "[]"
 
 
 class TestDevice:

@@ -41,7 +41,9 @@ from dqdsim.protocols import (
     schedule_ry,
 )
 
-from oracles import average_fidelity_2design, frame_optimized_fidelity_nelder_mead
+from oracles import (average_fidelity_2design,
+                     frame_optimized_fidelity_nelder_mead,
+                     sequential_trajectory)
 
 
 def src_const(p):
@@ -218,10 +220,63 @@ class TestEvolve:
         full = evolve(sched, [table], integrator=integrator)
         res = evolve(sched, [table], integrator=integrator,
                      sample_every_ns=0.25)
-        assert np.abs(res.u - full.u).max() <= 1e-12
+        assert np.array_equal(res.u, full.u)
         assert res.trajectory_t_ns[-1] == res.total_time_ns
         assert np.abs(res.trajectory_amps[-1]
                       - res.u[0, :, STATE_DD]).max() <= 1e-12
+
+    @pytest.mark.parametrize("integrator", ["rwa", "lab"])
+    @pytest.mark.parametrize("case", ["cnot_single", "ry_pi_left",
+                                      "cnot_multi_tau5"])
+    def test_sampled_u_equals_unsampled(self, table, integrator, case):
+        # rows do not enter the propagator: a lone drive, a drive that
+        # ends mid-period, and ramps of several steps per stride
+        if case == "cnot_single":
+            sched = cnot_single_schedule(table(408.0))
+        elif case == "ry_pi_left":
+            sched = schedule_ry("L", math.pi, table(400.0))
+        else:
+            sched = cnot_multi_schedule(table(400.0), table(408.0),
+                                        tau_tr_ns=5.0)
+        full = evolve(sched, [table], integrator=integrator)
+        for stride_ns in (0.123, 1.0):
+            res = evolve(sched, [table], integrator=integrator,
+                         sample_every_ns=stride_ns)
+            assert np.array_equal(res.u, full.u)
+            assert res.n_exponentials == full.n_exponentials
+            assert res.trajectory_t_ns.size > 10
+
+    @pytest.mark.parametrize("integrator", ["rwa", "lab"])
+    @pytest.mark.parametrize("stride_ns", [0.123, 0.25])
+    def test_rows_match_sequential_per_mark_products(self, table, integrator,
+                                                     stride_ns):
+        # rows from batched stacks (prefix scans, binary powers, one
+        # product per chunk of rows) against each row's map multiplied
+        # out one factor at a time
+        sched = cnot_multi_schedule(table(400.0), table(408.0), tau_tr_ns=1.0)
+        res = evolve(sched, [table], integrator=integrator,
+                     sample_every_ns=stride_ns)
+        t_ns, amps = sequential_trajectory(sched, table, integrator,
+                                           stride_ns)
+        assert np.array_equal(res.trajectory_t_ns, t_ns)
+        assert np.abs(res.trajectory_amps - amps).max() <= 1e-12
+
+    def test_segments_without_rows_end_on_the_final_state(self, p400):
+        # the second and third segments hold no mark and end in the
+        # stride interval of the first one's last row
+        sched = PulseSchedule((Segment(1500, 400.0), Segment(200, 400.0),
+                               Segment(100, 400.0)), (), p400.e_zl_hz)
+        res = evolve(sched, [src_const(p400)], sample_every_ns=1.0)
+        t_ns, amps = sequential_trajectory(sched, src_const(p400), "rwa",
+                                           1.0)
+        assert np.array_equal(res.trajectory_t_ns, [0.0, 1.0, 1.8])
+        assert np.array_equal(res.trajectory_t_ns, t_ns)
+        assert np.abs(res.trajectory_amps - amps).max() <= 1e-12
+
+    def test_stride_rounding_to_zero_is_rejected(self, p400):
+        sched = schedule_ry("L", math.pi, p400)
+        with pytest.raises(ConfigurationError, match="rounds to 0 ps"):
+            evolve(sched, [src_const(p400)], sample_every_ns=0.0004)
 
     @pytest.mark.parametrize("stride_ns", [0.123, 0.25])
     def test_lab_and_rwa_trajectories_share_their_times(self, table,

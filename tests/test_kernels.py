@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dqdsim import kernels
 from dqdsim.kernels import ordered_product, propagate_affine, step_exponentials
@@ -80,6 +81,42 @@ class TestKernels:
             for k, coefs in enumerate(seqs):
                 alone = propagate_one(h_base[k], h_coef, coefs, dts[k])
                 assert stack[k].tobytes() == alone.tobytes()
+
+
+class TestPrefixProducts:
+    """For a stack of one, the kernel also returns the products of the
+    first e exponentials, from the same exponentials as U."""
+
+    def test_prefixes_are_the_sequential_products(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        a, b = random_hermitian(rng), random_hermitian(rng)
+        coefs = rng.normal(size=2 * 61)
+        # chunks of 16 exponentials: ends before, at and after chunk
+        # boundaries, at the end, repeated and out of order
+        monkeypatch.setattr(kernels, "CHUNK_STEPS", 16)
+        ends = [0, 2, 14, 16, 18, 32, 60, 122, 32, 4]
+        u, prefixes = propagate_affine(a[None], b, coefs, [1e-2],
+                                       [coefs.size], ends)
+        assert prefixes.shape == (len(ends), 4, 4)
+        exps = step_exponentials(a, b, coefs, 1e-2)
+        for e, got in zip(ends, prefixes):
+            want = np.eye(4, dtype=complex)
+            for step in exps[:e]:
+                want = step @ want
+            assert np.abs(got - want).max() <= 1e-13
+        assert np.array_equal(u, propagate_affine(a[None], b, coefs, [1e-2],
+                                                  [coefs.size]))
+
+    def test_bad_ends_are_rejected(self):
+        rng = np.random.default_rng(24)
+        a, b = random_hermitian(rng), random_hermitian(rng)
+        coefs = rng.normal(size=8)
+        for h_base, ends in ((a[None], [3]), (a[None], [10]),
+                             (a[None], [-2]), (np.stack([a, a]), [2])):
+            with pytest.raises(ValueError):
+                propagate_affine(h_base, b, np.tile(coefs, len(h_base)),
+                                 [1e-2] * len(h_base), [8] * len(h_base),
+                                 ends)
 
 
 def eigh_exponentials(h_base, h_coef, coefs, dt_s):

@@ -61,6 +61,7 @@ KNOBS = {
     "dynamics.evolve(integrator)": "cli.run_gate",
     "dynamics.evolve(dt_factor)": "kept: criterion 9a halves the step",
     "dynamics.evolve(sample_every_ns)": "cli.run_gate",
+    "kernels.propagate_affine(ends)": "dynamics._propagate",
     "errors.NumericalError.__init__(diagnostics)":
         "schrodinger.solve_eigenstates",
     "noise.NoiseConfig.n_samples": "cli.run_noise_sweep",
